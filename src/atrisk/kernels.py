@@ -1,74 +1,75 @@
-"""Backend selection for the numeric hot kernels.
+"""The numeric hot kernels: pairwise squared distances and Gini split scans.
 
-The compiled extension (``atrisk._ckernels``, Cython) is preferred when it
-imported cleanly; otherwise the numpy fallback is used.  Set the environment
-variable ``ATRISK_PURE_PYTHON=1`` to force the fallback, or call
-:func:`set_backend` at runtime (used by the benchmark and the
-backend-agreement tests).
+Both are plain numpy.  Every candidate value comes from elementwise
+double-precision operations (no BLAS call and no reduction whose order
+depends on the thread count), so results are exact on 0/1 inputs and
+reproducible bit for bit on fractional ones.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-from . import _pykernels
-
-_BACKENDS = {"python": _pykernels}
-try:
-    from . import _ckernels
-    _BACKENDS["compiled"] = _ckernels
-except ImportError:
-    pass
-
-if os.environ.get("ATRISK_PURE_PYTHON", "") == "1":
-    _active_name = "python"
-elif "compiled" in _BACKENDS:
-    _active_name = "compiled"
-else:
-    _active_name = "python"
-
-
-def available_backends():
-    """Names of the importable kernel backends."""
-    return tuple(sorted(_BACKENDS))
 
 
 def active_backend():
-    return _active_name
-
-
-def set_backend(name):
-    """Switch the active kernel backend; returns the previous name."""
-    global _active_name
-    if name not in _BACKENDS:
-        raise ValueError(f"unknown kernel backend {name!r}; "
-                         f"available: {available_backends()}")
-    previous = _active_name
-    _active_name = name
-    return previous
+    """Name of the kernel implementation; there is only the numpy one."""
+    return "numpy"
 
 
 def pairwise_sqdist(x, y):
-    """Squared Euclidean distances between rows of x (n, d) and y (m, d)."""
+    """Squared Euclidean distances between rows of x (n, d) and y (m, d).
+
+    Returns an (n, m) float64 array.
+    """
     x = np.ascontiguousarray(x, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.float64)
     if x.ndim != 2 or y.ndim != 2:
         raise ValueError("pairwise_sqdist expects 2-D matrices")
     if x.shape[1] != y.shape[1]:
         raise ValueError(f"column mismatch: {x.shape[1]} vs {y.shape[1]}")
-    return _BACKENDS[_active_name].pairwise_sqdist(x, y)
+    out = np.empty((x.shape[0], y.shape[0]), dtype=np.float64)
+    for i in range(x.shape[0]):
+        diff = y - x[i]
+        out[i] = (diff * diff).sum(axis=1)
+    return out
 
 
 def split_scan(values, labels):
-    """Best Gini split of a pre-sorted feature column.
+    """Best binary split over the columns of a node's feature block.
 
-    values: float64 ascending; labels: 0/1 per row, aligned.
-    Returns (found, weighted_gini, threshold).
+    ``values`` is an (n, m) block whose columns are each sorted ascending;
+    ``labels`` (1 = positive class) is aligned to it column by column.
+    Candidate thresholds are midpoints between distinct consecutive values
+    of a column, scored by weighted child Gini.  The first strict minimum
+    wins: the lowest column, then the lowest threshold within it.
+
+    Returns ``(column, weighted_gini, threshold)``; column is -1 when no
+    column has two distinct values.
     """
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    labels = np.ascontiguousarray(labels, dtype=np.uint8)
-    if values.shape != labels.shape:
-        raise ValueError("values and labels must be aligned 1-D arrays")
-    return _BACKENDS[_active_name].split_scan(values, labels)
+    values = np.asarray(values, dtype=np.float64)
+    labels = np.asarray(labels)
+    if values.ndim != 2 or values.shape != labels.shape:
+        raise ValueError("values and labels must be aligned 2-D blocks, "
+                         f"got {values.shape} and {labels.shape}")
+    n = values.shape[0]
+    if n < 2 or values.shape[1] == 0:
+        return -1, np.inf, 0.0
+    ntot = float(n)
+    nl = np.arange(1, n, dtype=np.float64)[:, None]
+    nr = ntot - nl
+    total = labels.sum(axis=0, dtype=np.float64)
+    cl1 = np.cumsum(labels[:-1], axis=0, dtype=np.float64)
+    cl0 = nl - cl1
+    cr1 = total - cl1
+    cr0 = nr - cr1
+    wg = (nl - (cl0 * cl0 + cl1 * cl1) / nl
+          + nr - (cr0 * cr0 + cr1 * cr1) / nr) / ntot
+    wg[values[1:] == values[:-1]] = np.inf
+    split_at = np.argmin(wg, axis=0)
+    best = wg[split_at, np.arange(wg.shape[1])]
+    column = int(np.argmin(best))
+    if best[column] == np.inf:
+        return -1, np.inf, 0.0
+    k = split_at[column]
+    threshold = (values[k, column] + values[k + 1, column]) / 2.0
+    return column, float(best[column]), float(threshold)

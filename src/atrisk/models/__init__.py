@@ -45,20 +45,47 @@ def fit(spec, train):
     return _FITTERS[spec.kind](spec, train)
 
 
+# top-level document keys read after the format/version check, and the
+# JSON type each must have
+_DOCUMENT_FIELDS = (("kind", str), ("params", dict), ("n_features", int),
+                    ("non_converged", bool), ("state", dict))
+
+
 def load_model(path):
-    """Load a model saved by TrainedModel.save; validates the format."""
+    """Load a model saved by TrainedModel.save; validates the format.
+
+    A malformed document raises ValueError naming the file and the key.
+    """
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != MODEL_FORMAT:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path}: not an atrisk model file")
     if doc.get("version") != MODEL_VERSION:
         raise ValueError(f"{path}: unsupported model version "
                          f"{doc.get('version')!r}")
-    params = dict(doc["params"])
-    spec = ModelSpec(doc["kind"], **params)
-    cls = _CLASSES[spec.kind]
-    return cls.from_state(spec, doc["state"], n_features=doc["n_features"],
-                          non_converged=doc["non_converged"])
+    for key, kind in _DOCUMENT_FIELDS:
+        if key not in doc:
+            raise ValueError(f"{path}: missing key {key!r}")
+        if type(doc[key]) is not kind:
+            raise ValueError(f"{path}: key {key!r} must be a JSON "
+                             f"{kind.__name__}, got "
+                             f"{type(doc[key]).__name__}")
+    try:
+        spec = ModelSpec(doc["kind"], **doc["params"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: bad 'kind' or 'params' ({exc})") from None
+    try:
+        return _CLASSES[spec.kind].from_state(
+            spec, doc["state"], n_features=doc["n_features"],
+            non_converged=doc["non_converged"])
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc.args[0]!r} "
+                         f"in 'state'") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed 'state' ({exc})") from None
 
 
 __all__ = [

@@ -1,11 +1,13 @@
 """CART decision tree (Gini impurity) and bagged random forest.
 
 Splits are single-feature thresholds at midpoints between distinct sorted
-values, chosen to minimise the weighted child Gini via the kernel split
-scan.  Ties break toward the lowest feature index, then the lowest
-threshold.  Impure nodes accept zero-gain splits (needed for XOR-like
-layouts), so a fully grown tree reaches training accuracy 1.0 whenever no
-duplicate feature rows carry different labels.
+values, chosen to minimise the weighted child Gini.  Each node makes one
+``kernels.split_scan`` call over its (rows x candidate features) block,
+every column sorted by one stable argsort.  Ties break toward the lowest
+feature index, then the lowest threshold.  Impure nodes accept zero-gain
+splits (needed for XOR-like layouts), so a fully grown tree reaches
+training accuracy 1.0 whenever no duplicate feature rows carry different
+labels.
 """
 
 from __future__ import annotations
@@ -63,19 +65,15 @@ def _build_tree(X, y, max_depth, min_samples_split, rng=None,
             candidates = np.sort(rng.choice(d, size=max_features,
                                             replace=False))
         else:
-            candidates = range(d)
-        best = (np.inf, 0.0, -1)
-        labels = y[rows].astype(np.uint8)
-        for j in candidates:
-            values = X[rows, j]
-            order = np.argsort(values, kind="stable")
-            found, impurity, threshold = kernels.split_scan(values[order],
-                                                            labels[order])
-            if found and impurity < best[0]:
-                best = (impurity, threshold, j)
-        if best[2] < 0:
+            candidates = np.arange(d)
+        block = X[np.ix_(rows, candidates)]
+        order = np.argsort(block, axis=0, kind="stable")
+        labels = y[rows].astype(np.uint8)[order]
+        column, _, threshold = kernels.split_scan(
+            np.take_along_axis(block, order, axis=0), labels)
+        if column < 0:
             return node  # all candidate features constant here
-        _, threshold, j = best
+        j = candidates[column]
         tree.feature[node] = int(j)
         tree.threshold[node] = float(threshold)
         go_left = X[rows, j] <= threshold

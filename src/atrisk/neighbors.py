@@ -1,8 +1,8 @@
 """Brute-force k-nearest-neighbour search (exact, deterministic).
 
 Distances are Euclidean; ties break by ascending row index.  Point counts in
-this package stay in the hundreds, so the O(n^2 d) scan through the kernel
-backend is both fast enough and exactly reproducible.
+this package stay in the hundreds, so the O(n^2 d) scan through
+``kernels.pairwise_sqdist`` is both fast enough and exactly reproducible.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from . import kernels
 class NeighborQuery:
     points: np.ndarray
     k: int
-    metric: str = "euclidean"
 
     def __post_init__(self):
         points = np.asarray(self.points, dtype=np.float64)
@@ -27,8 +26,6 @@ class NeighborQuery:
         object.__setattr__(self, "points", points)
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.metric != "euclidean":
-            raise ValueError(f"unsupported metric {self.metric!r}")
 
 
 def knn_among(queries, candidates, k):

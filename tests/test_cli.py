@@ -165,6 +165,23 @@ def test_evaluate_refuses_synthetic_test_file(tmp_path, config_file,
     assert "test purity" in capsys.readouterr().err
 
 
+def test_evaluate_malformed_model_file_is_one_line_error(tmp_path,
+                                                        config_file, capsys):
+    out = tmp_path / "run"
+    for stage in ("simulate", "encode", "split", "resample", "train"):
+        run_ok([stage, "--config", config_file, "--out", str(out)])
+    model_path = out / "model_w3_logreg.json"
+    doc = json.loads(model_path.read_text())
+    del doc["params"]
+    model_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main(["evaluate", "--config", config_file, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "model_w3_logreg.json: missing key 'params'" in err
+
+
 def test_tune_writes_ranked_grid(tmp_path, config_file):
     out = str(tmp_path / "run")
     for stage in ("simulate", "encode", "split"):

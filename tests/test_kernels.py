@@ -1,4 +1,4 @@
-"""Kernel backends: correctness against oracles and cross-backend agreement."""
+"""Numeric kernels: correctness against direct formulas and oracles."""
 
 import numpy as np
 import pytest
@@ -7,20 +7,7 @@ from atrisk import kernels
 from oracles import gini_split_oracle
 
 
-@pytest.fixture(autouse=True)
-def restore_backend():
-    previous = kernels.active_backend()
-    yield
-    kernels.set_backend(previous)
-
-
-def both_backends():
-    return kernels.available_backends()
-
-
-@pytest.mark.parametrize("backend", both_backends())
-def test_pairwise_sqdist_matches_direct_formula(backend):
-    kernels.set_backend(backend)
+def test_pairwise_sqdist_matches_direct_formula():
     rng = np.random.default_rng(5)
     x = rng.random((23, 9))
     y = rng.random((17, 9))
@@ -31,9 +18,7 @@ def test_pairwise_sqdist_matches_direct_formula(backend):
             assert dist[i, j] == pytest.approx(expected, abs=1e-12)
 
 
-@pytest.mark.parametrize("backend", both_backends())
-def test_pairwise_sqdist_exact_on_binary(backend):
-    kernels.set_backend(backend)
+def test_pairwise_sqdist_exact_on_binary():
     rng = np.random.default_rng(6)
     x = (rng.random((30, 40)) < 0.5).astype(float)
     dist = kernels.pairwise_sqdist(x, x)
@@ -42,76 +27,88 @@ def test_pairwise_sqdist_exact_on_binary(backend):
     assert np.array_equal(np.diag(dist), np.zeros(30))
 
 
-@pytest.mark.parametrize("backend", both_backends())
-def test_split_scan_against_oracle(backend):
-    kernels.set_backend(backend)
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        n = int(rng.integers(2, 60))
-        if rng.random() < 0.5:
-            values = np.sort(rng.integers(0, 4, n).astype(float))
-        else:
-            values = np.sort(rng.random(n))
-        labels = (rng.random(n) < 0.4).astype(np.uint8)
-        candidates = gini_split_oracle(values, labels)
-        found, impurity, threshold = kernels.split_scan(values, labels)
-        if not candidates:
-            assert found == 0
-            continue
-        best = min(c[0] for c in candidates)
-        assert found == 1
-        assert impurity == pytest.approx(best, abs=1e-12)
-        ties = {thr for wg, thr in candidates if abs(wg - best) < 1e-12}
-        assert threshold in ties
-
-
-@pytest.mark.parametrize("backend", both_backends())
-def test_split_scan_constant_column(backend):
-    kernels.set_backend(backend)
-    values = np.ones(10)
-    labels = np.array([0, 1] * 5, dtype=np.uint8)
-    assert kernels.split_scan(values, labels)[0] == 0
-
-
-@pytest.mark.skipif(len(both_backends()) < 2,
-                    reason="compiled backend not built")
-def test_backends_agree_exactly_on_binary_inputs():
-    rng = np.random.default_rng(8)
-    for _ in range(50):
-        x = (rng.random((25, 15)) < 0.5).astype(float)
-        y = (rng.random((20, 15)) < 0.5).astype(float)
-        kernels.set_backend("compiled")
-        dc = kernels.pairwise_sqdist(x, y)
-        kernels.set_backend("python")
-        dp = kernels.pairwise_sqdist(x, y)
-        assert np.array_equal(dc, dp)
-
-        values = np.sort(rng.integers(0, 3, 30).astype(float))
-        labels = (rng.random(30) < 0.5).astype(np.uint8)
-        kernels.set_backend("compiled")
-        sc = kernels.split_scan(values, labels)
-        kernels.set_backend("python")
-        sp = kernels.split_scan(values, labels)
-        assert sc == sp
-
-
-@pytest.mark.skipif(len(both_backends()) < 2,
-                    reason="compiled backend not built")
-def test_backends_agree_on_fractional_inputs():
-    rng = np.random.default_rng(9)
-    x = rng.random((40, 12))
-    kernels.set_backend("compiled")
-    dc = kernels.pairwise_sqdist(x, x)
-    kernels.set_backend("python")
-    dp = kernels.pairwise_sqdist(x, x)
-    assert np.allclose(dc, dp, rtol=0, atol=1e-12)
-
-
-def test_set_backend_rejects_unknown():
-    with pytest.raises(ValueError, match="unknown kernel backend"):
-        kernels.set_backend("fortran")
-
-
 def test_pairwise_rejects_mismatched_columns():
     with pytest.raises(ValueError, match="column mismatch"):
         kernels.pairwise_sqdist(np.zeros((2, 3)), np.zeros((2, 4)))
+
+
+def sorted_block(values, labels):
+    """Sort every column of a block, carrying its labels along."""
+    order = np.argsort(values, axis=0, kind="stable")
+    return (np.take_along_axis(values, order, axis=0),
+            np.take_along_axis(labels, order, axis=0))
+
+
+def test_split_scan_against_oracle():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        n = int(rng.integers(2, 60))
+        m = int(rng.integers(1, 8))
+        if rng.random() < 0.5:
+            values = rng.integers(0, 2, (n, m)).astype(float)
+        else:
+            values = rng.random((n, m))
+        labels = np.repeat((rng.random((n, 1)) < 0.4).astype(np.uint8),
+                           m, axis=1)
+        values, labels = sorted_block(values, labels)
+        # the best split of each column on its own, by the oracle
+        per_column = [gini_split_oracle(values[:, j], labels[:, j])
+                      for j in range(m)]
+        # each column scanned alone agrees with the oracle
+        singles = [kernels.split_scan(values[:, [j]], labels[:, [j]])
+                   for j in range(m)]
+        for j, (found, impurity, threshold) in enumerate(singles):
+            candidates = gini_split_oracle(values[:, j], labels[:, j])
+            if not candidates:
+                assert found == -1
+                continue
+            best = min(wg for wg, _ in candidates)
+            assert found == 0
+            assert impurity == pytest.approx(best, abs=1e-12)
+            ties = {thr for wg, thr in candidates if abs(wg - best) < 1e-12}
+            assert threshold in ties
+        # the block's winner is the first strict minimum over the columns
+        expected = (-1, np.inf, 0.0)
+        for j, (found, impurity, threshold) in enumerate(singles):
+            if found == 0 and impurity < expected[1]:
+                expected = (j, impurity, threshold)
+        assert kernels.split_scan(values, labels) == expected
+
+
+def test_split_scan_identical_columns_lower_wins():
+    values = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
+    labels = np.array([[0, 0], [0, 0], [1, 1], [1, 1]], dtype=np.uint8)
+    column, impurity, threshold = kernels.split_scan(values, labels)
+    assert (column, impurity, threshold) == (0, 0.0, 1.5)
+
+
+def test_split_scan_lowest_threshold_wins_within_column():
+    # the splits at 0.5 and 3.5 score exactly 0.4 each
+    values = np.arange(5.0).reshape(5, 1)
+    labels = np.array([[0], [1], [0], [1], [0]], dtype=np.uint8)
+    assert kernels.split_scan(values, labels) == (0, 0.4, 0.5)
+
+
+def test_split_scan_constant_column():
+    values = np.ones((10, 3))
+    labels = np.tile(np.array([[0], [1]], dtype=np.uint8), (5, 3))
+    assert kernels.split_scan(values, labels)[0] == -1
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_split_scan_too_few_rows(n):
+    values = np.arange(float(n)).reshape(n, 1)
+    labels = np.zeros((n, 1), dtype=np.uint8)
+    assert kernels.split_scan(values, labels)[0] == -1
+
+
+@pytest.mark.parametrize("values_shape, labels_shape",
+                         [((4, 2), (4, 3)), ((4, 2), (3, 2)), ((4,), (4,))])
+def test_split_scan_rejects_misaligned_shapes(values_shape, labels_shape):
+    with pytest.raises(ValueError, match="aligned 2-D"):
+        kernels.split_scan(np.zeros(values_shape),
+                           np.zeros(labels_shape, dtype=np.uint8))
+
+
+def test_single_numpy_backend():
+    assert kernels.active_backend() == "numpy"

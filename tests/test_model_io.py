@@ -65,3 +65,39 @@ def test_rejects_unknown_version(tmp_path, split_w3):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="unsupported model version"):
         load_model(path)
+
+
+def saved_logreg_document(tmp_path, train):
+    path = tmp_path / "model.json"
+    fit(ModelSpec("logreg"), train).save(path)
+    return path, json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("key", ["kind", "params", "n_features",
+                                 "non_converged", "state", "state.weights"])
+def test_rejects_missing_key(tmp_path, split_w3, key):
+    train, _ = split_w3
+    path, doc = saved_logreg_document(tmp_path, train)
+    *parents, leaf = key.split(".")
+    node = doc
+    for parent in parents:
+        node = node[parent]
+    del node[leaf]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError,
+                       match=f"model.json: missing key '{leaf}'"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("n_features", "3", "'n_features' must be a JSON int"),
+    ("state", [], "'state' must be a JSON dict"),
+    ("params", {"C": "big"}, "bad 'kind' or 'params'"),
+])
+def test_rejects_wrong_typed_field(tmp_path, split_w3, key, value, message):
+    train, _ = split_w3
+    path, doc = saved_logreg_document(tmp_path, train)
+    doc[key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"model.json: .*{message}"):
+        load_model(path)

@@ -87,8 +87,6 @@ def test_k_too_large_reports_pool_size():
 def test_query_validation():
     with pytest.raises(ValueError, match="k must be >= 1"):
         NeighborQuery(points=np.zeros((3, 2)), k=0)
-    with pytest.raises(ValueError, match="unsupported metric"):
-        NeighborQuery(points=np.zeros((3, 2)), k=1, metric="cosine")
     with pytest.raises(ValueError, match="2-D"):
         NeighborQuery(points=np.zeros(3), k=1)
 
