@@ -270,16 +270,16 @@ def stratified_fold_indices(labels, folds, seed):
 
 
 def _model_cells(grid):
-    cells = []
+    """Distinct (penalty, C, l1_ratio) objectives in first-seen order;
+    (elasticnet, C, 0.0) is the same objective as (l2, C, 0.0)."""
+    cells = {}
     for penalty in grid.penalties:
-        if penalty == "l2":
-            for C in grid.c_grid:
-                cells.append((penalty, C, 0.0))
-        else:
-            for C in grid.c_grid:
-                for l1r in grid.l1_ratios:
-                    cells.append((penalty, C, l1r))
-    return cells
+        ratios = (0.0,) if penalty == "l2" else grid.l1_ratios
+        for C in grid.c_grid:
+            for l1r in ratios:
+                pure_l2 = penalty == "elasticnet" and l1r == 0.0
+                cells.setdefault(("l2" if pure_l2 else penalty, C, l1r))
+    return list(cells)
 
 
 def grid_search(grid, train):

@@ -2,7 +2,33 @@ import numpy as np
 import pytest
 
 from atrisk import (LabeledDataset, ResampleConfig, SimConfig, SplitSpec,
-                    encode, simulate, smote, split)
+                    encode, models, simulate, smote, split)
+from oracles import logistic_kkt_oracle
+
+
+def assert_kkt_certificate(model, train):
+    """A logreg model's convergence flag agrees with the KKT oracle."""
+    p = model.spec.params
+    l1_ratio = p["l1_ratio"] if p["penalty"] == "elasticnet" else 0.0
+    y = np.where(train.labels, 1.0, -1.0)
+    residual = logistic_kkt_oracle(train.features, y, model.weights,
+                                   model.intercept, p["C"], l1_ratio)
+    assert np.isfinite(model.weights).all() and np.isfinite(model.intercept)
+    assert model.non_converged == (residual > p["tolerance"])
+    return residual
+
+
+@pytest.fixture(autouse=True)
+def certify_logreg_fits(monkeypatch):
+    """Every logreg fit made through atrisk.fit is checked by the oracle."""
+    fit_logistic = models._FITTERS["logreg"]
+
+    def certified(spec, train):
+        model = fit_logistic(spec, train)
+        assert_kkt_certificate(model, train)
+        return model
+
+    monkeypatch.setitem(models._FITTERS, "logreg", certified)
 
 
 @pytest.fixture(scope="session")

@@ -113,3 +113,40 @@ def pca_oracle(rows, r):
         if components[pivot, j] < 0:
             components[:, j] = -components[:, j]
     return components, eigenvalues[order]
+
+
+def logistic_kkt_oracle(X, y, w, b, C, l1_ratio):
+    """Relative KKT residual of the penalised logistic objective
+
+        F(w, b) = sum_i log(1 + exp(-m_i)) + l1*|w|_1 + l2/2*|w|^2,
+        m_i = y_i (w.x_i + b),  l1 = l1_ratio/C,  l2 = (1 - l1_ratio)/C,
+
+    at (w, b), with y in {-1, +1}: the largest entry of the minimum-norm
+    subgradient of F over [w, b], divided by max(1, |F|).  It is 0 exactly
+    at the minimiser.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    l1 = l1_ratio / C
+    l2 = (1.0 - l1_ratio) / C
+    margins = y * (X @ w + b)
+    objective = float(np.sum(np.logaddexp(0.0, -margins))
+                      + l1 * np.sum(np.abs(w)) + 0.5 * l2 * np.dot(w, w))
+    # d/dm log(1 + exp(-m)) = -1/(1 + exp(m)) = -(1 - tanh(m/2))/2
+    dloss_dscore = -y * 0.5 * (1.0 - np.tanh(0.5 * margins))
+    residual = abs(float(np.sum(dloss_dscore)))  # intercept: unpenalised
+    for j in range(len(w)):
+        g = float(np.dot(X[:, j], dloss_dscore)) + l2 * w[j]
+        if w[j] > 0.0:
+            pg = g + l1
+        elif w[j] < 0.0:
+            pg = g - l1
+        elif g + l1 < 0.0:
+            pg = g + l1
+        elif g - l1 > 0.0:
+            pg = g - l1
+        else:
+            pg = 0.0  # 0 lies in the subdifferential [g - l1, g + l1]
+        residual = max(residual, abs(pg))
+    return residual / max(1.0, abs(objective))

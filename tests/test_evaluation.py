@@ -5,6 +5,7 @@ import pytest
 
 from atrisk import (GridSpec, ModelSpec, evaluate, fit, grid_search,
                     mann_whitney_auc, sweep_thresholds)
+import atrisk.evaluation as evaluation
 from atrisk.evaluation import stratified_fold_indices, write_summary_csv
 from conftest import make_dataset
 from oracles import auc_pairwise_oracle, metrics_oracle
@@ -289,6 +290,45 @@ def test_grid_ranking_tie_breaks_prefer_smaller_c(split_w3):
     if cells[0].mean_f1_false == cells[1].mean_f1_false and \
             cells[0].mean_recall_false == cells[1].mean_recall_false:
         assert cells[0].C < cells[1].C
+
+
+def objective_of(cell):
+    """(C, l1_ratio) fixes the objective; l2 is l1_ratio 0."""
+    return cell.C, cell.l1_ratio if cell.penalty == "elasticnet" else 0.0
+
+
+def test_default_grid_has_no_duplicate_objectives(split_w3):
+    train, _ = split_w3
+    defaults = GridSpec()
+    grid = GridSpec(k_neighbors_grid=(5,), thresholds=(0.5,), folds=2)
+    assert (grid.penalties, grid.c_grid, grid.l1_ratios) == \
+        (defaults.penalties, defaults.c_grid, defaults.l1_ratios)
+    cells = grid_search(grid, train).cells
+    objectives = [objective_of(c) for c in cells]
+    assert len(objectives) == len(set(objectives)) == 12
+    # (elasticnet, C, 0.0) is reported as (l2, C, 0.0)
+    assert all(c.l1_ratio > 0.0 for c in cells if c.penalty == "elasticnet")
+    assert sum(c.penalty == "l2" for c in cells) == len(grid.c_grid)
+
+
+def test_grid_fits_each_objective_once_per_fold(split_w3, monkeypatch):
+    fitted = []
+    original = evaluation.fit
+
+    def counting_fit(spec, train):
+        fitted.append((spec.params["penalty"], spec.params["C"],
+                       spec.params["l1_ratio"]))
+        return original(spec, train)
+
+    monkeypatch.setattr(evaluation, "fit", counting_fit)
+    train, _ = split_w3
+    grid = tiny_grid(penalties=("elasticnet", "l2"), c_grid=(0.1, 0.1),
+                     l1_ratios=(0.0, 0.5), folds=2)
+    cells = grid_search(grid, train).cells
+    # first-seen order: elasticnet 0.0 becomes l2 before the l2 entry
+    assert fitted == [("l2", 0.1, 0.0), ("elasticnet", 0.1, 0.5)] * 2
+    assert sorted((c.penalty, c.l1_ratio) for c in cells) == \
+        [("elasticnet", 0.5), ("l2", 0.0)]
 
 
 def test_grid_spec_validation():

@@ -1,11 +1,19 @@
-"""Logistic regression numerics: gradients, descent, penalties."""
+"""Logistic regression numerics: gradients, descent, penalties, and the
+KKT certificate of the Newton solver."""
+
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from atrisk import ModelSpec, fit
-from atrisk.models.logistic import smooth_gradient, smooth_objective
-from conftest import make_dataset, random_binary_dataset
+from atrisk import ModelSpec, fit, load_model
+from atrisk.models.logistic import (fit_logistic_raw, smooth_gradient,
+                                    smooth_objective)
+from conftest import assert_kkt_certificate, make_dataset, \
+    random_binary_dataset
+from oracles import logistic_kkt_oracle
 
 
 def central_difference_gradient(X, y, w, b, C, l1_ratio, eps=1e-5):
@@ -137,3 +145,114 @@ def test_spec_validation():
         ModelSpec("logreg", l1_ratio=0.5)
     with pytest.raises(ValueError, match="unknown model kind"):
         ModelSpec("mlp")
+
+
+# --- KKT certificate --------------------------------------------------------
+
+PENALTIES = [("l2", 0.0), ("elasticnet", 0.5), ("elasticnet", 1.0)]
+
+
+def logreg_spec(penalty, l1_ratio, C, **kw):
+    if penalty == "l2":
+        return ModelSpec("logreg", C=C, **kw)
+    return ModelSpec("logreg", penalty=penalty, l1_ratio=l1_ratio, C=C, **kw)
+
+
+@pytest.mark.parametrize("C", [0.01, 0.1, 1.0, 10.0])
+@pytest.mark.parametrize("penalty,l1_ratio", PENALTIES)
+def test_fit_meets_kkt_oracle(smote_train_w3, penalty, l1_ratio, C):
+    model = fit(logreg_spec(penalty, l1_ratio, C), smote_train_w3)
+    assert not model.non_converged
+    assert assert_kkt_certificate(model, smote_train_w3) <= 1e-8
+    assert model.kkt_residual <= 1e-8
+    assert np.all(np.diff(model.objective_history) <= 0)
+
+
+def test_kkt_oracle_rejects_perturbed_optimum(smote_train_w3):
+    model = fit(ModelSpec("logreg", penalty="elasticnet", l1_ratio=0.5,
+                          C=1.0), smote_train_w3)
+    y = np.where(smote_train_w3.labels, 1.0, -1.0)
+    X = smote_train_w3.features
+    nudged = model.weights.copy()
+    nudged[np.argmax(np.abs(nudged))] *= 1.01
+    assert logistic_kkt_oracle(X, y, nudged, model.intercept, 1.0,
+                               0.5) > 1e-6
+    assert logistic_kkt_oracle(X, y, model.weights, model.intercept + 1e-3,
+                               1.0, 0.5) > 1e-6
+
+
+def test_non_converged_fit_reports_its_residual():
+    rng = np.random.default_rng(13)
+    ds = random_binary_dataset(rng, 50, 8)
+    model = fit(ModelSpec("logreg", max_iterations=1), ds)
+    assert model.non_converged
+    assert model.kkt_residual > 1e-8
+    assert len(model.objective_history) == 2
+
+
+def test_kkt_residual_stays_out_of_the_saved_model(smote_train_w3, tmp_path):
+    model = fit(ModelSpec("logreg"), smote_train_w3)
+    path = tmp_path / "model.json"
+    model.save(path)
+    assert set(json.loads(path.read_text())["state"]) == \
+        {"weights", "intercept"}
+    loaded = load_model(path)
+    assert loaded.kkt_residual is None
+    assert loaded.objective_history is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(10, 40),
+       d=st.integers(1, 8), C=st.floats(1e-2, 1e2),
+       l1_ratio=st.floats(0.0, 1.0), binary=st.booleans())
+def test_random_problems_meet_kkt_oracle(seed, n, d, C, l1_ratio, binary):
+    rng = np.random.default_rng(seed)
+    features = rng.random((n, d))
+    if binary:
+        features = (features < 0.5).astype(np.float64)
+    labels = rng.random(n) < 0.5
+    labels[:2], labels[2:4] = False, True
+    # fractional rows are only legal as synthetic (oversampled) rows
+    ds = make_dataset(features, labels, np.full(n, not binary))
+    model = fit(logreg_spec("elasticnet", l1_ratio, C), ds)
+    assert not model.non_converged
+    assert assert_kkt_certificate(model, ds) <= 1e-8
+    assert np.all(np.diff(model.objective_history) <= 0)
+
+
+def degenerate_cases():
+    rng = np.random.default_rng(21)
+    base = (rng.random((30, 4)) < 0.5).astype(np.float64)
+    labels = rng.random(30) < 0.5
+    labels[:2], labels[2:4] = False, True
+    return {
+        "duplicate_columns": (np.hstack([base, base[:, :2]]), labels,
+                              ("elasticnet", 0.5, 1.0)),
+        "all_zero_column": (np.hstack([base, np.zeros((30, 1))]), labels,
+                            ("l2", 0.0, 1.0)),
+        "pure_l1_weak_penalty": (base, labels, ("elasticnet", 1.0, 1e4)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(degenerate_cases()))
+def test_degenerate_inputs_give_finite_certified_weights(case):
+    features, labels, (penalty, l1_ratio, C) = degenerate_cases()[case]
+    ds = make_dataset(features, labels)
+    model = fit(logreg_spec(penalty, l1_ratio, C), ds)
+    assert np.isfinite(model.weights).all()
+    assert not model.non_converged
+    assert np.all(np.diff(model.objective_history) <= 0)
+
+
+def test_separable_svm_link_scores_give_finite_fit():
+    # the SVM probability link: 1-D fit on perfectly separated scores
+    rng = np.random.default_rng(22)
+    scores = np.sort(rng.normal(size=40))
+    y = np.where(np.arange(40) >= 20, 1.0, -1.0)
+    w, b, history, _ = fit_logistic_raw(scores[:, None], y, C=1e4,
+                                        l1_ratio=0.0, tolerance=1e-12,
+                                        max_iterations=5000)
+    assert np.isfinite(w).all() and np.isfinite(b)
+    assert w[0] > 0.0
+    assert np.all(np.diff(history) <= 0)
+    assert logistic_kkt_oracle(scores[:, None], y, w, b, 1e4, 0.0) < 1e-9
