@@ -23,15 +23,16 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
-from .config import build_config, stage_seed
+from .config import PipelineConfig, build_config, stage_seed
 from .data import (LabeledDataset, SplitSpec, TaskManifest, encode,
                    load_cohort, save_cohort, split)
 from .evaluation import (GridSpec, evaluate, grid_search, sweep_thresholds,
                          write_summary_csv)
-from .models import DEFAULT_PARAMS, ModelSpec, fit, load_model
+from .models import ModelSpec, fit, load_model
 from .pca import export_scatter
 from .resampling import ResampleConfig, resample
 from .simulate import SimConfig, simulate
@@ -69,10 +70,10 @@ def _sim_config(cfg):
 
 
 def _model_spec(cfg):
-    params = dict(cfg.model_params)
-    if "seed" in DEFAULT_PARAMS[cfg.model_kind] and "seed" not in params:
-        params["seed"] = stage_seed(cfg.seed, "train")
-    return ModelSpec(cfg.model_kind, **params)
+    spec = ModelSpec(cfg.model_kind, **cfg.model_params)
+    if "seed" in spec.params and "seed" not in cfg.model_params:
+        spec.params["seed"] = stage_seed(cfg.seed, "train")
+    return spec
 
 
 def cmd_simulate(cfg, args):
@@ -264,6 +265,7 @@ def _sha256(path):
 
 
 def cmd_pipeline(cfg, args):
+    spec = _model_spec(cfg)  # a bad kind or hyperparameter fails up front
     out = _out_dir(cfg)
     artifacts = []
     if cfg.cohort_path:
@@ -277,7 +279,6 @@ def cmd_pipeline(cfg, args):
     artifacts += cmd_resample(cfg, args)
     artifacts += cmd_train(cfg, args)
 
-    spec = _model_spec(cfg)
     rows = []
     for interval in cfg.intervals:
         model = load_model(
@@ -316,12 +317,17 @@ _COMMANDS = {
 
 
 def _parser():
+    def interval(text):  # one interval replaces the configured list
+        return (int(text),)
+
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="config file (key=value sections)")
     common.add_argument("--seed", type=int, help="root seed (stage seeds "
                         "derive from it by fixed offsets)")
-    common.add_argument("--out", help="output directory")
-    common.add_argument("--interval", type=int,
+    common.add_argument("--out", dest="out_dir", metavar="OUT",
+                        help="output directory")
+    common.add_argument("--interval", dest="intervals", type=interval,
+                        metavar="INTERVAL",
                         help="restrict to one encoding interval (max week)")
 
     parser = argparse.ArgumentParser(
@@ -331,6 +337,7 @@ def _parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # each flag's dest is the PipelineConfig field it overrides
     for name in _COMMANDS:
         p = sub.add_parser(name, parents=[common])
         if name == "evaluate":
@@ -339,51 +346,28 @@ def _parser():
             p.add_argument("--test-file")
             p.add_argument("--model-kind")
         if name == "resample":
-            p.add_argument("--method", choices=("smote", "adasyn"))
+            p.add_argument("--method", dest="resample_method",
+                           choices=("smote", "adasyn"))
             p.add_argument("--k-neighbors", type=int)
         if name in ("train", "pipeline"):
             p.add_argument("--model-kind")
             p.add_argument("--train-input", choices=("raw", "resampled"))
         if name == "tune":
-            p.add_argument("--metric", choices=("f1_false", "recall_false"))
+            p.add_argument("--metric", dest="tune_metric",
+                           choices=("f1_false", "recall_false"))
         if name == "pca-export":
-            p.add_argument("--method", choices=("smote", "adasyn"))
-            p.add_argument("--real-only", action="store_true")
+            p.add_argument("--method", dest="pca_method",
+                           choices=("smote", "adasyn"))
+            p.add_argument("--real-only", dest="pca_fit_on",
+                           action="store_const", const="real")
     return parser
-
-
-def _overrides(args):
-    over = {}
-    if args.seed is not None:
-        over["seed"] = args.seed
-    if args.out is not None:
-        over["out_dir"] = args.out
-    if args.interval is not None:
-        over["intervals"] = (args.interval,)
-    if getattr(args, "threshold", None) is not None:
-        over["threshold"] = args.threshold
-    if getattr(args, "method", None) is not None:
-        if args.command == "pca-export":
-            over["pca_method"] = args.method
-        else:
-            over["resample_method"] = args.method
-    if getattr(args, "k_neighbors", None) is not None:
-        over["k_neighbors"] = args.k_neighbors
-    if getattr(args, "model_kind", None) is not None:
-        over["model_kind"] = args.model_kind
-    if getattr(args, "train_input", None) is not None:
-        over["train_input"] = args.train_input
-    if getattr(args, "metric", None) is not None:
-        over["tune_metric"] = args.metric
-    if getattr(args, "real_only", False):
-        over["pca_fit_on"] = "real"
-    return over
 
 
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
-        cfg = build_config(args.config, _overrides(args))
+        cfg = build_config(args.config, {f.name: getattr(args, f.name, None)
+                                         for f in fields(PipelineConfig)})
         _COMMANDS[args.command](cfg, args)
     except (CliError, ValueError, OSError) as exc:
         print(f"atrisk {args.command}: error: {exc}", file=sys.stderr)

@@ -1,16 +1,20 @@
 """Pipeline configuration: INI-style key=value files with section headers.
 
-Every file key has a CLI flag counterpart and flags win.  Unknown sections
-or keys are rejected by dotted path (e.g. "split.train_fractoin") so config
-drift surfaces immediately.  All stage randomness derives from one root
-seed plus fixed per-stage offsets, keeping partial reruns consistent with
-full pipeline runs.
+Each file key maps to one PipelineConfig field through ``_OPTIONS``.  Some
+fields also have a CLI flag (README lists which), and a flag wins over its
+file key.  Unknown sections or keys are rejected by dotted path (e.g.
+"split.train_fractoin") so config drift surfaces immediately.  All stage
+randomness derives from one root seed plus fixed per-stage offsets, keeping
+partial reruns consistent with full pipeline runs.
 """
 
 from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass, field, fields
+
+from .data import _parse_bool
+from .evaluation import GridSpec
 
 # stage seed = run.seed + offset
 SEED_OFFSETS = {
@@ -22,32 +26,9 @@ SEED_OFFSETS = {
     "pca": 5,
 }
 
-_SCHEMA = {
-    "run": {"seed"},
-    "paths": {"cohort", "manifest", "out"},
-    "data": {"intervals"},
-    "simulate": {"n_students", "fail_rate", "noise", "ability_spread",
-                 "difficulty_spread", "labeling"},
-    "split": {"train_fraction", "stratified"},
-    "resample": {"method", "k_neighbors"},
-    "model": None,  # open keys: 'kind' plus kind-specific hyperparameters
-    "evaluate": {"threshold", "thresholds"},
-    "tune": {"methods", "k_neighbors", "penalties", "c_values", "l1_ratios",
-             "thresholds", "folds", "metric"},
-    "pca": {"fit_on", "method"},
-}
-
 
 def stage_seed(root_seed, stage):
     return root_seed + SEED_OFFSETS[stage]
-
-
-def _parse_bool(text, where):
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    raise ValueError(f"{where}: expected 'true' or 'false', got {text!r}")
 
 
 def _parse_number(text):
@@ -60,25 +41,6 @@ def _parse_number(text):
         return float(text)
     except ValueError:
         return text
-
-
-def read_config(path):
-    """Parse and schema-check a config file into {section: {key: str}}."""
-    parser = configparser.ConfigParser(interpolation=None, delimiters=("=",))
-    parser.optionxform = str  # hyperparameter names are case-sensitive (C)
-    with open(path, encoding="utf-8") as fh:
-        parser.read_file(fh, source=path)
-    out = {}
-    for section in parser.sections():
-        if section not in _SCHEMA:
-            raise ValueError(f"unknown config section [{section}] in {path}")
-        allowed = _SCHEMA[section]
-        for key, value in parser.items(section):
-            if allowed is not None and key not in allowed:
-                raise ValueError(f"unknown config key {section}.{key} "
-                                 f"in {path}")
-            out.setdefault(section, {})[key] = value
-    return out
 
 
 @dataclass
@@ -111,15 +73,14 @@ class PipelineConfig:
     threshold: float = 0.5
     sweep_thresholds: tuple = ()  # optional grid; empty disables the sweep
     # tune
-    tune_methods: tuple = ("smote",)
-    tune_k_neighbors: tuple = (3, 5, 7)
-    tune_penalties: tuple = ("l2", "elasticnet")
-    tune_c_values: tuple = (0.01, 0.1, 1.0, 10.0)
-    tune_l1_ratios: tuple = (0.0, 0.5, 1.0)
-    tune_thresholds: tuple = (0.30, 0.35, 0.40, 0.45, 0.50,
-                              0.55, 0.60, 0.65, 0.70)
-    tune_folds: int = 5
-    tune_metric: str = "f1_false"
+    tune_methods: tuple = GridSpec.resample_methods
+    tune_k_neighbors: tuple = GridSpec.k_neighbors_grid
+    tune_penalties: tuple = GridSpec.penalties
+    tune_c_values: tuple = GridSpec.c_grid
+    tune_l1_ratios: tuple = GridSpec.l1_ratios
+    tune_thresholds: tuple = GridSpec.thresholds
+    tune_folds: int = GridSpec.folds
+    tune_metric: str = GridSpec.selection_metric
     # pca
     pca_fit_on: str = "union"    # or "real"
     pca_method: str = ""         # empty -> resample_method
@@ -146,98 +107,83 @@ class PipelineConfig:
         return self
 
 
-def _ints(text, where):
-    try:
-        return tuple(int(p) for p in text.split(",") if p.strip() != "")
-    except ValueError:
-        raise ValueError(f"{where}: expected comma-separated integers, "
-                         f"got {text!r}") from None
+def _list(item):
+    """Comma-separated values, each parsed by item; blank entries skipped."""
+    return lambda text: tuple(item(p.strip()) for p in text.split(",")
+                              if p.strip())
 
 
-def _floats(text, where):
-    try:
-        return tuple(float(p) for p in text.split(",") if p.strip() != "")
-    except ValueError:
-        raise ValueError(f"{where}: expected comma-separated numbers, "
-                         f"got {text!r}") from None
+# (section, key) -> (PipelineConfig field, parser of the file text);
+# [model] also takes the chosen kind's hyperparameters as open keys
+_OPTIONS = {
+    ("run", "seed"): ("seed", int),
+    ("paths", "cohort"): ("cohort_path", str),
+    ("paths", "manifest"): ("manifest_path", str),
+    ("paths", "out"): ("out_dir", str),
+    ("data", "intervals"): ("intervals", _list(int)),
+    ("simulate", "n_students"): ("n_students", int),
+    ("simulate", "fail_rate"): ("fail_rate", float),
+    ("simulate", "noise"): ("noise", float),
+    ("simulate", "ability_spread"): ("ability_spread", float),
+    ("simulate", "difficulty_spread"): ("difficulty_spread", float),
+    ("simulate", "labeling"): ("labeling", str),
+    ("split", "train_fraction"): ("train_fraction", float),
+    ("split", "stratified"): ("stratified", _parse_bool),
+    ("resample", "method"): ("resample_method", str),
+    ("resample", "k_neighbors"): ("k_neighbors", int),
+    ("model", "kind"): ("model_kind", str),
+    ("model", "train_input"): ("train_input", str),
+    ("evaluate", "threshold"): ("threshold", float),
+    ("evaluate", "thresholds"): ("sweep_thresholds", _list(float)),
+    ("tune", "methods"): ("tune_methods", _list(str)),
+    ("tune", "k_neighbors"): ("tune_k_neighbors", _list(int)),
+    ("tune", "penalties"): ("tune_penalties", _list(str)),
+    ("tune", "c_values"): ("tune_c_values", _list(float)),
+    ("tune", "l1_ratios"): ("tune_l1_ratios", _list(float)),
+    ("tune", "thresholds"): ("tune_thresholds", _list(float)),
+    ("tune", "folds"): ("tune_folds", int),
+    ("tune", "metric"): ("tune_metric", str),
+    ("pca", "fit_on"): ("pca_fit_on", str),
+    ("pca", "method"): ("pca_method", str),
+}
 
 
-def _strs(text):
-    return tuple(p.strip() for p in text.split(",") if p.strip() != "")
+def read_config(path):
+    """Parse and schema-check a config file into {section: {key: str}}."""
+    parser = configparser.ConfigParser(interpolation=None, delimiters=("=",))
+    parser.optionxform = str  # hyperparameter names are case-sensitive (C)
+    with open(path, encoding="utf-8") as fh:
+        try:
+            parser.read_file(fh, source=path)
+        except configparser.Error as exc:  # names the file and the line
+            raise ValueError(" ".join(str(exc).split())) from None
+    out = {}
+    for section in parser.sections():
+        if section not in {s for s, _ in _OPTIONS}:
+            raise ValueError(f"unknown config section [{section}] in {path}")
+        for key, value in parser.items(section):
+            if section != "model" and (section, key) not in _OPTIONS:
+                raise ValueError(f"unknown config key {section}.{key} "
+                                 f"in {path}")
+            out.setdefault(section, {})[key] = value
+    return out
 
 
 def build_config(config_path=None, overrides=None):
     """Defaults <- config file <- CLI overrides; returns PipelineConfig."""
     cfg = PipelineConfig()
-    if config_path:
-        raw = read_config(config_path)
-        run = raw.get("run", {})
-        if "seed" in run:
-            cfg.seed = int(run["seed"])
-        paths = raw.get("paths", {})
-        cfg.cohort_path = paths.get("cohort", cfg.cohort_path)
-        cfg.manifest_path = paths.get("manifest", cfg.manifest_path)
-        cfg.out_dir = paths.get("out", cfg.out_dir)
-        data = raw.get("data", {})
-        if "intervals" in data:
-            cfg.intervals = _ints(data["intervals"], "data.intervals")
-        sim = raw.get("simulate", {})
-        if "n_students" in sim:
-            cfg.n_students = int(sim["n_students"])
-        if "fail_rate" in sim:
-            cfg.fail_rate = float(sim["fail_rate"])
-        if "noise" in sim:
-            cfg.noise = float(sim["noise"])
-        if "ability_spread" in sim:
-            cfg.ability_spread = float(sim["ability_spread"])
-        if "difficulty_spread" in sim:
-            cfg.difficulty_spread = float(sim["difficulty_spread"])
-        cfg.labeling = sim.get("labeling", cfg.labeling)
-        spl = raw.get("split", {})
-        if "train_fraction" in spl:
-            cfg.train_fraction = float(spl["train_fraction"])
-        if "stratified" in spl:
-            cfg.stratified = _parse_bool(spl["stratified"],
-                                         "split.stratified")
-        res = raw.get("resample", {})
-        cfg.resample_method = res.get("method", cfg.resample_method)
-        if "k_neighbors" in res:
-            cfg.k_neighbors = int(res["k_neighbors"])
-        model = raw.get("model", {})
-        if model:
-            cfg.model_kind = model.pop("kind", cfg.model_kind)
-            if "train_input" in model:
-                cfg.train_input = model.pop("train_input")
-            cfg.model_params = {k: _parse_number(v)
-                                for k, v in model.items()}
-        ev = raw.get("evaluate", {})
-        if "threshold" in ev:
-            cfg.threshold = float(ev["threshold"])
-        if "thresholds" in ev:
-            cfg.sweep_thresholds = _floats(ev["thresholds"],
-                                           "evaluate.thresholds")
-        tune = raw.get("tune", {})
-        if "methods" in tune:
-            cfg.tune_methods = _strs(tune["methods"])
-        if "k_neighbors" in tune:
-            cfg.tune_k_neighbors = _ints(tune["k_neighbors"],
-                                         "tune.k_neighbors")
-        if "penalties" in tune:
-            cfg.tune_penalties = _strs(tune["penalties"])
-        if "c_values" in tune:
-            cfg.tune_c_values = _floats(tune["c_values"], "tune.c_values")
-        if "l1_ratios" in tune:
-            cfg.tune_l1_ratios = _floats(tune["l1_ratios"],
-                                         "tune.l1_ratios")
-        if "thresholds" in tune:
-            cfg.tune_thresholds = _floats(tune["thresholds"],
-                                          "tune.thresholds")
-        if "folds" in tune:
-            cfg.tune_folds = int(tune["folds"])
-        cfg.tune_metric = tune.get("metric", cfg.tune_metric)
-        pca = raw.get("pca", {})
-        cfg.pca_fit_on = pca.get("fit_on", cfg.pca_fit_on)
-        cfg.pca_method = pca.get("method", cfg.pca_method)
+    raw = read_config(config_path) if config_path else {}
+    for section, values in raw.items():
+        for key, text in values.items():
+            if (section, key) not in _OPTIONS:  # a [model] hyperparameter
+                cfg.model_params[key] = _parse_number(text)
+                continue
+            name, parse = _OPTIONS[section, key]
+            try:
+                setattr(cfg, name, parse(text))
+            except ValueError as exc:
+                raise ValueError(f"{config_path}: {section}.{key}: "
+                                 f"{exc}") from None
 
     for key, value in (overrides or {}).items():
         if value is None:

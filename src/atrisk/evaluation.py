@@ -160,9 +160,6 @@ def sweep_thresholds(model, test, grid):
     return [evaluate(model, test, t) for t in grid]
 
 
-DEFAULT_THRESHOLDS = (0.30, 0.35, 0.40, 0.45, 0.50, 0.55, 0.60, 0.65, 0.70)
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Search space for the resample + logistic-regression tuning loop."""
@@ -172,7 +169,8 @@ class GridSpec:
     penalties: tuple = ("l2", "elasticnet")
     c_grid: tuple = (0.01, 0.1, 1.0, 10.0)
     l1_ratios: tuple = (0.0, 0.5, 1.0)
-    thresholds: tuple = DEFAULT_THRESHOLDS
+    thresholds: tuple = (0.30, 0.35, 0.40, 0.45, 0.50,
+                         0.55, 0.60, 0.65, 0.70)
     selection_metric: str = "f1_false"
     folds: int = 5
     seed: int = 0

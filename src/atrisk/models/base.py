@@ -46,6 +46,19 @@ class ModelSpec:
         if unknown:
             raise ValueError(f"unknown hyperparameter(s) for {kind}: "
                              f"{unknown}")
+        for key, value in params.items():
+            # int defaults (and max_depth's None) need an int, float
+            # defaults a number; string-valued keys are checked below
+            default = defaults[key]
+            if isinstance(default, str) or (default is None and value is None):
+                continue
+            if isinstance(default, float):
+                if not isinstance(value, (int, float)):
+                    raise ValueError(f"{kind} hyperparameter {key!r} must "
+                                     f"be a number, got {value!r}")
+            elif not isinstance(value, int):
+                raise ValueError(f"{kind} hyperparameter {key!r} must be "
+                                 f"an integer, got {value!r}")
         merged = {**defaults, **params}
         _validate_params(kind, merged)
         self.kind = kind

@@ -23,7 +23,6 @@ from .neighbors import NeighborQuery, knn_indices
 class ResampleConfig:
     method: str = "smote"
     k_neighbors: int = 5
-    sampling_strategy: str = "auto"
     seed: int = 0
 
     def __post_init__(self):
@@ -33,9 +32,6 @@ class ResampleConfig:
         if self.k_neighbors < 1:
             raise ValueError(f"k_neighbors must be >= 1, "
                              f"got {self.k_neighbors}")
-        if self.sampling_strategy != "auto":
-            raise ValueError(f"only sampling_strategy='auto' is supported, "
-                             f"got {self.sampling_strategy!r}")
 
 
 @dataclass(frozen=True)

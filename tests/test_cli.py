@@ -225,3 +225,61 @@ manifest = {source / 'manifest.csv'}
     run_ok(["pipeline", "--config", str(cfg), "--out", str(out)])
     assert not (out / "cohort.csv").exists()  # ingested, not simulated
     assert (out / "summary.csv").exists()
+
+
+def _one_line_error(capsys, argv):
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    return err
+
+
+@pytest.mark.parametrize("text, where", [
+    ("[run]\nseed = abc\n", "run.seed"),
+    ("[split]\ntrain_fraction = x\n", "split.train_fraction"),
+    ("[split]\nstratified = yes\n", "split.stratified"),
+    ("[data]\nintervals = 3,x\n", "data.intervals"),
+    ("[tune]\nc_values = 0.1,high\n", "tune.c_values"),
+])
+def test_bad_config_value_names_file_and_key(tmp_path, capsys, text, where):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text)
+    err = _one_line_error(capsys, ["simulate", "--config", str(bad),
+                                   "--out", str(tmp_path / "x")])
+    assert f"{bad}: {where}: " in err
+
+
+@pytest.mark.parametrize("text, line", [
+    ("[run]\nseed = 1\nseed = 2\n", "[line 3]"),
+    ("seed = 1\n", "line: 1"),
+])
+def test_malformed_config_file_names_file_and_line(tmp_path, capsys, text,
+                                                   line):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text)
+    err = _one_line_error(capsys, ["simulate", "--config", str(bad),
+                                   "--out", str(tmp_path / "x")])
+    assert str(bad) in err and line in err
+
+
+@pytest.mark.parametrize("model, flags, expected", [
+    ("", ["--model-kind", "foo"], "unknown model kind 'foo'"),
+    ("kind = foo\n", [], "unknown model kind 'foo'"),
+    ("C = abc\n", [], "logreg hyperparameter 'C' must be a number"),
+    ("kind = decision_tree\nmax_depth = None\n", [],
+     "decision_tree hyperparameter 'max_depth' must be an integer"),
+    ("kind = random_forest\nn_trees = 2.5\n", [],
+     "random_forest hyperparameter 'n_trees' must be an integer"),
+])
+@pytest.mark.parametrize("command", ["train", "pipeline"])
+def test_bad_model_fails_before_any_stage(tmp_path, capsys, model, flags,
+                                          expected, command):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(BASE_CONFIG.replace("[model]\nkind = logreg\nC = 1.0\n",
+                                       "[model]\n" + model))
+    out = tmp_path / "run"
+    err = _one_line_error(capsys, [command, "--config", str(bad),
+                                   "--out", str(out), *flags])
+    assert expected in err
+    assert not (out / "cohort.csv").exists()

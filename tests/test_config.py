@@ -1,0 +1,131 @@
+"""Config file and CLI flags: every option reaches its PipelineConfig field."""
+
+import argparse
+from dataclasses import fields, replace
+from pathlib import Path
+
+from atrisk import cli
+from atrisk.config import _OPTIONS, PipelineConfig, build_config
+
+# every file key, each set to a value that differs from its default
+ALL_KEYS_CONFIG = """\
+[run]
+seed = 11
+
+[paths]
+cohort = cohorts/c.csv
+manifest = cohorts/m.csv
+out = runs/all
+
+[data]
+intervals = 2, 4
+
+[simulate]
+n_students = 50
+fail_rate = 0.2
+noise = 0.1
+ability_spread = 1.5
+difficulty_spread = 0.5
+labeling = threshold
+
+[split]
+train_fraction = 0.7
+stratified = false
+
+[resample]
+method = adasyn
+k_neighbors = 3
+
+[model]
+kind = svm_rbf
+train_input = raw
+C = 2
+gamma = scale
+tolerance = 0.01
+
+[evaluate]
+threshold = 0.4
+thresholds = 0.3,0.6
+
+[tune]
+methods = smote, adasyn
+k_neighbors = 3,7
+penalties = l2
+c_values = 0.1,1
+l1_ratios = 0.5
+thresholds = 0.4,0.5
+folds = 3
+metric = recall_false
+
+[pca]
+fit_on = real
+method = adasyn
+"""
+
+
+def test_every_file_key_reaches_its_field(tmp_path):
+    path = tmp_path / "all.cfg"
+    path.write_text(ALL_KEYS_CONFIG)
+    cfg = build_config(str(path))
+    assert cfg == PipelineConfig(
+        seed=11, cohort_path="cohorts/c.csv", manifest_path="cohorts/m.csv",
+        out_dir="runs/all", intervals=(2, 4), n_students=50, fail_rate=0.2,
+        noise=0.1, ability_spread=1.5, difficulty_spread=0.5,
+        labeling="threshold", train_fraction=0.7, stratified=False,
+        resample_method="adasyn", k_neighbors=3, model_kind="svm_rbf",
+        model_params={"C": 2, "gamma": "scale", "tolerance": 0.01},
+        train_input="raw", threshold=0.4, sweep_thresholds=(0.3, 0.6),
+        tune_methods=("smote", "adasyn"), tune_k_neighbors=(3, 7),
+        tune_penalties=("l2",), tune_c_values=(0.1, 1.0),
+        tune_l1_ratios=(0.5,), tune_thresholds=(0.4, 0.5), tune_folds=3,
+        tune_metric="recall_false", pca_fit_on="real", pca_method="adasyn")
+    assert type(cfg.model_params["C"]) is int
+    default = PipelineConfig()
+    for f in fields(PipelineConfig):
+        assert getattr(cfg, f.name) != getattr(default, f.name), f.name
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    for section, key in _OPTIONS:
+        assert f"`{section}.{key}`" in readme, (section, key)
+
+
+ALL_COMMANDS = tuple(cli._COMMANDS)
+
+# (flag argv, field, value, subcommands that take the flag)
+FLAG_CASES = [
+    (["--seed", "9"], "seed", 9, ALL_COMMANDS),
+    (["--out", "runs/x"], "out_dir", "runs/x", ALL_COMMANDS),
+    (["--interval", "6"], "intervals", (6,), ALL_COMMANDS),
+    (["--threshold", "0.4"], "threshold", 0.4, ("evaluate",)),
+    (["--method", "adasyn"], "resample_method", "adasyn", ("resample",)),
+    (["--method", "adasyn"], "pca_method", "adasyn", ("pca-export",)),
+    (["--k-neighbors", "3"], "k_neighbors", 3, ("resample",)),
+    (["--model-kind", "knn"], "model_kind", "knn",
+     ("evaluate", "train", "pipeline")),
+    (["--train-input", "raw"], "train_input", "raw", ("train", "pipeline")),
+    (["--metric", "recall_false"], "tune_metric", "recall_false", ("tune",)),
+    (["--real-only"], "pca_fit_on", "real", ("pca-export",)),
+]
+
+
+def test_each_flag_reaches_its_field(monkeypatch):
+    seen = {}
+    for name in ALL_COMMANDS:
+        monkeypatch.setitem(cli._COMMANDS, name,
+                            lambda cfg, args: seen.update(cfg=cfg))
+    for argv, name, value, commands in FLAG_CASES:
+        for command in commands:
+            seen.clear()
+            assert cli.main([command, *argv]) == 0
+            assert seen["cfg"] == replace(PipelineConfig(), **{name: value}), \
+                (command, argv)
+
+
+def test_every_flag_dest_is_a_config_field():
+    names = {f.name for f in fields(PipelineConfig)}
+    names |= {"help", "config", "model_file", "test_file"}
+    parser = cli._parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    for command, sub in subparsers.choices.items():
+        for action in sub._actions:
+            assert action.dest in names, (command, action.dest)

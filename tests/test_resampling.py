@@ -184,8 +184,6 @@ def test_config_validation():
         ResampleConfig(method="ctgan")
     with pytest.raises(ValueError, match="k_neighbors"):
         ResampleConfig(k_neighbors=0)
-    with pytest.raises(ValueError, match="sampling_strategy"):
-        ResampleConfig(sampling_strategy="minority")
 
 
 def test_provenance_csv_format(tmp_path, split_w3):
