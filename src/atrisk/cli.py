@@ -23,19 +23,18 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
-from .config import PipelineConfig, build_config, stage_seed
-from .data import (LabeledDataset, SplitSpec, TaskManifest, encode,
-                   load_cohort, save_cohort, split)
-from .evaluation import (GridSpec, evaluate, grid_search, sweep_thresholds,
+from .config import _OPTIONS, build_config, stage_seed
+from .data import (LabeledDataset, TaskManifest, encode, load_cohort,
+                   save_cohort, split)
+from .evaluation import (evaluate, grid_search, sweep_thresholds,
                          write_summary_csv)
 from .models import ModelSpec, fit, load_model
 from .pca import export_scatter
-from .resampling import ResampleConfig, resample
-from .simulate import SimConfig, simulate
+from .resampling import resample
+from .simulate import simulate
 
 
 class CliError(Exception):
@@ -61,14 +60,6 @@ def _cohort_paths(cfg, out, stage):
     return _require(cohort, stage), _require(manifest, stage)
 
 
-def _sim_config(cfg):
-    return SimConfig(n_students=cfg.n_students, fail_rate=cfg.fail_rate,
-                     noise=cfg.noise, ability_spread=cfg.ability_spread,
-                     difficulty_spread=cfg.difficulty_spread,
-                     labeling=cfg.labeling,
-                     seed=stage_seed(cfg.seed, "simulate"))
-
-
 def _model_spec(cfg):
     spec = ModelSpec(cfg.model_kind, **cfg.model_params)
     if "seed" in spec.params and "seed" not in cfg.model_params:
@@ -78,7 +69,7 @@ def _model_spec(cfg):
 
 def cmd_simulate(cfg, args):
     out = _out_dir(cfg)
-    records, manifest = simulate(_sim_config(cfg))
+    records, manifest = simulate(cfg.simulate)
     save_cohort(records, out / "cohort.csv")
     manifest.to_csv(out / "manifest.csv")
     print(f"simulate: wrote {len(records)} records -> {out / 'cohort.csv'}")
@@ -103,14 +94,11 @@ def cmd_encode(cfg, args):
 
 def cmd_split(cfg, args):
     out = _out_dir(cfg)
-    spec = SplitSpec(train_fraction=cfg.train_fraction,
-                     seed=stage_seed(cfg.seed, "split"),
-                     stratified=cfg.stratified)
     written = []
     for interval in cfg.intervals:
         dataset = LabeledDataset.from_csv(
             _require(out / f"dataset_w{interval}.csv", "split"))
-        train, test = split(dataset, spec)
+        train, test = split(dataset, cfg.split)
         train.to_csv(out / f"train_w{interval}.csv")
         test.to_csv(out / f"test_w{interval}.csv")
         written += [f"train_w{interval}.csv", f"test_w{interval}.csv"]
@@ -121,29 +109,24 @@ def cmd_split(cfg, args):
 
 def cmd_resample(cfg, args):
     out = _out_dir(cfg)
-    config = ResampleConfig(method=cfg.resample_method,
-                            k_neighbors=cfg.k_neighbors,
-                            seed=stage_seed(cfg.seed, "resample"))
     written = []
     for interval in cfg.intervals:
         train = LabeledDataset.from_csv(
             _require(out / f"train_w{interval}.csv", "resample"))
-        result = resample(train, config)
-        stem = f"train_w{interval}_{config.method}"
+        result = resample(train, cfg.resample)
+        stem = f"train_w{interval}_{cfg.resample.method}"
         result.dataset.to_csv(out / f"{stem}.csv")
         result.provenance.to_csv(out / f"{stem}_provenance.csv")
         written += [f"{stem}.csv", f"{stem}_provenance.csv"]
         n_fail, n_pass = result.dataset.class_counts()
-        print(f"resample: interval {interval} {config.method} -> "
+        print(f"resample: interval {interval} {cfg.resample.method} -> "
               f"{n_fail}/{n_pass} fail/pass")
     return written
 
 
 def _train_file(cfg, out, interval, stage):
-    if cfg.train_input == "raw":
-        return _require(out / f"train_w{interval}.csv", stage)
-    return _require(out / f"train_w{interval}_{cfg.resample_method}.csv",
-                    stage)
+    suffix = "" if cfg.train_input == "raw" else f"_{cfg.resample.method}"
+    return _require(out / f"train_w{interval}{suffix}.csv", stage)
 
 
 def cmd_train(cfg, args):
@@ -204,15 +187,7 @@ def cmd_evaluate(cfg, args):
 
 def cmd_tune(cfg, args):
     out = _out_dir(cfg)
-    grid = GridSpec(resample_methods=cfg.tune_methods,
-                    k_neighbors_grid=cfg.tune_k_neighbors,
-                    penalties=cfg.tune_penalties,
-                    c_grid=cfg.tune_c_values,
-                    l1_ratios=cfg.tune_l1_ratios,
-                    thresholds=cfg.tune_thresholds,
-                    selection_metric=cfg.tune_metric,
-                    folds=cfg.tune_folds,
-                    seed=stage_seed(cfg.seed, "tune"))
+    grid = cfg.tune
     written = []
     for interval in cfg.intervals:
         train = LabeledDataset.from_csv(
@@ -243,7 +218,7 @@ def cmd_tune(cfg, args):
 
 def cmd_pca_export(cfg, args):
     out = _out_dir(cfg)
-    method = cfg.pca_method or cfg.resample_method
+    method = cfg.pca_method or cfg.resample.method
     written = []
     for interval in cfg.intervals:
         grown = LabeledDataset.from_csv(
@@ -337,7 +312,7 @@ def _parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # each flag's dest is the PipelineConfig field it overrides
+    # each flag's dest is the _OPTIONS path of the setting it overrides
     for name in _COMMANDS:
         p = sub.add_parser(name, parents=[common])
         if name == "evaluate":
@@ -346,14 +321,15 @@ def _parser():
             p.add_argument("--test-file")
             p.add_argument("--model-kind")
         if name == "resample":
-            p.add_argument("--method", dest="resample_method",
+            p.add_argument("--method", dest="resample.method",
                            choices=("smote", "adasyn"))
-            p.add_argument("--k-neighbors", type=int)
+            p.add_argument("--k-neighbors", dest="resample.k_neighbors",
+                           metavar="K_NEIGHBORS", type=int)
         if name in ("train", "pipeline"):
             p.add_argument("--model-kind")
             p.add_argument("--train-input", choices=("raw", "resampled"))
         if name == "tune":
-            p.add_argument("--metric", dest="tune_metric",
+            p.add_argument("--metric", dest="tune.selection_metric",
                            choices=("f1_false", "recall_false"))
         if name == "pca-export":
             p.add_argument("--method", dest="pca_method",
@@ -366,8 +342,8 @@ def _parser():
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
-        cfg = build_config(args.config, {f.name: getattr(args, f.name, None)
-                                         for f in fields(PipelineConfig)})
+        cfg = build_config(args.config, {path: getattr(args, path, None)
+                                         for path, _ in _OPTIONS.values()})
         _COMMANDS[args.command](cfg, args)
     except (CliError, ValueError, OSError) as exc:
         print(f"atrisk {args.command}: error: {exc}", file=sys.stderr)

@@ -1,20 +1,25 @@
 """Pipeline configuration: INI-style key=value files with section headers.
 
-Each file key maps to one PipelineConfig field through ``_OPTIONS``.  Some
-fields also have a CLI flag (README lists which), and a flag wins over its
-file key.  Unknown sections or keys are rejected by dotted path (e.g.
-"split.train_fractoin") so config drift surfaces immediately.  All stage
-randomness derives from one root seed plus fixed per-stage offsets, keeping
-partial reruns consistent with full pipeline runs.
+Each file key maps to one setting through ``_OPTIONS``.  The [simulate],
+[split], [resample] and [tune] sections fill their stage's own settings
+object (SimConfig, SplitSpec, ResampleConfig, GridSpec), checked when the
+config is built, so a bad value fails before any stage runs.  Some keys
+also have a CLI flag (README lists which), and a flag wins over its file
+key.  Unknown sections or keys are rejected by dotted path (e.g.
+"split.train_fractoin").  All stage randomness derives from one root seed
+plus fixed per-stage offsets, keeping partial reruns consistent with full
+pipeline runs.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, replace
 
-from .data import _parse_bool
+from .data import SplitSpec, _parse_bool
 from .evaluation import GridSpec
+from .resampling import ResampleConfig
+from .simulate import SimConfig
 
 # stage seed = run.seed + offset
 SEED_OFFSETS = {
@@ -23,7 +28,6 @@ SEED_OFFSETS = {
     "resample": 2,
     "train": 3,
     "tune": 4,
-    "pca": 5,
 }
 
 
@@ -52,19 +56,9 @@ class PipelineConfig:
     manifest_path: str = ""
     out_dir: str = "runs/default"
     intervals: tuple = (3, 6, 9)
-    # simulate
-    n_students: int = 379
-    fail_rate: float = 0.15
-    noise: float = 0.15
-    ability_spread: float = 1.0
-    difficulty_spread: float = 1.0
-    labeling: str = "quantile"
-    # split
-    train_fraction: float = 0.8
-    stratified: bool = True
-    # resample
-    resample_method: str = "smote"
-    k_neighbors: int = 5
+    simulate: SimConfig = SimConfig()
+    split: SplitSpec = SplitSpec()
+    resample: ResampleConfig = ResampleConfig()
     # model
     model_kind: str = "logreg"
     model_params: dict = field(default_factory=dict)
@@ -72,18 +66,10 @@ class PipelineConfig:
     # evaluate
     threshold: float = 0.5
     sweep_thresholds: tuple = ()  # optional grid; empty disables the sweep
-    # tune
-    tune_methods: tuple = GridSpec.resample_methods
-    tune_k_neighbors: tuple = GridSpec.k_neighbors_grid
-    tune_penalties: tuple = GridSpec.penalties
-    tune_c_values: tuple = GridSpec.c_grid
-    tune_l1_ratios: tuple = GridSpec.l1_ratios
-    tune_thresholds: tuple = GridSpec.thresholds
-    tune_folds: int = GridSpec.folds
-    tune_metric: str = GridSpec.selection_metric
+    tune: GridSpec = GridSpec()
     # pca
     pca_fit_on: str = "union"    # or "real"
-    pca_method: str = ""         # empty -> resample_method
+    pca_method: str = ""         # empty -> resample.method
 
     def validate(self):
         if self.train_input not in ("raw", "resampled"):
@@ -92,13 +78,13 @@ class PipelineConfig:
         if self.pca_fit_on not in ("union", "real"):
             raise ValueError(f"pca.fit_on must be 'union' or 'real', "
                              f"got {self.pca_fit_on!r}")
+        if self.pca_method not in ("", "smote", "adasyn"):
+            raise ValueError(f"pca.method must be empty, 'smote' or "
+                             f"'adasyn', got {self.pca_method!r}")
         if not self.intervals:
             raise ValueError("data.intervals must be non-empty")
         if any(i < 1 for i in self.intervals):
             raise ValueError("data.intervals entries must be >= 1")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError(f"split.train_fraction must be in (0,1), "
-                             f"got {self.train_fraction}")
         if not 0.0 < self.threshold < 1.0:
             raise ValueError(f"evaluate.threshold must be in (0,1), "
                              f"got {self.threshold}")
@@ -113,36 +99,36 @@ def _list(item):
                               if p.strip())
 
 
-# (section, key) -> (PipelineConfig field, parser of the file text);
-# [model] also takes the chosen kind's hyperparameters as open keys
+# (section, key) -> (PipelineConfig field or "stage.field", parser of the
+# file text); [model] also takes the kind's hyperparameters as open keys
 _OPTIONS = {
     ("run", "seed"): ("seed", int),
     ("paths", "cohort"): ("cohort_path", str),
     ("paths", "manifest"): ("manifest_path", str),
     ("paths", "out"): ("out_dir", str),
     ("data", "intervals"): ("intervals", _list(int)),
-    ("simulate", "n_students"): ("n_students", int),
-    ("simulate", "fail_rate"): ("fail_rate", float),
-    ("simulate", "noise"): ("noise", float),
-    ("simulate", "ability_spread"): ("ability_spread", float),
-    ("simulate", "difficulty_spread"): ("difficulty_spread", float),
-    ("simulate", "labeling"): ("labeling", str),
-    ("split", "train_fraction"): ("train_fraction", float),
-    ("split", "stratified"): ("stratified", _parse_bool),
-    ("resample", "method"): ("resample_method", str),
-    ("resample", "k_neighbors"): ("k_neighbors", int),
+    ("simulate", "n_students"): ("simulate.n_students", int),
+    ("simulate", "fail_rate"): ("simulate.fail_rate", float),
+    ("simulate", "noise"): ("simulate.noise", float),
+    ("simulate", "ability_spread"): ("simulate.ability_spread", float),
+    ("simulate", "difficulty_spread"): ("simulate.difficulty_spread", float),
+    ("simulate", "labeling"): ("simulate.labeling", str),
+    ("split", "train_fraction"): ("split.train_fraction", float),
+    ("split", "stratified"): ("split.stratified", _parse_bool),
+    ("resample", "method"): ("resample.method", str),
+    ("resample", "k_neighbors"): ("resample.k_neighbors", int),
     ("model", "kind"): ("model_kind", str),
     ("model", "train_input"): ("train_input", str),
     ("evaluate", "threshold"): ("threshold", float),
     ("evaluate", "thresholds"): ("sweep_thresholds", _list(float)),
-    ("tune", "methods"): ("tune_methods", _list(str)),
-    ("tune", "k_neighbors"): ("tune_k_neighbors", _list(int)),
-    ("tune", "penalties"): ("tune_penalties", _list(str)),
-    ("tune", "c_values"): ("tune_c_values", _list(float)),
-    ("tune", "l1_ratios"): ("tune_l1_ratios", _list(float)),
-    ("tune", "thresholds"): ("tune_thresholds", _list(float)),
-    ("tune", "folds"): ("tune_folds", int),
-    ("tune", "metric"): ("tune_metric", str),
+    ("tune", "methods"): ("tune.resample_methods", _list(str)),
+    ("tune", "k_neighbors"): ("tune.k_neighbors_grid", _list(int)),
+    ("tune", "penalties"): ("tune.penalties", _list(str)),
+    ("tune", "c_values"): ("tune.c_grid", _list(float)),
+    ("tune", "l1_ratios"): ("tune.l1_ratios", _list(float)),
+    ("tune", "thresholds"): ("tune.thresholds", _list(float)),
+    ("tune", "folds"): ("tune.folds", int),
+    ("tune", "metric"): ("tune.selection_metric", str),
     ("pca", "fit_on"): ("pca_fit_on", str),
     ("pca", "method"): ("pca_method", str),
 }
@@ -170,25 +156,38 @@ def read_config(path):
 
 
 def build_config(config_path=None, overrides=None):
-    """Defaults <- config file <- CLI overrides; returns PipelineConfig."""
-    cfg = PipelineConfig()
+    """Defaults <- config file <- CLI overrides keyed by _OPTIONS path."""
+    values, params = {}, {}
     raw = read_config(config_path) if config_path else {}
-    for section, values in raw.items():
-        for key, text in values.items():
+    for section, items in raw.items():
+        for key, text in items.items():
             if (section, key) not in _OPTIONS:  # a [model] hyperparameter
-                cfg.model_params[key] = _parse_number(text)
+                params[key] = _parse_number(text)
                 continue
-            name, parse = _OPTIONS[section, key]
+            path, parse = _OPTIONS[section, key]
             try:
-                setattr(cfg, name, parse(text))
+                values[path] = parse(text)
             except ValueError as exc:
                 raise ValueError(f"{config_path}: {section}.{key}: "
                                  f"{exc}") from None
+    paths = [path for path, _ in _OPTIONS.values()]
+    for path, value in (overrides or {}).items():
+        if path not in paths:
+            raise ValueError(f"unknown override {path!r}")
+        if value is not None:
+            values[path] = value
 
-    for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        if not any(f.name == key for f in fields(PipelineConfig)):
-            raise ValueError(f"unknown override {key!r}")
-        setattr(cfg, key, value)
+    # a "stage.field" path sets a field of that stage's settings object
+    staged = {path.partition(".")[0]: {} for path in paths if "." in path}
+    flat = {}
+    for path, value in values.items():
+        stage, _, name = path.rpartition(".")
+        (staged[stage] if stage else flat)[name] = value
+    cfg = PipelineConfig(model_params=params, **flat)
+    for stage, settings in staged.items():
+        try:  # the object's own __post_init__ checks its values
+            setattr(cfg, stage, replace(getattr(cfg, stage), **settings,
+                                        seed=stage_seed(cfg.seed, stage)))
+        except ValueError as exc:
+            raise ValueError(f"[{stage}] {exc}") from None
     return cfg.validate()

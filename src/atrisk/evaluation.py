@@ -176,12 +176,23 @@ class GridSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("resample_methods", "k_neighbors_grid", "penalties",
-                     "c_grid", "l1_ratios", "thresholds"):
-            if not getattr(self, name):
+        for name, ok, rule in (
+                ("resample_methods", lambda m: m in ("smote", "adasyn"),
+                 "'smote' or 'adasyn'"),
+                ("k_neighbors_grid", lambda k: k >= 1, ">= 1"),
+                ("penalties", lambda p: p in ("l2", "elasticnet"),
+                 "'l2' or 'elasticnet'"),
+                ("c_grid", lambda c: c > 0.0, "> 0"),
+                ("l1_ratios", lambda r: 0.0 <= r <= 1.0, "in [0,1]"),
+                ("thresholds", lambda t: 0.0 < t < 1.0,
+                 "strictly inside (0,1)")):
+            values = getattr(self, name)
+            if not values:
                 raise ValueError(f"{name} must be non-empty")
-        if any(not 0.0 < t < 1.0 for t in self.thresholds):
-            raise ValueError("thresholds must lie strictly inside (0,1)")
+            bad = [v for v in values if not ok(v)]
+            if bad:
+                raise ValueError(f"{name} entries must be {rule}, "
+                                 f"got {bad[0]!r}")
         if self.selection_metric not in ("f1_false", "recall_false"):
             raise ValueError(f"selection_metric must be 'f1_false' or "
                              f"'recall_false', got {self.selection_metric!r}")
@@ -298,6 +309,7 @@ def grid_search(grid, train):
              "synthetic_rows_in_fit": 0}
     model_cells = _model_cells(grid)
     cells = []
+    smallest_minority = train.n_rows
 
     res_combos = list(itertools.product(grid.resample_methods,
                                         grid.k_neighbors_grid))
@@ -312,6 +324,7 @@ def grid_search(grid, train):
             audit["synthetic_rows_in_validation"] += \
                 int(val_part.synthetic_flags.sum())
             minority = min(fit_part.class_counts())
+            smallest_minority = min(smallest_minority, minority)
             if minority < k + 1:
                 feasible = False
                 break
@@ -350,6 +363,12 @@ def grid_search(grid, train):
                     cell.mean_auc = float(np.mean(
                         [r.auc for r in reports]))
                 cells.append(cell)
+
+    if not any(cell.feasible for cell in cells):
+        raise ValueError(
+            f"no feasible grid cell: a fit fold has {smallest_minority} "
+            f"minority rows, too few for every k_neighbors up to "
+            f"{max(grid.k_neighbors_grid)} (each needs k + 1)")
 
     def sort_key(cell):
         if not cell.feasible:

@@ -179,20 +179,16 @@ def adasyn(train, config):
     r = (neighbor_labels != minority_label).sum(axis=1) / config.k_neighbors
 
     total = r.sum()
-    if total == 0.0:
+    fallback = bool(total == 0.0)
+    if fallback:
         base_positions = [t % minority_idx.size for t in range(gap)]
-        synthetic, records = _draw_rows(train, minority_idx, pools,
-                                        base_positions, rng)
-        return _assemble(train, minority_label, synthetic, records,
-                         fallback=True)
-
-    alloc = allocate_by_share(r / total, gap)
-    base_positions = [pos for pos in range(minority_idx.size)
-                      for _ in range(alloc[pos])]
+    else:
+        alloc = allocate_by_share(r / total, gap)
+        base_positions = [pos for pos in range(minority_idx.size)
+                          for _ in range(alloc[pos])]
     synthetic, records = _draw_rows(train, minority_idx, pools,
                                     base_positions, rng)
-    return _assemble(train, minority_label, synthetic, records,
-                     fallback=False)
+    return _assemble(train, minority_label, synthetic, records, fallback)
 
 
 def resample(train, config):

@@ -16,6 +16,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .data import StudentRecord, TaskId, TaskManifest
+from .models.logistic import sigmoid
 
 # per-week difficulty drift, standardised units
 WEEK_DRIFT = 0.15
@@ -81,15 +82,6 @@ def default_manifest():
     return build_manifest(DEFAULT_TASKS_PER_WEEK)
 
 
-def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def simulate(config):
     """Generate a cohort; returns (records, manifest), deterministic per seed."""
     manifest = build_manifest(config.tasks_per_week)
@@ -101,7 +93,7 @@ def simulate(config):
     difficulty = rng.normal(0.0, config.difficulty_spread, size=len(tasks)) \
         + WEEK_DRIFT * (weeks - 1.0)
 
-    p_correct = _sigmoid(ability[:, None] - difficulty[None, :])
+    p_correct = sigmoid(ability[:, None] - difficulty[None, :])
     correct = rng.random(p_correct.shape) < p_correct
     if config.noise > 0:
         flips = rng.random(p_correct.shape) < config.noise

@@ -283,3 +283,46 @@ def test_bad_model_fails_before_any_stage(tmp_path, capsys, model, flags,
                                    "--out", str(out), *flags])
     assert expected in err
     assert not (out / "cohort.csv").exists()
+
+
+@pytest.mark.parametrize("text, where, got", [
+    ("[resample]\nmethod = foo\n", "[resample] method", "'foo'"),
+    ("[resample]\nk_neighbors = 0\n", "[resample] k_neighbors", "0"),
+    ("[tune]\nmetric = foo\n", "[tune] selection_metric", "'foo'"),
+    ("[tune]\nfolds = 1\n", "[tune] folds", "1"),
+    ("[tune]\nmethods = smote,foo\n", "[tune] resample_methods", "'foo'"),
+    ("[tune]\nk_neighbors = 3,0\n", "[tune] k_neighbors_grid", "0"),
+    ("[tune]\npenalties = l2,l1\n", "[tune] penalties", "'l1'"),
+    ("[tune]\nc_values = 0.1,-1\n", "[tune] c_grid", "-1.0"),
+    ("[tune]\nl1_ratios = 1.5\n", "[tune] l1_ratios", "1.5"),
+    ("[simulate]\nlabeling = threshold\n", "[simulate] labeling",
+     "'threshold'"),
+    ("[split]\ntrain_fraction = 1.5\n", "[split] train_fraction", "1.5"),
+    ("[pca]\nmethod = foo\n", "pca.method", "'foo'"),
+])
+@pytest.mark.parametrize("command", ["pipeline", "simulate"])
+def test_bad_stage_value_fails_before_any_stage(tmp_path, capsys, text,
+                                                where, got, command):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text)
+    out = tmp_path / "run"
+    out.mkdir()
+    err = _one_line_error(capsys, [command, "--config", str(bad),
+                                   "--out", str(out)])
+    assert where in err and f"got {got}" in err
+    assert list(out.iterdir()) == []
+
+
+def test_tune_without_feasible_cell_fails(tmp_path, config_file, capsys):
+    out = tmp_path / "run"
+    for stage in ("simulate", "encode", "split"):
+        run_ok([stage, "--config", config_file, "--out", str(out)])
+    bad = tmp_path / "k50.cfg"
+    bad.write_text(BASE_CONFIG.replace("[tune]\nmethods = smote\n"
+                                       "k_neighbors = 5\n",
+                                       "[tune]\nmethods = smote\n"
+                                       "k_neighbors = 20,50\n"))
+    err = _one_line_error(capsys, ["tune", "--config", str(bad),
+                                   "--out", str(out)])
+    assert "no feasible grid cell" in err and "up to 50" in err
+    assert not (out / "tune_w3_best.json").exists()

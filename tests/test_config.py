@@ -1,11 +1,16 @@
-"""Config file and CLI flags: every option reaches its PipelineConfig field."""
+"""Config file and CLI flags: every option reaches its setting, either a
+PipelineConfig field or a field of a stage's settings object."""
 
 import argparse
-from dataclasses import fields, replace
+from functools import reduce
 from pathlib import Path
 
 from atrisk import cli
 from atrisk.config import _OPTIONS, PipelineConfig, build_config
+from atrisk.data import SplitSpec
+from atrisk.evaluation import GridSpec
+from atrisk.resampling import ResampleConfig
+from atrisk.simulate import SimConfig
 
 # every file key, each set to a value that differs from its default
 ALL_KEYS_CONFIG = """\
@@ -26,7 +31,7 @@ fail_rate = 0.2
 noise = 0.1
 ability_spread = 1.5
 difficulty_spread = 0.5
-labeling = threshold
+labeling = stochastic
 
 [split]
 train_fraction = 0.7
@@ -63,26 +68,37 @@ method = adasyn
 """
 
 
+def _setting(cfg, path):
+    """The value an _OPTIONS path points at, e.g. "resample.method"."""
+    return reduce(getattr, path.split("."), cfg)
+
+
 def test_every_file_key_reaches_its_field(tmp_path):
     path = tmp_path / "all.cfg"
     path.write_text(ALL_KEYS_CONFIG)
     cfg = build_config(str(path))
+    # stage seeds are run.seed plus the stage's offset
     assert cfg == PipelineConfig(
         seed=11, cohort_path="cohorts/c.csv", manifest_path="cohorts/m.csv",
-        out_dir="runs/all", intervals=(2, 4), n_students=50, fail_rate=0.2,
-        noise=0.1, ability_spread=1.5, difficulty_spread=0.5,
-        labeling="threshold", train_fraction=0.7, stratified=False,
-        resample_method="adasyn", k_neighbors=3, model_kind="svm_rbf",
+        out_dir="runs/all", intervals=(2, 4),
+        simulate=SimConfig(n_students=50, fail_rate=0.2, noise=0.1,
+                           ability_spread=1.5, difficulty_spread=0.5,
+                           labeling="stochastic", seed=11),
+        split=SplitSpec(train_fraction=0.7, stratified=False, seed=12),
+        resample=ResampleConfig(method="adasyn", k_neighbors=3, seed=13),
+        model_kind="svm_rbf",
         model_params={"C": 2, "gamma": "scale", "tolerance": 0.01},
         train_input="raw", threshold=0.4, sweep_thresholds=(0.3, 0.6),
-        tune_methods=("smote", "adasyn"), tune_k_neighbors=(3, 7),
-        tune_penalties=("l2",), tune_c_values=(0.1, 1.0),
-        tune_l1_ratios=(0.5,), tune_thresholds=(0.4, 0.5), tune_folds=3,
-        tune_metric="recall_false", pca_fit_on="real", pca_method="adasyn")
+        tune=GridSpec(resample_methods=("smote", "adasyn"),
+                      k_neighbors_grid=(3, 7), penalties=("l2",),
+                      c_grid=(0.1, 1.0), l1_ratios=(0.5,),
+                      thresholds=(0.4, 0.5), folds=3,
+                      selection_metric="recall_false", seed=15),
+        pca_fit_on="real", pca_method="adasyn")
     assert type(cfg.model_params["C"]) is int
-    default = PipelineConfig()
-    for f in fields(PipelineConfig):
-        assert getattr(cfg, f.name) != getattr(default, f.name), f.name
+    default = build_config()
+    for option, _ in _OPTIONS.values():
+        assert _setting(cfg, option) != _setting(default, option), option
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     for section, key in _OPTIONS:
         assert f"`{section}.{key}`" in readme, (section, key)
@@ -90,19 +106,20 @@ def test_every_file_key_reaches_its_field(tmp_path):
 
 ALL_COMMANDS = tuple(cli._COMMANDS)
 
-# (flag argv, field, value, subcommands that take the flag)
+# (flag argv, _OPTIONS path, value, subcommands that take the flag)
 FLAG_CASES = [
     (["--seed", "9"], "seed", 9, ALL_COMMANDS),
     (["--out", "runs/x"], "out_dir", "runs/x", ALL_COMMANDS),
     (["--interval", "6"], "intervals", (6,), ALL_COMMANDS),
     (["--threshold", "0.4"], "threshold", 0.4, ("evaluate",)),
-    (["--method", "adasyn"], "resample_method", "adasyn", ("resample",)),
+    (["--method", "adasyn"], "resample.method", "adasyn", ("resample",)),
     (["--method", "adasyn"], "pca_method", "adasyn", ("pca-export",)),
-    (["--k-neighbors", "3"], "k_neighbors", 3, ("resample",)),
+    (["--k-neighbors", "3"], "resample.k_neighbors", 3, ("resample",)),
     (["--model-kind", "knn"], "model_kind", "knn",
      ("evaluate", "train", "pipeline")),
     (["--train-input", "raw"], "train_input", "raw", ("train", "pipeline")),
-    (["--metric", "recall_false"], "tune_metric", "recall_false", ("tune",)),
+    (["--metric", "recall_false"], "tune.selection_metric", "recall_false",
+     ("tune",)),
     (["--real-only"], "pca_fit_on", "real", ("pca-export",)),
 ]
 
@@ -112,16 +129,17 @@ def test_each_flag_reaches_its_field(monkeypatch):
     for name in ALL_COMMANDS:
         monkeypatch.setitem(cli._COMMANDS, name,
                             lambda cfg, args: seen.update(cfg=cfg))
-    for argv, name, value, commands in FLAG_CASES:
+    for argv, option, value, commands in FLAG_CASES:
+        expected = build_config(overrides={option: value})
+        assert _setting(expected, option) == value
         for command in commands:
             seen.clear()
             assert cli.main([command, *argv]) == 0
-            assert seen["cfg"] == replace(PipelineConfig(), **{name: value}), \
-                (command, argv)
+            assert seen["cfg"] == expected, (command, argv)
 
 
 def test_every_flag_dest_is_a_config_field():
-    names = {f.name for f in fields(PipelineConfig)}
+    names = {option for option, _ in _OPTIONS.values()}
     names |= {"help", "config", "model_file", "test_file"}
     parser = cli._parser()
     subparsers = next(a for a in parser._actions

@@ -342,6 +342,19 @@ def test_grid_spec_validation():
         GridSpec(c_grid=())
 
 
+
+@pytest.mark.parametrize("name, values, got", [
+    ("resample_methods", ("smote", "ctgan"), "'ctgan'"),
+    ("k_neighbors_grid", (3, 0), "0"),
+    ("penalties", ("l1",), "'l1'"),
+    ("c_grid", (1.0, 0.0), "0.0"),
+    ("c_grid", (float("nan"),), "nan"),
+    ("l1_ratios", (0.5, 1.5), "1.5"),
+])
+def test_grid_spec_rejects_bad_axis_value(name, values, got):
+    with pytest.raises(ValueError, match=f"^{name} entries .* got {got}$"):
+        GridSpec(**{name: values})
+
 # --- summary csv ---------------------------------------------------------------
 
 def test_summary_csv_columns(tmp_path, split_w3):
