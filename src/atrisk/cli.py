@@ -11,24 +11,25 @@
     atrisk pipeline   --out runs/demo --seed 7
 
 Stages communicate through conventionally named artifacts in the output
-directory (cohort.csv, dataset_w3.csv, train_w3.csv, ...).  ``pipeline``
-chains everything across the configured intervals and writes a manifest of
-artifact hashes; rerunning with an identical config reproduces the same
-bytes.
+directory (cohort.csv, dataset_w3.csv, train_w3.csv, ...), each written
+once.  A single-stage subcommand reads its inputs from that directory;
+``pipeline`` chains the stages across the configured intervals, hands each
+artifact to the next stage in memory, and writes a manifest of artifact
+hashes.  Rerunning with an identical config at the same BLAS thread count
+reproduces the same bytes (ROADMAP item 3 covers thread counts).
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import sys
 from pathlib import Path
 
 from . import __version__
 from .config import _OPTIONS, build_config, stage_seed
 from .data import (LabeledDataset, TaskManifest, encode, load_cohort,
-                   save_cohort, split)
+                   save_cohort, split, write_json)
 from .evaluation import (evaluate, grid_search, sweep_thresholds,
                          write_summary_csv)
 from .models import ModelSpec, fit, load_model
@@ -41,23 +42,31 @@ class CliError(Exception):
     """Raised for user-facing failures; the message becomes stderr output."""
 
 
-def _require(path, stage):
-    if not path.exists():
-        raise CliError(f"[{stage}] missing upstream artifact: {path}")
-    return path
+class _Store:
+    """The artifacts of one run, by file name in the output directory.
 
+    put writes an artifact once and keeps the object; get returns a kept
+    object, or else reads the file (path overrides the default location).
+    """
 
-def _out_dir(cfg):
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    def __init__(self, out_dir):
+        self.out = Path(out_dir)
+        self.written = []
+        self._held = {}
 
+    def put(self, name, obj, write):
+        self.out.mkdir(parents=True, exist_ok=True)
+        write(self.out / name)
+        self.written.append(name)
+        self._held[self.out / name] = obj
 
-def _cohort_paths(cfg, out, stage):
-    cohort = Path(cfg.cohort_path) if cfg.cohort_path else out / "cohort.csv"
-    manifest = Path(cfg.manifest_path) if cfg.manifest_path \
-        else out / "manifest.csv"
-    return _require(cohort, stage), _require(manifest, stage)
+    def get(self, name, read, stage, path=None):
+        path = Path(path) if path else self.out / name
+        if path in self._held:
+            return self._held[path]
+        if not path.exists():
+            raise CliError(f"[{stage}] missing upstream artifact: {path}")
+        return read(path)
 
 
 def _model_spec(cfg):
@@ -67,82 +76,62 @@ def _model_spec(cfg):
     return spec
 
 
-def cmd_simulate(cfg, args):
-    out = _out_dir(cfg)
+def cmd_simulate(cfg, args, store):
     records, manifest = simulate(cfg.simulate)
-    save_cohort(records, out / "cohort.csv")
-    manifest.to_csv(out / "manifest.csv")
-    print(f"simulate: wrote {len(records)} records -> {out / 'cohort.csv'}")
-    return ["cohort.csv", "manifest.csv"]
+    store.put("cohort.csv", records, lambda p: save_cohort(records, p))
+    store.put("manifest.csv", manifest, manifest.to_csv)
+    print(f"simulate: wrote {len(records)} records -> "
+          f"{store.out / 'cohort.csv'}")
 
 
-def cmd_encode(cfg, args):
-    out = _out_dir(cfg)
-    cohort_path, manifest_path = _cohort_paths(cfg, out, "encode")
-    manifest = TaskManifest.from_csv(manifest_path)
-    records = load_cohort(cohort_path, manifest)
-    written = []
+def cmd_encode(cfg, args, store):
+    manifest = store.get("manifest.csv", TaskManifest.from_csv, "encode",
+                         cfg.manifest_path)
+    records = store.get("cohort.csv", lambda p: load_cohort(p, manifest),
+                        "encode", cfg.cohort_path)
     for interval in cfg.intervals:
         dataset = encode(records, manifest, interval)
-        name = f"dataset_w{interval}.csv"
-        dataset.to_csv(out / name)
-        written.append(name)
+        store.put(f"dataset_w{interval}.csv", dataset, dataset.to_csv)
         print(f"encode: interval {interval} -> {dataset.n_rows} rows x "
               f"{dataset.n_features} features")
-    return written
 
 
-def cmd_split(cfg, args):
-    out = _out_dir(cfg)
-    written = []
+def cmd_split(cfg, args, store):
     for interval in cfg.intervals:
-        dataset = LabeledDataset.from_csv(
-            _require(out / f"dataset_w{interval}.csv", "split"))
+        dataset = store.get(f"dataset_w{interval}.csv",
+                            LabeledDataset.from_csv, "split")
         train, test = split(dataset, cfg.split)
-        train.to_csv(out / f"train_w{interval}.csv")
-        test.to_csv(out / f"test_w{interval}.csv")
-        written += [f"train_w{interval}.csv", f"test_w{interval}.csv"]
+        store.put(f"train_w{interval}.csv", train, train.to_csv)
+        store.put(f"test_w{interval}.csv", test, test.to_csv)
         print(f"split: interval {interval} -> {train.n_rows} train / "
               f"{test.n_rows} test")
-    return written
 
 
-def cmd_resample(cfg, args):
-    out = _out_dir(cfg)
-    written = []
+def cmd_resample(cfg, args, store):
     for interval in cfg.intervals:
-        train = LabeledDataset.from_csv(
-            _require(out / f"train_w{interval}.csv", "resample"))
+        train = store.get(f"train_w{interval}.csv", LabeledDataset.from_csv,
+                          "resample")
         result = resample(train, cfg.resample)
         stem = f"train_w{interval}_{cfg.resample.method}"
-        result.dataset.to_csv(out / f"{stem}.csv")
-        result.provenance.to_csv(out / f"{stem}_provenance.csv")
-        written += [f"{stem}.csv", f"{stem}_provenance.csv"]
+        store.put(f"{stem}.csv", result.dataset, result.dataset.to_csv)
+        store.put(f"{stem}_provenance.csv", result.provenance,
+                  result.provenance.to_csv)
         n_fail, n_pass = result.dataset.class_counts()
         print(f"resample: interval {interval} {cfg.resample.method} -> "
               f"{n_fail}/{n_pass} fail/pass")
-    return written
 
 
-def _train_file(cfg, out, interval, stage):
-    suffix = "" if cfg.train_input == "raw" else f"_{cfg.resample.method}"
-    return _require(out / f"train_w{interval}{suffix}.csv", stage)
-
-
-def cmd_train(cfg, args):
-    out = _out_dir(cfg)
+def cmd_train(cfg, args, store):
     spec = _model_spec(cfg)
-    written = []
+    suffix = "" if cfg.train_input == "raw" else f"_{cfg.resample.method}"
     for interval in cfg.intervals:
-        train = LabeledDataset.from_csv(
-            _train_file(cfg, out, interval, "train"))
+        train = store.get(f"train_w{interval}{suffix}.csv",
+                          LabeledDataset.from_csv, "train")
         model = fit(spec, train)
         name = f"model_w{interval}_{spec.kind}.json"
-        model.save(out / name)
-        written.append(name)
+        store.put(name, model, model.save)
         flag = " (non-converged)" if model.non_converged else ""
         print(f"train: interval {interval} {spec.kind}{flag} -> {name}")
-    return written
 
 
 def _summary_row(report, interval, n_features, kind):
@@ -151,49 +140,38 @@ def _summary_row(report, interval, n_features, kind):
             **{k: v for k, v in row.items() if k != "interval"}}
 
 
-def cmd_evaluate(cfg, args):
-    out = _out_dir(cfg)
-    written = []
+def cmd_evaluate(cfg, args, store, summary=None):
+    kind = cfg.model_kind
     rows = []
     for interval in cfg.intervals:
-        model_path = Path(args.model_file) if args.model_file else \
-            out / f"model_w{interval}_{cfg.model_kind}.json"
-        test_path = Path(args.test_file) if args.test_file else \
-            out / f"test_w{interval}.csv"
-        model = load_model(_require(model_path, "evaluate"))
-        test = LabeledDataset.from_csv(_require(test_path, "evaluate"))
+        # getattr: pipeline's args have no --model-file or --test-file
+        model = store.get(f"model_w{interval}_{kind}.json", load_model,
+                          "evaluate", getattr(args, "model_file", None))
+        test = store.get(f"test_w{interval}.csv", LabeledDataset.from_csv,
+                         "evaluate", getattr(args, "test_file", None))
         report = evaluate(model, test, cfg.threshold)
-        name = f"report_w{interval}_{cfg.model_kind}.json"
-        report.save(out / name)
-        written.append(name)
-        rows.append(_summary_row(report, interval, test.n_features,
-                                 cfg.model_kind))
+        store.put(f"report_w{interval}_{kind}.json", report, report.save)
+        rows.append(_summary_row(report, interval, test.n_features, kind))
         print(f"evaluate: interval {interval} threshold {cfg.threshold} "
               f"recall_false={report.recall_false:.4f} "
               f"f1_false={report.f1_false:.4f}")
         if cfg.sweep_thresholds:
-            swept = sweep_thresholds(model, test, cfg.sweep_thresholds)
-            sweep_rows = [_summary_row(r, interval, test.n_features,
-                                       cfg.model_kind) for r in swept]
-            sweep_name = f"sweep_w{interval}_{cfg.model_kind}.csv"
-            write_summary_csv(sweep_rows, out / sweep_name)
-            written.append(sweep_name)
-    name = f"summary_{'_'.join(f'w{i}' for i in cfg.intervals)}_" \
-           f"{cfg.model_kind}.csv"
-    write_summary_csv(rows, out / name)
-    written.append(name)
-    return written
+            sweep = [_summary_row(r, interval, test.n_features, kind) for r
+                     in sweep_thresholds(model, test, cfg.sweep_thresholds)]
+            store.put(f"sweep_w{interval}_{kind}.csv", sweep,
+                      lambda p: write_summary_csv(sweep, p))
+    intervals = "_".join(f"w{i}" for i in cfg.intervals)
+    summary = summary or f"summary_{intervals}_{kind}.csv"
+    store.put(summary, rows, lambda p: write_summary_csv(rows, p))
 
 
-def cmd_tune(cfg, args):
-    out = _out_dir(cfg)
+def cmd_tune(cfg, args, store):
     grid = cfg.tune
-    written = []
     for interval in cfg.intervals:
-        train = LabeledDataset.from_csv(
-            _require(out / f"train_w{interval}.csv", "tune"))
+        train = store.get(f"train_w{interval}.csv", LabeledDataset.from_csv,
+                          "tune")
         result = grid_search(grid, train)
-        result.to_csv(out / f"tune_w{interval}.csv")
+        store.put(f"tune_w{interval}.csv", result, result.to_csv)
         best = result.best()
         best_doc = {"method": best.method, "k_neighbors": best.k_neighbors,
                     "penalty": best.penalty, "C": best.C,
@@ -204,78 +182,43 @@ def cmd_tune(cfg, args):
                     "mean_accuracy": best.mean_accuracy,
                     "mean_auc": best.mean_auc,
                     "audit": result.audit}
-        with open(out / f"tune_w{interval}_best.json", "w",
-                  encoding="utf-8") as fh:
-            json.dump(best_doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        written += [f"tune_w{interval}.csv", f"tune_w{interval}_best.json"]
+        store.put(f"tune_w{interval}_best.json", best_doc,
+                  lambda p: write_json(p, best_doc))
         print(f"tune: interval {interval} best {best.method} "
               f"k={best.k_neighbors} {best.penalty} C={best.C} "
               f"l1_ratio={best.l1_ratio} t={best.threshold} "
               f"{grid.selection_metric}={best.mean_metric(grid.selection_metric):.4f}")
-    return written
 
 
-def cmd_pca_export(cfg, args):
-    out = _out_dir(cfg)
+def cmd_pca_export(cfg, args, store):
     method = cfg.pca_method or cfg.resample.method
-    written = []
     for interval in cfg.intervals:
-        grown = LabeledDataset.from_csv(
-            _require(out / f"train_w{interval}_{method}.csv", "pca-export"))
+        grown = store.get(f"train_w{interval}_{method}.csv",
+                          LabeledDataset.from_csv, "pca-export")
         name = f"scatter_w{interval}_{method}.csv"
-        export_scatter(grown, method, out / name,
-                       fit_on_real_only=(cfg.pca_fit_on == "real"))
-        written.append(name)
+        store.put(name, None, lambda p: export_scatter(
+            grown, method, p, fit_on_real_only=(cfg.pca_fit_on == "real")))
         print(f"pca-export: interval {interval} {method} -> {name}")
-    return written
 
 
-def _sha256(path):
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def cmd_pipeline(cfg, args):
-    spec = _model_spec(cfg)  # a bad kind or hyperparameter fails up front
-    out = _out_dir(cfg)
-    artifacts = []
-    if cfg.cohort_path:
-        # ingest an existing cohort instead of simulating one
-        cohort_path, manifest_path = _cohort_paths(cfg, out, "pipeline")
-        print(f"pipeline: ingesting {cohort_path} with {manifest_path}")
+def cmd_pipeline(cfg, args, store):
+    _model_spec(cfg)  # a bad kind or hyperparameter fails up front
+    if cfg.cohort_path:  # ingest an existing cohort instead of simulating
+        print(f"pipeline: ingesting {cfg.cohort_path}")
     else:
-        artifacts += cmd_simulate(cfg, args)
-    artifacts += cmd_encode(cfg, args)
-    artifacts += cmd_split(cfg, args)
-    artifacts += cmd_resample(cfg, args)
-    artifacts += cmd_train(cfg, args)
-
-    rows = []
-    for interval in cfg.intervals:
-        model = load_model(
-            _require(out / f"model_w{interval}_{spec.kind}.json", "pipeline"))
-        test = LabeledDataset.from_csv(
-            _require(out / f"test_w{interval}.csv", "pipeline"))
-        report = evaluate(model, test, cfg.threshold)
-        name = f"report_w{interval}_{spec.kind}.json"
-        report.save(out / name)
-        artifacts.append(name)
-        rows.append(_summary_row(report, interval, test.n_features,
-                                 spec.kind))
-    write_summary_csv(rows, out / "summary.csv")
-    artifacts.append("summary.csv")
-
-    manifest = {"artifacts": {name: _sha256(out / name)
-                              for name in sorted(artifacts)}}
-    with open(out / "run_manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"pipeline: {len(artifacts)} artifacts -> {out / 'run_manifest.json'}")
-    return artifacts + ["run_manifest.json"]
+        cmd_simulate(cfg, args, store)
+    cmd_encode(cfg, args, store)
+    cmd_split(cfg, args, store)
+    cmd_resample(cfg, args, store)
+    cmd_train(cfg, args, store)
+    cmd_evaluate(cfg, args, store, summary="summary.csv")
+    manifest = {"artifacts": {
+        name: hashlib.sha256((store.out / name).read_bytes()).hexdigest()
+        for name in sorted(store.written)}}
+    store.put("run_manifest.json", manifest,
+              lambda p: write_json(p, manifest))
+    print(f"pipeline: {len(manifest['artifacts'])} artifacts -> "
+          f"{store.out / 'run_manifest.json'}")
 
 
 _COMMANDS = {
@@ -344,7 +287,7 @@ def main(argv=None):
     try:
         cfg = build_config(args.config, {path: getattr(args, path, None)
                                          for path, _ in _OPTIONS.values()})
-        _COMMANDS[args.command](cfg, args)
+        _COMMANDS[args.command](cfg, args, _Store(cfg.out_dir))
     except (CliError, ValueError, OSError) as exc:
         print(f"atrisk {args.command}: error: {exc}", file=sys.stderr)
         return 1

@@ -7,14 +7,75 @@ Cohort CSV:   header ``student_id,cohort,passed,right_answers,wrong_answers``;
               pipe-separated task names and may be empty.
 Manifest CSV: header ``task,week``, one row per task.
 Dataset CSV:  one column per feature (named), then ``label`` and ``synthetic``.
+
+Every CSV artifact is written by :func:`write_csv` and every JSON artifact
+by :func:`write_json`; the loaders here read through :func:`read_rows`.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import dataclass
 
 import numpy as np
+
+COHORT_COLUMNS = ("student_id", "cohort", "passed", "right_answers",
+                  "wrong_answers")
+
+
+def write_csv(path, header, rows):
+    """Header line then one line per row, comma-separated, LF-terminated."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path, doc):
+    """doc as key-sorted JSON indented by two spaces, newline-terminated."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def read_rows(path, header, parse, unique=None):
+    """(header found, [parse(row), ...]) for the rows of a CSV file.
+
+    header names the expected columns; a leading ``...`` stands for one or
+    more free names.  Blank lines are skipped; every row must have as many
+    fields as the header, and no value may repeat in column ``unique``.  A
+    row error, including any ValueError from parse, is raised prefixed with
+    ``path:line``.
+    """
+    free = header[0] is ...
+    fixed = list(header[free:])
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        found = next(reader, [])
+        if found[-len(fixed):] != fixed or (len(found) > len(fixed)) != free:
+            expected = ",".join("..." if h is ... else h for h in header)
+            raise ValueError(f"{path}: expected header {expected!r}, "
+                             f"got {found}")
+        seen, rows = {}, []
+        for row in reader:
+            if not row:
+                continue
+            line = reader.line_num
+            try:
+                if len(row) != len(found):
+                    raise ValueError(f"expected {len(found)} fields, "
+                                     f"got {len(row)}")
+                if unique is not None:
+                    first = seen.setdefault(row[unique], line)
+                    if first != line:
+                        raise ValueError(
+                            f"duplicate {found[unique]} {row[unique]!r} "
+                            f"(first seen on line {first})")
+                rows.append(parse(row))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line}: {exc}") from None
+    return found, rows
 
 
 def _parse_bool(text):
@@ -29,6 +90,14 @@ def _format_value(v):
     # integral floats print without the trailing .0 so 0/1 matrices stay tidy
     f = float(v)
     return str(int(f)) if f == int(f) else repr(f)
+
+
+def _check_values(features, synthetic_flags):
+    if not np.isfinite(features).all():
+        raise ValueError("features must be finite")
+    real = features[~synthetic_flags]
+    if real.size and not (((real == 0.0) | (real == 1.0)).all()):
+        raise ValueError("real rows must contain only exact 0/1 values")
 
 
 @dataclass(frozen=True)
@@ -80,33 +149,19 @@ class TaskManifest:
 
     @classmethod
     def from_csv(cls, path):
-        tasks = []
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["task", "week"]:
-                raise ValueError(f"{path}: expected header 'task,week', "
-                                 f"got {header}")
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 2:
-                    raise ValueError(f"{path}:{lineno}: expected 2 fields, "
-                                     f"got {len(row)}")
-                try:
-                    week = int(row[1])
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: week must be an "
-                                     f"integer, got {row[1]!r}") from None
-                tasks.append(TaskId(name=row[0], week=week))
-        return cls(tasks)
+        def parse(row):
+            try:
+                week = int(row[1])
+            except ValueError:
+                raise ValueError(f"week must be an integer, "
+                                 f"got {row[1]!r}") from None
+            return TaskId(name=row[0], week=week)
+
+        return cls(read_rows(path, ("task", "week"), parse, unique=0)[1])
 
     def to_csv(self, path):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["task", "week"])
-            for task in self._tasks:
-                writer.writerow([task.name, task.week])
+        write_csv(path, ("task", "week"),
+                  ((task.name, task.week) for task in self._tasks))
 
 
 @dataclass(frozen=True)
@@ -161,11 +216,7 @@ class LabeledDataset:
             flags = np.array(synthetic_flags, dtype=bool, copy=True)
             if flags.shape != (n,):
                 raise ValueError("synthetic_flags length does not match rows")
-        if not np.isfinite(features).all():
-            raise ValueError("features must be finite")
-        real = features[~flags]
-        if real.size and not (((real == 0.0) | (real == 1.0)).all()):
-            raise ValueError("real rows must contain only exact 0/1 values")
+        _check_values(features, flags)
         features.setflags(write=False)
         labels.setflags(write=False)
         flags.setflags(write=False)
@@ -193,42 +244,25 @@ class LabeledDataset:
                               self.feature_names, self.synthetic_flags[rows])
 
     def to_csv(self, path):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow([*self.feature_names, "label", "synthetic"])
-            for i in range(self.n_rows):
-                row = [_format_value(v) for v in self.features[i]]
-                row.append("true" if self.labels[i] else "false")
-                row.append("true" if self.synthetic_flags[i] else "false")
-                writer.writerow(row)
+        write_csv(path, (*self.feature_names, "label", "synthetic"),
+                  ([*map(_format_value, self.features[i]),
+                    "true" if self.labels[i] else "false",
+                    "true" if self.synthetic_flags[i] else "false"]
+                   for i in range(self.n_rows)))
 
     @classmethod
     def from_csv(cls, path):
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or len(header) < 3 or \
-                    header[-2:] != ["label", "synthetic"]:
-                raise ValueError(f"{path}: expected feature columns followed "
-                                 f"by 'label,synthetic'")
-            names = header[:-2]
-            features, labels, flags = [], [], []
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise ValueError(f"{path}:{lineno}: expected "
-                                     f"{len(header)} fields, got {len(row)}")
-                try:
-                    features.append([float(v) for v in row[:-2]])
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: non-numeric feature "
-                                     f"value") from None
-                labels.append(_parse_bool(row[-2]))
-                flags.append(_parse_bool(row[-1]))
-        matrix = np.array(features, dtype=np.float64) if features else \
-            np.empty((0, len(names)), dtype=np.float64)
-        return cls(matrix, labels, names, flags)
+        def parse(row):
+            values = [float(v) for v in row[:-2]]
+            label, synthetic = _parse_bool(row[-2]), _parse_bool(row[-1])
+            _check_values(np.array([values]), np.array([synthetic]))
+            return values, label, synthetic
+
+        header, rows = read_rows(path, (..., "label", "synthetic"), parse)
+        names = header[:-2]
+        matrix = np.array([r[0] for r in rows], dtype=np.float64)
+        return cls(matrix.reshape(len(rows), len(names)),
+                   [r[1] for r in rows], names, [r[2] for r in rows])
 
 
 @dataclass(frozen=True)
@@ -252,59 +286,27 @@ def load_cohort(path, manifest):
     student ids, overlapping right/wrong lists, and malformed fields are all
     rejected with the offending line identified.
     """
-    expected = ["student_id", "cohort", "passed",
-                "right_answers", "wrong_answers"]
-    records = []
-    seen = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != expected:
-            raise ValueError(f"{path}: expected header "
-                             f"{','.join(expected)!r}, got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise ValueError(f"{path}:{lineno}: expected 5 fields, "
-                                 f"got {len(row)}")
-            student_id, cohort, passed_text, right_text, wrong_text = row
-            try:
-                passed = _parse_bool(passed_text)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad 'passed' field: "
-                                 f"{exc}") from None
-            if student_id in seen:
-                raise ValueError(
-                    f"{path}:{lineno}: duplicate student_id "
-                    f"{student_id!r} (first seen on line {seen[student_id]})")
-            seen[student_id] = lineno
-            record = StudentRecord(
-                student_id=student_id,
-                cohort=cohort,
-                right_answers=tuple(n for n in right_text.split("|") if n),
-                wrong_answers=tuple(n for n in wrong_text.split("|") if n),
-                passed=passed,
-            )
-            try:
-                record.validate_against(manifest)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            records.append(record)
-    return records
+    def parse(row):
+        student_id, cohort, passed, right, wrong = row
+        record = StudentRecord(
+            student_id=student_id,
+            cohort=cohort,
+            right_answers=tuple(n for n in right.split("|") if n),
+            wrong_answers=tuple(n for n in wrong.split("|") if n),
+            passed=_parse_bool(passed),
+        )
+        record.validate_against(manifest)
+        return record
+
+    return read_rows(path, COHORT_COLUMNS, parse, unique=0)[1]
 
 
 def save_cohort(records, path):
     """Write records back out in the cohort CSV format."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["student_id", "cohort", "passed",
-                         "right_answers", "wrong_answers"])
-        for r in records:
-            writer.writerow([r.student_id, r.cohort,
-                             "true" if r.passed else "false",
-                             "|".join(r.right_answers),
-                             "|".join(r.wrong_answers)])
+    write_csv(path, COHORT_COLUMNS,
+              ((r.student_id, r.cohort, "true" if r.passed else "false",
+                "|".join(r.right_answers), "|".join(r.wrong_answers))
+               for r in records))
 
 
 def encode(records, manifest, max_week):

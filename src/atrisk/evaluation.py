@@ -10,13 +10,12 @@ metrics follow the 0/0 -> 0 convention and are flagged on the report.
 
 from __future__ import annotations
 
-import csv
 import itertools
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from .data import write_csv, write_json
 from .models import ModelSpec, fit
 from .resampling import ResampleConfig, resample
 
@@ -56,9 +55,7 @@ class EvalReport:
         }
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json_dict())
 
     def summary_row(self, interval, model):
         return {"interval": interval, "model": model,
@@ -243,22 +240,17 @@ class GridSearchResult:
         raise KeyError(f"cell {target} not in grid results")
 
     def to_csv(self, path):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["rank", "method", "k_neighbors", "penalty",
-                             "C", "l1_ratio", "threshold", "feasible",
-                             "precision_false", "recall_false", "f1_false",
-                             "accuracy", "auc"])
-            for cell in self.cells:
-                writer.writerow([
-                    cell.rank, cell.method, cell.k_neighbors, cell.penalty,
+        write_csv(path, ("rank", "method", "k_neighbors", "penalty", "C",
+                         "l1_ratio", "threshold", "feasible",
+                         "precision_false", "recall_false", "f1_false",
+                         "accuracy", "auc"),
+                  ((cell.rank, cell.method, cell.k_neighbors, cell.penalty,
                     repr(cell.C), repr(cell.l1_ratio), repr(cell.threshold),
                     "true" if cell.feasible else "false",
                     repr(cell.mean_precision_false),
-                    repr(cell.mean_recall_false),
-                    repr(cell.mean_f1_false),
-                    repr(cell.mean_accuracy),
-                    repr(cell.mean_auc)])
+                    repr(cell.mean_recall_false), repr(cell.mean_f1_false),
+                    repr(cell.mean_accuracy), repr(cell.mean_auc))
+                   for cell in self.cells))
 
 
 def stratified_fold_indices(labels, folds, seed):
@@ -389,12 +381,6 @@ def write_summary_csv(rows, path):
     if not rows:
         raise ValueError("no summary rows to write")
     columns = list(rows[0].keys())
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            out = []
-            for c in columns:
-                v = row[c]
-                out.append(repr(float(v)) if isinstance(v, float) else v)
-            writer.writerow(out)
+    write_csv(path, columns,
+              ([repr(float(row[c])) if isinstance(row[c], float) else row[c]
+                for c in columns] for row in rows))

@@ -8,9 +8,9 @@ whose round-trip preserves predictions bit for bit.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
+
+from ..data import write_json
 
 MODEL_FORMAT = "atrisk-model"
 MODEL_VERSION = 1
@@ -149,9 +149,7 @@ class TrainedModel:
         }
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json_dict())
 
 
 def _jsonable(value):

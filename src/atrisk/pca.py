@@ -8,10 +8,11 @@ entry is positive.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
+
+from .data import write_csv
 
 
 @dataclass(frozen=True)
@@ -85,13 +86,9 @@ def export_scatter(dataset, method, path, fit_on_real_only=False):
         fit_rows = dataset.features
     model = fit_pca(fit_rows, r=2)
     scores = transform(model, dataset.features)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["pc1", "pc2", "label", "synthetic", "method"])
-        for i in range(dataset.n_rows):
-            writer.writerow([
-                repr(float(scores[i, 0])), repr(float(scores[i, 1])),
+    write_csv(path, ("pc1", "pc2", "label", "synthetic", "method"),
+              ((repr(float(scores[i, 0])), repr(float(scores[i, 1])),
                 "true" if dataset.labels[i] else "false",
-                "true" if dataset.synthetic_flags[i] else "false",
-                method])
+                "true" if dataset.synthetic_flags[i] else "false", method)
+               for i in range(dataset.n_rows)))
     return model

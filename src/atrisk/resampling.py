@@ -10,12 +10,11 @@ re-binarised.  Every synthetic row is recorded in a provenance table
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledDataset
+from .data import LabeledDataset, write_csv
 from .neighbors import NeighborQuery, knn_indices
 
 
@@ -48,13 +47,10 @@ class Provenance:
     adasyn_fallback: bool = False
 
     def to_csv(self, path):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["synthetic_row", "base_row",
-                             "neighbor_row", "lambda"])
-            for r in self.rows:
-                writer.writerow([r.synthetic_row, r.base_row,
-                                 r.neighbor_row, repr(r.lam)])
+        write_csv(path, ("synthetic_row", "base_row", "neighbor_row",
+                         "lambda"),
+                  ((r.synthetic_row, r.base_row, r.neighbor_row, repr(r.lam))
+                   for r in self.rows))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from atrisk import cli
 from atrisk.cli import main
+from atrisk.data import LabeledDataset, TaskManifest
+from atrisk.models import MODEL_KINDS
 
 BASE_CONFIG = """\
 [run]
@@ -91,6 +94,21 @@ def test_pipeline_writes_manifest_and_summary(tmp_path, config_file):
     assert summary[0] == ("interval,n_features,model,precision_false,"
                           "recall_false,f1_false,accuracy,auc,threshold")
     assert summary[1].startswith("3,43,logreg,")
+    # [evaluate] thresholds reaches pipeline as it reaches evaluate
+    assert "sweep_w3_logreg.csv" in manifest["artifacts"]
+
+
+def test_pipeline_reads_back_no_artifact(tmp_path, config_file,
+                                         monkeypatch):
+    def refuse(path, *rest):
+        raise AssertionError(f"pipeline re-read {path}")
+
+    monkeypatch.setattr(cli, "load_cohort", refuse)
+    monkeypatch.setattr(cli, "load_model", refuse)
+    monkeypatch.setattr(LabeledDataset, "from_csv", refuse)
+    monkeypatch.setattr(TaskManifest, "from_csv", refuse)
+    run_ok(["pipeline", "--config", config_file,
+            "--out", str(tmp_path / "run")])
 
 
 def test_pipeline_rerun_is_byte_identical(tmp_path, config_file):
@@ -103,18 +121,33 @@ def test_pipeline_rerun_is_byte_identical(tmp_path, config_file):
     assert manifest_a == manifest_b
 
 
-def test_single_stage_rerun_matches_pipeline_slice(tmp_path, config_file):
+@pytest.mark.parametrize("kind, extra, method", [
+    *(pytest.param(kind, "", "smote", id=kind) for kind in MODEL_KINDS),
+    pytest.param("logreg", "train_input = raw\n", "smote", id="logreg-raw"),
+    pytest.param("logreg", "", "adasyn", id="logreg-adasyn"),
+])
+def test_single_stage_rerun_matches_pipeline_slice(tmp_path, kind, extra,
+                                                   method):
+    config = tmp_path / "stages.cfg"
+    config.write_text(
+        BASE_CONFIG.replace("method = smote", f"method = {method}")
+        .replace("kind = logreg\nC = 1.0\n", f"kind = {kind}\n{extra}"))
     pipeline_out = tmp_path / "full"
-    run_ok(["pipeline", "--config", config_file, "--out", str(pipeline_out)])
+    run_ok(["pipeline", "--config", str(config), "--out", str(pipeline_out)])
     stage_out = tmp_path / "staged"
     for stage in ("simulate", "encode", "split", "resample", "train",
                   "evaluate"):
-        run_ok([stage, "--config", config_file, "--out", str(stage_out)])
-    for name in ("cohort.csv", "dataset_w3.csv", "train_w3.csv",
-                 "test_w3.csv", "train_w3_smote.csv", "model_w3_logreg.json",
-                 "report_w3_logreg.json"):
+        run_ok([stage, "--config", str(config), "--out", str(stage_out)])
+    staged = {path.name for path in stage_out.iterdir()}
+    full = {path.name for path in pipeline_out.iterdir()}
+    summary = f"summary_w3_{kind}.csv"
+    assert staged - full == {summary}
+    assert full - staged == {"summary.csv", "run_manifest.json"}
+    for name in staged & full:
         assert (stage_out / name).read_bytes() == \
             (pipeline_out / name).read_bytes(), name
+    assert (stage_out / summary).read_bytes() == \
+        (pipeline_out / "summary.csv").read_bytes()
 
 
 def test_seed_flag_overrides_config(tmp_path, config_file):
@@ -311,6 +344,58 @@ def test_bad_stage_value_fails_before_any_stage(tmp_path, capsys, text,
                                    "--out", str(out)])
     assert where in err and f"got {got}" in err
     assert list(out.iterdir()) == []
+
+
+def _set_field(line, column, value):
+    """An edit that sets one field of a CSV file; returns the line edited."""
+    def edit(path):
+        lines = path.read_text().splitlines()
+        fields = lines[line - 1].split(",")
+        fields[column] = value
+        lines[line - 1] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        return line
+    return edit
+
+
+def _repeat_line(line):
+    """An edit that appends a copy of one line; returns the copy's line."""
+    def edit(path):
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([*lines, lines[line - 1]]) + "\n")
+        return len(lines) + 1
+    return edit
+
+
+@pytest.mark.parametrize("name, stages, command, edit, reason", [
+    pytest.param("test_w3.csv", ("simulate", "encode", "split", "resample",
+                                 "train"), "evaluate",
+                 _set_field(3, -2, "maybe"),
+                 "expected 'true' or 'false', got 'maybe'", id="label"),
+    pytest.param("train_w3.csv", ("simulate", "encode", "split"), "resample",
+                 _set_field(4, 0, "0.5"),
+                 "real rows must contain only exact 0/1 values",
+                 id="fractional-real-row"),
+    pytest.param("dataset_w3.csv", ("simulate", "encode"), "split",
+                 _set_field(5, 0, "nan"), "features must be finite",
+                 id="nan"),
+    pytest.param("manifest.csv", ("simulate",), "encode",
+                 _set_field(2, 1, "0"),
+                 "task 'w01_t01': week must be >= 1, got 0", id="week-0"),
+    pytest.param("manifest.csv", ("simulate",), "encode", _repeat_line(2),
+                 "duplicate task 'w01_t01' (first seen on line 2)",
+                 id="duplicate-task"),
+])
+def test_loader_error_names_file_and_line(tmp_path, config_file, capsys,
+                                          name, stages, command, edit,
+                                          reason):
+    out = tmp_path / "run"
+    for stage in stages:
+        run_ok([stage, "--config", config_file, "--out", str(out)])
+    line = edit(out / name)
+    err = _one_line_error(capsys, [command, "--config", config_file,
+                                   "--out", str(out)])
+    assert f"{out / name}:{line}: {reason}" in err
 
 
 def test_tune_without_feasible_cell_fails(tmp_path, config_file, capsys):

@@ -128,7 +128,7 @@ def test_each_flag_reaches_its_field(monkeypatch):
     seen = {}
     for name in ALL_COMMANDS:
         monkeypatch.setitem(cli._COMMANDS, name,
-                            lambda cfg, args: seen.update(cfg=cfg))
+                            lambda cfg, args, store: seen.update(cfg=cfg))
     for argv, option, value, commands in FLAG_CASES:
         expected = build_config(overrides={option: value})
         assert _setting(expected, option) == value
