@@ -30,8 +30,8 @@ from . import __version__
 from .config import _OPTIONS, build_config, stage_seed
 from .data import (LabeledDataset, TaskManifest, encode, load_cohort,
                    save_cohort, split, write_json)
-from .evaluation import (evaluate, grid_search, sweep_thresholds,
-                         write_summary_csv)
+from .evaluation import (SELECTION_METRICS, evaluate, grid_search,
+                         sweep_thresholds, write_summary_csv)
 from .models import ModelSpec, fit, load_model
 from .pca import export_scatter
 from .resampling import resample
@@ -134,29 +134,28 @@ def cmd_train(cfg, args, store):
         print(f"train: interval {interval} {spec.kind}{flag} -> {name}")
 
 
-def _summary_row(report, interval, n_features, kind):
-    row = report.summary_row(interval, kind)
-    return {"interval": interval, "n_features": n_features,
-            **{k: v for k, v in row.items() if k != "interval"}}
-
-
 def cmd_evaluate(cfg, args, store, summary=None):
     kind = cfg.model_kind
+    for flag in ("model_file", "test_file"):
+        # getattr: pipeline's args have no --model-file or --test-file
+        if getattr(args, flag, None) and len(cfg.intervals) > 1:
+            raise CliError(f"--{flag.replace('_', '-')} names one file, so "
+                           f"it needs a single --interval")
     rows = []
     for interval in cfg.intervals:
-        # getattr: pipeline's args have no --model-file or --test-file
         model = store.get(f"model_w{interval}_{kind}.json", load_model,
                           "evaluate", getattr(args, "model_file", None))
         test = store.get(f"test_w{interval}.csv", LabeledDataset.from_csv,
                          "evaluate", getattr(args, "test_file", None))
         report = evaluate(model, test, cfg.threshold)
         store.put(f"report_w{interval}_{kind}.json", report, report.save)
-        rows.append(_summary_row(report, interval, test.n_features, kind))
+        rows.append(report.summary_row(interval, test.n_features, kind))
+        scores = " ".join(f"{name}={getattr(report, name):.4f}"
+                          for name in SELECTION_METRICS)
         print(f"evaluate: interval {interval} threshold {cfg.threshold} "
-              f"recall_false={report.recall_false:.4f} "
-              f"f1_false={report.f1_false:.4f}")
+              f"{scores}")
         if cfg.sweep_thresholds:
-            sweep = [_summary_row(r, interval, test.n_features, kind) for r
+            sweep = [r.summary_row(interval, test.n_features, kind) for r
                      in sweep_thresholds(model, test, cfg.sweep_thresholds)]
             store.put(f"sweep_w{interval}_{kind}.csv", sweep,
                       lambda p: write_summary_csv(sweep, p))
@@ -172,18 +171,8 @@ def cmd_tune(cfg, args, store):
                           "tune")
         result = grid_search(grid, train)
         store.put(f"tune_w{interval}.csv", result, result.to_csv)
+        store.put(f"tune_w{interval}_best.json", result, result.save_best)
         best = result.best()
-        best_doc = {"method": best.method, "k_neighbors": best.k_neighbors,
-                    "penalty": best.penalty, "C": best.C,
-                    "l1_ratio": best.l1_ratio, "threshold": best.threshold,
-                    "mean_f1_false": best.mean_f1_false,
-                    "mean_recall_false": best.mean_recall_false,
-                    "mean_precision_false": best.mean_precision_false,
-                    "mean_accuracy": best.mean_accuracy,
-                    "mean_auc": best.mean_auc,
-                    "audit": result.audit}
-        store.put(f"tune_w{interval}_best.json", best_doc,
-                  lambda p: write_json(p, best_doc))
         print(f"tune: interval {interval} best {best.method} "
               f"k={best.k_neighbors} {best.penalty} C={best.C} "
               f"l1_ratio={best.l1_ratio} t={best.threshold} "
@@ -273,7 +262,7 @@ def _parser():
             p.add_argument("--train-input", choices=("raw", "resampled"))
         if name == "tune":
             p.add_argument("--metric", dest="tune.selection_metric",
-                           choices=("f1_false", "recall_false"))
+                           choices=SELECTION_METRICS)
         if name == "pca-export":
             p.add_argument("--method", dest="pca_method",
                            choices=("smote", "adasyn"))

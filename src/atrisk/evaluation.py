@@ -1,17 +1,21 @@
-"""Confusion-matrix metrics, Mann-Whitney AUC, threshold sweeps, and the
-cross-validated grid search.
+"""Confusion-matrix metrics, Mann-Whitney AUC, threshold sweeps, the
+cross-validated grid search, and the summary and tune file formats.
 
 The failing class (label false) is the positive class for reporting
 throughout.  A row is predicted failing exactly when P(false) >= threshold,
 so the set of rows predicted failing shrinks as the threshold rises and
 failing-class recall is non-increasing in the threshold.  Division-by-zero
 metrics follow the 0/0 -> 0 convention and are flagged on the report.
+
+``sweep_thresholds`` scores a model on a test set once and reports every
+threshold from that one score; ``evaluate`` and the grid search go through
+it.  ``METRICS`` names the five reported metrics once for every file format.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -19,8 +23,9 @@ from .data import write_csv, write_json
 from .models import ModelSpec, fit
 from .resampling import ResampleConfig, resample
 
-SUMMARY_COLUMNS = ("interval", "model", "precision_false", "recall_false",
-                   "f1_false", "accuracy", "auc", "threshold")
+METRICS = ("precision_false", "recall_false", "f1_false", "accuracy", "auc")
+SELECTION_METRICS = ("f1_false", "recall_false")  # what tune may rank by
+SUMMARY_COLUMNS = ("interval", "n_features", "model", *METRICS, "threshold")
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,31 +45,18 @@ class EvalReport:
     zero_division: tuple = ()
 
     def to_json_dict(self):
-        return {
-            "confusion": self.confusion.tolist(),
-            "precision_false": self.precision_false,
-            "precision_true": self.precision_true,
-            "recall_false": self.recall_false,
-            "recall_true": self.recall_true,
-            "f1_false": self.f1_false,
-            "f1_true": self.f1_true,
-            "accuracy": self.accuracy,
-            "auc": self.auc,
-            "threshold": self.threshold,
-            "zero_division": list(self.zero_division),
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["confusion"] = self.confusion.tolist()
+        doc["zero_division"] = list(self.zero_division)
+        return doc
 
     def save(self, path):
         write_json(path, self.to_json_dict())
 
-    def summary_row(self, interval, model):
-        return {"interval": interval, "model": model,
-                "precision_false": self.precision_false,
-                "recall_false": self.recall_false,
-                "f1_false": self.f1_false,
-                "accuracy": self.accuracy,
-                "auc": self.auc,
-                "threshold": self.threshold}
+    def summary_row(self, interval, n_features, model):
+        """This report as a SUMMARY_COLUMNS row (see write_summary_csv)."""
+        return (interval, n_features, model,
+                *(getattr(self, name) for name in METRICS), self.threshold)
 
 
 def _safe_div(num, den, name, hits):
@@ -96,18 +88,34 @@ def mann_whitney_auc(scores, positive_mask):
 
 def evaluate(model, test, threshold):
     """Score a model on a real-only test set at one decision threshold."""
+    return sweep_thresholds(model, test, (threshold,))[0]
+
+
+def sweep_thresholds(model, test, grid):
+    """One EvalReport per threshold in grid, all from one scoring of the
+    real-only test set, so every report carries the same AUC."""
+    grid = tuple(grid)
+    if not grid:
+        raise ValueError("threshold grid is empty")
     if test.synthetic_flags.any():
         raise ValueError("test purity violated: test data contains "
                          "synthetic rows")
     if test.n_rows == 0:
         raise ValueError("test set is empty")
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must be inside (0,1), got {threshold}")
+    for threshold in grid:
+        if not 0.0 < threshold < 1.0:
+            raise ValueError(f"threshold must be inside (0,1), "
+                             f"got {threshold}")
 
     p_false = model.predict_proba(test.features)[:, 0]
-    predicted_false = p_false >= threshold
     actual_false = ~test.labels
+    auc = mann_whitney_auc(p_false, actual_false)
+    return [_report(p_false, actual_false, auc, t) for t in grid]
 
+
+def _report(p_false, actual_false, auc, threshold):
+    """EvalReport at one threshold; auc is None when a class is absent."""
+    predicted_false = p_false >= threshold
     cm = np.array([
         [int(np.sum(actual_false & predicted_false)),
          int(np.sum(actual_false & ~predicted_false))],
@@ -128,9 +136,7 @@ def evaluate(model, test, threshold):
                          precision_false + recall_false, "f1_false", hits)
     f1_true = _safe_div(2.0 * precision_true * recall_true,
                         precision_true + recall_true, "f1_true", hits)
-    accuracy = (cm[0, 0] + cm[1, 1]) / test.n_rows
-
-    auc = mann_whitney_auc(p_false, actual_false)
+    accuracy = (cm[0, 0] + cm[1, 1]) / actual_false.size
     if auc is None:
         hits.append("auc")
         auc = 0.5
@@ -147,14 +153,6 @@ def evaluate(model, test, threshold):
                       auc=auc,
                       threshold=float(threshold),
                       zero_division=tuple(hits))
-
-
-def sweep_thresholds(model, test, grid):
-    """One EvalReport per threshold, identical to single evaluate calls."""
-    grid = tuple(grid)
-    if not grid:
-        raise ValueError("threshold grid is empty")
-    return [evaluate(model, test, t) for t in grid]
 
 
 @dataclass(frozen=True)
@@ -190,9 +188,10 @@ class GridSpec:
             if bad:
                 raise ValueError(f"{name} entries must be {rule}, "
                                  f"got {bad[0]!r}")
-        if self.selection_metric not in ("f1_false", "recall_false"):
-            raise ValueError(f"selection_metric must be 'f1_false' or "
-                             f"'recall_false', got {self.selection_metric!r}")
+        if self.selection_metric not in SELECTION_METRICS:
+            raise ValueError(f"selection_metric must be "
+                             f"{' or '.join(map(repr, SELECTION_METRICS))}, "
+                             f"got {self.selection_metric!r}")
         if self.folds < 2:
             raise ValueError(f"folds must be >= 2, got {self.folds}")
 
@@ -211,7 +210,6 @@ class GridCell:
     mean_f1_false: float = float("nan")
     mean_accuracy: float = float("nan")
     mean_auc: float = float("nan")
-    fold_reports: tuple = ()
     rank: int = -1
 
     def mean_metric(self, name):
@@ -240,17 +238,23 @@ class GridSearchResult:
         raise KeyError(f"cell {target} not in grid results")
 
     def to_csv(self, path):
+        """Every cell in rank order with its fold-mean METRICS."""
         write_csv(path, ("rank", "method", "k_neighbors", "penalty", "C",
-                         "l1_ratio", "threshold", "feasible",
-                         "precision_false", "recall_false", "f1_false",
-                         "accuracy", "auc"),
+                         "l1_ratio", "threshold", "feasible", *METRICS),
                   ((cell.rank, cell.method, cell.k_neighbors, cell.penalty,
                     repr(cell.C), repr(cell.l1_ratio), repr(cell.threshold),
                     "true" if cell.feasible else "false",
-                    repr(cell.mean_precision_false),
-                    repr(cell.mean_recall_false), repr(cell.mean_f1_false),
-                    repr(cell.mean_accuracy), repr(cell.mean_auc))
+                    *(repr(cell.mean_metric(name)) for name in METRICS))
                    for cell in self.cells))
+
+    def save_best(self, path):
+        """The best cell's key, its fold-mean METRICS and the audit."""
+        best = self.best()
+        write_json(path, {
+            **dict(zip(("method", "k_neighbors", "penalty", "C", "l1_ratio",
+                        "threshold"), best.key())),
+            **{f"mean_{name}": best.mean_metric(name) for name in METRICS},
+            "audit": self.audit})
 
 
 def stratified_fold_indices(labels, folds, seed):
@@ -294,6 +298,12 @@ def grid_search(grid, train):
     """
     if train.synthetic_flags.any():
         raise ValueError("grid_search requires real-only training data")
+    n_fail, n_pass = train.class_counts()
+    if grid.folds > min(n_fail, n_pass):
+        raise ValueError(
+            f"folds = {grid.folds} exceeds the smaller class count "
+            f"({n_fail} failing, {n_pass} passing training rows); every "
+            f"validation fold needs a row of each class")
     fold_validation = stratified_fold_indices(train.labels, grid.folds,
                                               grid.seed)
     all_rows = np.arange(train.n_rows, dtype=np.intp)
@@ -306,7 +316,7 @@ def grid_search(grid, train):
     res_combos = list(itertools.product(grid.resample_methods,
                                         grid.k_neighbors_grid))
     for ri, (method, k) in enumerate(res_combos):
-        fold_scores = []  # (penalty, C, l1r) -> list of per-threshold reports
+        fold_scores = []  # (penalty, C, l1r) -> one report per threshold
         feasible = True
         for f, val_idx in enumerate(fold_validation):
             fit_idx = np.setdiff1d(all_rows, val_idx, assume_unique=True)
@@ -332,28 +342,20 @@ def grid_search(grid, train):
                                  l1_ratio=l1r if penalty == "elasticnet"
                                  else 0.0)
                 model = fit(spec, grown.dataset)
-                per_model[(penalty, C, l1r)] = {
-                    t: evaluate(model, val_part, t) for t in grid.thresholds}
+                per_model[(penalty, C, l1r)] = sweep_thresholds(
+                    model, val_part, grid.thresholds)
             fold_scores.append(per_model)
 
         for penalty, C, l1r in model_cells:
-            for t in grid.thresholds:
+            for i, t in enumerate(grid.thresholds):
                 cell = GridCell(method=method, k_neighbors=k,
                                 penalty=penalty, C=C, l1_ratio=l1r,
                                 threshold=t, feasible=feasible)
                 if feasible:
-                    reports = [fs[(penalty, C, l1r)][t] for fs in fold_scores]
-                    cell.fold_reports = tuple(reports)
-                    cell.mean_precision_false = float(np.mean(
-                        [r.precision_false for r in reports]))
-                    cell.mean_recall_false = float(np.mean(
-                        [r.recall_false for r in reports]))
-                    cell.mean_f1_false = float(np.mean(
-                        [r.f1_false for r in reports]))
-                    cell.mean_accuracy = float(np.mean(
-                        [r.accuracy for r in reports]))
-                    cell.mean_auc = float(np.mean(
-                        [r.auc for r in reports]))
+                    reports = [fs[(penalty, C, l1r)][i] for fs in fold_scores]
+                    for name in METRICS:
+                        setattr(cell, f"mean_{name}", float(np.mean(
+                            [getattr(r, name) for r in reports])))
                 cells.append(cell)
 
     if not any(cell.feasible for cell in cells):
@@ -376,11 +378,10 @@ def grid_search(grid, train):
 
 
 def write_summary_csv(rows, path):
-    """Summary CSV mirroring the reporting table columns; extra leading
-    columns (e.g. n_features) are carried through when present."""
+    """Summary or sweep CSV: SUMMARY_COLUMNS, one EvalReport.summary_row
+    per line."""
     if not rows:
         raise ValueError("no summary rows to write")
-    columns = list(rows[0].keys())
-    write_csv(path, columns,
-              ([repr(float(row[c])) if isinstance(row[c], float) else row[c]
-                for c in columns] for row in rows))
+    write_csv(path, SUMMARY_COLUMNS,
+              ([repr(float(v)) if isinstance(v, float) else v for v in row]
+               for row in rows))

@@ -198,6 +198,29 @@ def test_evaluate_refuses_synthetic_test_file(tmp_path, config_file,
     assert "test purity" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, name", [
+    ("--model-file", "model_w3_logreg.json"),
+    ("--test-file", "test_w3.csv"),
+])
+def test_evaluate_file_flag_needs_one_interval(tmp_path, capsys, flag, name):
+    config = tmp_path / "two.cfg"
+    config.write_text(BASE_CONFIG.replace("intervals = 3", "intervals = 3,6"))
+    common = ["--config", str(config), "--out", str(tmp_path / "run")]
+    for stage in ("simulate", "encode", "split", "resample", "train"):
+        run_ok([stage, *common])
+    before = {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()}
+    capsys.readouterr()
+    code = main(["evaluate", *common, flag, str(tmp_path / "run" / name)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert flag in err and "--interval" in err
+    after = {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()}
+    assert after == before
+    run_ok(["evaluate", *common, flag, str(tmp_path / "run" / name),
+            "--interval", "3"])
+
+
 def test_evaluate_malformed_model_file_is_one_line_error(tmp_path,
                                                         config_file, capsys):
     out = tmp_path / "run"

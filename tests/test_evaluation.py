@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from atrisk import (GridSpec, ModelSpec, evaluate, fit, grid_search,
-                    mann_whitney_auc, sweep_thresholds)
+from atrisk import (GridSpec, ModelSpec, TrainedModel, evaluate, fit,
+                    grid_search, mann_whitney_auc, sweep_thresholds)
 import atrisk.evaluation as evaluation
 from atrisk.evaluation import stratified_fold_indices, write_summary_csv
 from conftest import make_dataset
@@ -12,13 +12,16 @@ from oracles import auc_pairwise_oracle, metrics_oracle
 
 
 class FixedModel:
-    """Stub exposing a fixed failing-class probability per row."""
+    """Stub exposing a fixed failing-class probability per row; counts how
+    often it is scored."""
 
     def __init__(self, p_false):
         self.p_false = np.asarray(p_false, dtype=np.float64)
+        self.calls = 0
 
     def predict_proba(self, rows):
         assert rows.shape[0] == len(self.p_false)
+        self.calls += 1
         return np.column_stack([self.p_false, 1.0 - self.p_false])
 
 
@@ -62,21 +65,28 @@ def test_confusion_row_sums_equal_class_counts(split_w3):
 
 def test_metrics_match_oracle_on_random_vectors():
     rng = np.random.default_rng(61)
+    # 0.4 and 0.6 are score values: rows tie with the threshold there
+    grid = (0.3, 0.4, 0.5, 0.6, 0.7)
     for _ in range(200):
         n = int(rng.integers(4, 80))
         labels = rng.random(n) < rng.uniform(0.2, 0.8)
         labels[0] = False
         labels[1] = True
         p_false = rng.choice([0.1, 0.4, 0.6, 0.9], size=n)
-        threshold = float(rng.choice([0.3, 0.5, 0.7]))
-        report = evaluate(FixedModel(p_false), dataset_for(labels), threshold)
-        cm, precision, recall, f1, accuracy = metrics_oracle(
-            ~labels, p_false >= threshold)
-        assert np.array_equal(report.confusion, cm)
-        assert report.precision_false == precision
-        assert report.recall_false == recall
-        assert report.f1_false == f1
-        assert report.accuracy == accuracy
+        model = FixedModel(p_false)
+        reports = sweep_thresholds(model, dataset_for(labels), grid)
+        assert model.calls == 1  # one scoring for the whole sweep
+        auc = auc_pairwise_oracle(p_false, ~labels)
+        for threshold, report in zip(grid, reports):
+            cm, precision, recall, f1, accuracy = metrics_oracle(
+                ~labels, p_false >= threshold)
+            assert np.array_equal(report.confusion, cm)
+            assert report.precision_false == precision
+            assert report.recall_false == recall
+            assert report.f1_false == f1
+            assert report.accuracy == accuracy
+            assert report.auc == pytest.approx(auc, abs=1e-12)
+            assert report.threshold == threshold
 
 
 def test_auc_boundary_cases():
@@ -313,22 +323,46 @@ def test_default_grid_has_no_duplicate_objectives(split_w3):
 
 def test_grid_fits_each_objective_once_per_fold(split_w3, monkeypatch):
     fitted = []
-    original = evaluation.fit
+    scored = []
+    original_fit = evaluation.fit
+    original_proba = TrainedModel.predict_proba
 
     def counting_fit(spec, train):
         fitted.append((spec.params["penalty"], spec.params["C"],
                        spec.params["l1_ratio"]))
-        return original(spec, train)
+        return original_fit(spec, train)
+
+    def counting_proba(self, rows):
+        scored.append(self.spec.params["penalty"])
+        return original_proba(self, rows)
 
     monkeypatch.setattr(evaluation, "fit", counting_fit)
+    monkeypatch.setattr(TrainedModel, "predict_proba", counting_proba)
     train, _ = split_w3
     grid = tiny_grid(penalties=("elasticnet", "l2"), c_grid=(0.1, 0.1),
-                     l1_ratios=(0.0, 0.5), folds=2)
+                     l1_ratios=(0.0, 0.5), thresholds=(0.4, 0.5, 0.6),
+                     folds=2)
     cells = grid_search(grid, train).cells
     # first-seen order: elasticnet 0.0 becomes l2 before the l2 entry
     assert fitted == [("l2", 0.1, 0.0), ("elasticnet", 0.1, 0.5)] * 2
+    # one scoring per (fold, objective), however many thresholds
+    assert scored == ["l2", "elasticnet"] * 2
     assert sorted((c.penalty, c.l1_ratio) for c in cells) == \
-        [("elasticnet", 0.5), ("l2", 0.0)]
+        [("elasticnet", 0.5)] * 3 + [("l2", 0.0)] * 3
+
+
+def test_grid_search_rejects_more_folds_than_smaller_class(monkeypatch):
+    def refuse(spec, train):
+        raise AssertionError("fit before the folds check")
+
+    monkeypatch.setattr(evaluation, "fit", refuse)
+    features = np.eye(20)[:, :4]
+    labels = np.ones(20, dtype=bool)
+    labels[:4] = False  # 4 failing rows cannot fill 5 validation folds
+    with pytest.raises(ValueError, match=r"^folds = 5 .*\(4 failing, "
+                                         r"16 passing training rows\)"):
+        grid_search(tiny_grid(k_neighbors_grid=(1,), folds=5),
+                    make_dataset(features, labels))
 
 
 def test_grid_spec_validation():
@@ -362,8 +396,9 @@ def test_summary_csv_columns(tmp_path, split_w3):
     model = fit(ModelSpec("logreg"), train)
     report = evaluate(model, test, 0.5)
     path = tmp_path / "summary.csv"
-    write_summary_csv([report.summary_row(3, "logreg")], path)
+    write_summary_csv([report.summary_row(3, test.n_features, "logreg")],
+                      path)
     lines = path.read_text().splitlines()
-    assert lines[0] == ("interval,model,precision_false,recall_false,"
-                        "f1_false,accuracy,auc,threshold")
-    assert lines[1].startswith("3,logreg,")
+    assert lines[0] == ("interval,n_features,model,precision_false,"
+                        "recall_false,f1_false,accuracy,auc,threshold")
+    assert lines[1].startswith(f"3,{test.n_features},logreg,")
