@@ -188,6 +188,10 @@ class GridSpec:
             if bad:
                 raise ValueError(f"{name} entries must be {rule}, "
                                  f"got {bad[0]!r}")
+            repeats = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeats:
+                raise ValueError(f"{name} entries must be distinct, "
+                                 f"got {repeats[0]!r}")
         if self.selection_metric not in SELECTION_METRICS:
             raise ValueError(f"selection_metric must be "
                              f"{' or '.join(map(repr, SELECTION_METRICS))}, "

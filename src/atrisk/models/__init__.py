@@ -1,13 +1,20 @@
-"""Classifier suite: fit dispatch and model persistence."""
+"""Classifier suite: the table of model kinds, fit dispatch and loading.
+
+``_KINDS`` declares each kind once: its model class, its fitter and its
+hyperparameter defaults.  ``ModelSpec`` checks hyperparameters against
+those defaults and against one rule per hyperparameter name, whichever
+kinds take it.  Saving and loading go through ``TrainedModel`` for every
+kind (see ``base``).
+"""
 
 from __future__ import annotations
 
 import json
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .base import (DEFAULT_PARAMS, MODEL_FORMAT, MODEL_KINDS, MODEL_VERSION,
-                   ModelSpec, TrainedModel)
+from .base import MODEL_FORMAT, MODEL_VERSION, TrainedModel
 from .knn import KnnModel, fit_knn
 from .logistic import LogisticModel, fit_logistic
 from .naive_bayes import NaiveBayesModel, fit_naive_bayes
@@ -15,25 +22,96 @@ from .svm import SvmModel, fit_svm
 from .tree import (DecisionTreeModel, RandomForestModel, fit_decision_tree,
                    fit_random_forest)
 
-_FITTERS = {
-    "logreg": fit_logistic,
-    "naive_bayes": fit_naive_bayes,
-    "decision_tree": fit_decision_tree,
-    "random_forest": fit_random_forest,
-    "knn": fit_knn,
-    "svm_linear": fit_svm,
-    "svm_rbf": fit_svm,
+
+class _Kind(NamedTuple):
+    model: type
+    fitter: Callable
+    defaults: dict  # unknown hyperparameters are rejected
+
+
+_KINDS = {
+    "logreg": _Kind(LogisticModel, fit_logistic, {
+        "penalty": "l2", "C": 1.0, "l1_ratio": 0.0, "tolerance": 1e-8,
+        "max_iterations": 10000}),
+    "naive_bayes": _Kind(NaiveBayesModel, fit_naive_bayes, {}),
+    "decision_tree": _Kind(DecisionTreeModel, fit_decision_tree, {
+        "max_depth": None, "min_samples_split": 2}),
+    "random_forest": _Kind(RandomForestModel, fit_random_forest, {
+        "n_trees": 100, "max_depth": None, "min_samples_split": 2,
+        "max_features": "sqrt", "seed": 0}),
+    "knn": _Kind(KnnModel, fit_knn, {"k": 5}),
+    "svm_linear": _Kind(SvmModel, fit_svm, {
+        "C": 1.0, "tolerance": 1e-3, "max_iterations": 1000, "seed": 0}),
+    "svm_rbf": _Kind(SvmModel, fit_svm, {
+        "C": 1.0, "gamma": "scale", "tolerance": 1e-3,
+        "max_iterations": 1000, "seed": 0}),
 }
 
-_CLASSES = {
-    "logreg": LogisticModel,
-    "naive_bayes": NaiveBayesModel,
-    "decision_tree": DecisionTreeModel,
-    "random_forest": RandomForestModel,
-    "knn": KnnModel,
-    "svm_linear": SvmModel,
-    "svm_rbf": SvmModel,
+MODEL_KINDS = tuple(sorted(_KINDS))
+
+
+# hyperparameter name -> (check, rule); a name means the same for every
+# kind that takes it, and a name with no entry only has its type checked
+_RULES = {
+    "penalty": (lambda v: v in ("l2", "elasticnet"),
+                "'l2' or 'elasticnet'"),
+    "C": (lambda v: v > 0, "> 0"),
+    "l1_ratio": (lambda v: 0.0 <= v <= 1.0, "in [0,1]"),
+    "gamma": (lambda v: v == "scale" or (isinstance(v, (int, float))
+                                         and v > 0),
+              "'scale' or > 0"),
+    "k": (lambda v: v >= 1, ">= 1"),
+    "max_depth": (lambda v: v is None or v >= 1, ">= 1 or None"),
+    "min_samples_split": (lambda v: v >= 2, ">= 2"),
+    "n_trees": (lambda v: v >= 1, ">= 1"),
+    "max_features": (lambda v: v == "sqrt" or (isinstance(v, int)
+                                               and v >= 1),
+                     "'sqrt' or an int >= 1"),
 }
+
+
+class ModelSpec:
+    """Classifier kind plus validated hyperparameters."""
+
+    def __init__(self, kind, **params):
+        if kind not in _KINDS:
+            raise ValueError(f"unknown model kind {kind!r}; "
+                             f"expected one of {MODEL_KINDS}")
+        defaults = _KINDS[kind].defaults
+        unknown = sorted(set(params) - set(defaults))
+        if unknown:
+            raise ValueError(f"unknown hyperparameter(s) for {kind}: "
+                             f"{unknown}")
+        for key, value in params.items():
+            # int defaults (and max_depth's None) need an int, float
+            # defaults a number; string-valued keys are checked by _RULES
+            default = defaults[key]
+            if isinstance(default, str) or (default is None and value is None):
+                continue
+            if isinstance(default, float):
+                if not isinstance(value, (int, float)):
+                    raise ValueError(f"{kind} hyperparameter {key!r} must "
+                                     f"be a number, got {value!r}")
+            elif not isinstance(value, int):
+                raise ValueError(f"{kind} hyperparameter {key!r} must be "
+                                 f"an integer, got {value!r}")
+        merged = {**defaults, **params}
+        for key, value in merged.items():
+            if key in _RULES and not _RULES[key][0](value):
+                raise ValueError(f"{key} must be {_RULES[key][1]}, "
+                                 f"got {value!r}")
+        if merged.get("penalty") == "l2" and merged["l1_ratio"] != 0.0:
+            raise ValueError("l1_ratio requires penalty='elasticnet'")
+        self.kind = kind
+        self.params = merged
+
+    def __repr__(self):
+        inner = ", ".join(f"{k}={v!r}" for k, v in sorted(self.params.items()))
+        return f"ModelSpec({self.kind!r}, {inner})"
+
+    def __eq__(self, other):
+        return (isinstance(other, ModelSpec) and self.kind == other.kind
+                and self.params == other.params)
 
 
 def fit(spec, train):
@@ -42,7 +120,17 @@ def fit(spec, train):
         raise ValueError("training features must be finite")
     if train.n_rows == 0:
         raise ValueError("cannot fit on an empty dataset")
-    return _FITTERS[spec.kind](spec, train)
+    kind = _KINDS[spec.kind]
+    if kind.model.needs_both_classes:
+        n_true = int(np.sum(train.labels))
+        n_false = train.n_rows - n_true
+        if n_true == 0 or n_false == 0:
+            raise ValueError(f"{spec.kind} requires both classes in the "
+                             f"training data")
+        if min(n_true, n_false) < 2:
+            raise ValueError(f"{spec.kind} requires >= 2 rows per class, "
+                             f"got false={n_false}, true={n_true}")
+    return kind.fitter(spec, train)
 
 
 # top-level document keys read after the format/version check, and the
@@ -78,19 +166,18 @@ def load_model(path):
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: bad 'kind' or 'params' ({exc})") from None
     try:
-        return _CLASSES[spec.kind].from_state(
+        return _KINDS[spec.kind].model.from_state(
             spec, doc["state"], n_features=doc["n_features"],
             non_converged=doc["non_converged"])
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc.args[0]!r} "
                          f"in 'state'") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: malformed 'state' ({exc})") from None
 
 
 __all__ = [
-    "DEFAULT_PARAMS", "MODEL_KINDS", "ModelSpec", "TrainedModel",
-    "fit", "load_model",
+    "MODEL_KINDS", "ModelSpec", "TrainedModel", "fit", "load_model",
     "LogisticModel", "NaiveBayesModel", "DecisionTreeModel",
     "RandomForestModel", "KnnModel", "SvmModel",
 ]

@@ -5,18 +5,22 @@ from __future__ import annotations
 import numpy as np
 
 from ..neighbors import knn_among
-from .base import TrainedModel, check_training_labels
+from .base import TrainedModel, fitted_array
 
 
 class KnnModel(TrainedModel):
-    def __init__(self, spec, train_features, train_labels):
-        super().__init__(spec, n_features=train_features.shape[1])
-        train_features = np.asarray(train_features, dtype=np.float64)
-        train_labels = np.asarray(train_labels, dtype=bool)
-        train_features.setflags(write=False)
-        train_labels.setflags(write=False)
-        self.train_features = train_features
-        self.train_labels = train_labels
+    state = ("train_features", "train_labels")
+
+    def __init__(self, spec, n_features, non_converged=False, *,
+                 train_features, train_labels):
+        super().__init__(spec, n_features, non_converged)
+        self.train_features = fitted_array(train_features, None, n_features)
+        self.train_labels = fitted_array(train_labels,
+                                         len(self.train_features),
+                                         dtype=bool)
+        if spec.params["k"] > len(self.train_labels):
+            raise ValueError(f"k={spec.params['k']} exceeds the "
+                             f"{len(self.train_labels)} stored training rows")
 
     def _proba(self, rows):
         k = self.spec.params["k"]
@@ -24,21 +28,7 @@ class KnnModel(TrainedModel):
         p_true = self.train_labels[idx].sum(axis=1) / k
         return np.column_stack([1.0 - p_true, p_true])
 
-    def _state(self):
-        return {"train_features": self.train_features.tolist(),
-                "train_labels": [bool(v) for v in self.train_labels]}
-
-    @classmethod
-    def from_state(cls, spec, state, n_features, non_converged):
-        features = np.asarray(state["train_features"], dtype=np.float64)
-        if features.size == 0:
-            features = features.reshape(0, n_features)
-        return cls(spec, features, state["train_labels"])
-
 
 def fit_knn(spec, train):
-    check_training_labels(spec, train.labels)
-    if spec.params["k"] > train.n_rows:
-        raise ValueError(f"k={spec.params['k']} exceeds the "
-                         f"{train.n_rows} stored training rows")
-    return KnnModel(spec, train.features, train.labels)
+    return KnnModel(spec, train.n_features, train_features=train.features,
+                    train_labels=train.labels)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import TrainedModel, check_training_labels
+from .base import TrainedModel, fitted_array
 
 _RIDGE = 1e-10         # keeps the Newton system nonsingular without l2
 _ARMIJO = 1e-4         # sufficient-decrease fraction
@@ -139,13 +139,12 @@ def fit_logistic_raw(X, y, C, l1_ratio, tolerance, max_iterations):
 
 
 class LogisticModel(TrainedModel):
-    def __init__(self, spec, weights, intercept, objective_history,
-                 non_converged, kkt_residual=None):
-        super().__init__(spec, n_features=len(weights),
-                         non_converged=non_converged)
-        weights = np.asarray(weights, dtype=np.float64)
-        weights.setflags(write=False)
-        self.weights = weights
+    state = ("weights", "intercept")
+
+    def __init__(self, spec, n_features, non_converged=False, *, weights,
+                 intercept, objective_history=None, kkt_residual=None):
+        super().__init__(spec, n_features, non_converged)
+        self.weights = fitted_array(weights, n_features)
         self.intercept = float(intercept)
         # fit diagnostics, kept in memory only (not serialised)
         self.objective_history = objective_history
@@ -155,18 +154,8 @@ class LogisticModel(TrainedModel):
         p_true = sigmoid(rows @ self.weights + self.intercept)
         return np.column_stack([1.0 - p_true, p_true])
 
-    def _state(self):
-        return {"weights": self.weights.tolist(),
-                "intercept": self.intercept}
-
-    @classmethod
-    def from_state(cls, spec, state, n_features, non_converged):
-        return cls(spec, np.asarray(state["weights"]), state["intercept"],
-                   objective_history=None, non_converged=non_converged)
-
 
 def fit_logistic(spec, train):
-    check_training_labels(spec, train.labels)
     p = spec.params
     l1_ratio = p["l1_ratio"] if p["penalty"] == "elasticnet" else 0.0
     y = np.where(train.labels, 1.0, -1.0)
@@ -174,6 +163,7 @@ def fit_logistic(spec, train):
         train.features, y, C=p["C"], l1_ratio=l1_ratio,
         tolerance=p["tolerance"], max_iterations=p["max_iterations"])
     residual = kkt_residual(train.features, y, w, b, p["C"], l1_ratio)
-    return LogisticModel(spec, w, b, history,
+    return LogisticModel(spec, train.n_features,
                          non_converged=residual > p["tolerance"],
+                         weights=w, intercept=b, objective_history=history,
                          kkt_residual=residual)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import TrainedModel, check_training_labels
+from .base import TrainedModel, fitted_array
 
 
 def _binarize(rows):
@@ -17,14 +17,16 @@ def _binarize(rows):
 
 
 class NaiveBayesModel(TrainedModel):
-    def __init__(self, spec, log_prior, log_theta, log_one_minus_theta):
+    state = ("log_prior", "log_theta", "log_one_minus_theta")
+
+    def __init__(self, spec, n_features, non_converged=False, *, log_prior,
+                 log_theta, log_one_minus_theta):
         # log_theta[c] has one entry per feature; class order (false, true)
-        super().__init__(spec, n_features=log_theta.shape[1])
-        for arr in (log_prior, log_theta, log_one_minus_theta):
-            arr.setflags(write=False)
-        self.log_prior = log_prior
-        self.log_theta = log_theta
-        self.log_one_minus_theta = log_one_minus_theta
+        super().__init__(spec, n_features, non_converged)
+        self.log_prior = fitted_array(log_prior, 2)
+        self.log_theta = fitted_array(log_theta, 2, n_features)
+        self.log_one_minus_theta = fitted_array(log_one_minus_theta, 2,
+                                                n_features)
 
     def _proba(self, rows):
         xb = _binarize(rows).astype(np.float64)
@@ -37,21 +39,8 @@ class NaiveBayesModel(TrainedModel):
         unnorm = np.exp(joint - peak)
         return unnorm / unnorm.sum(axis=1, keepdims=True)
 
-    def _state(self):
-        return {"log_prior": self.log_prior.tolist(),
-                "log_theta": self.log_theta.tolist(),
-                "log_one_minus_theta": self.log_one_minus_theta.tolist()}
-
-    @classmethod
-    def from_state(cls, spec, state, n_features, non_converged):
-        return cls(spec,
-                   np.asarray(state["log_prior"]),
-                   np.asarray(state["log_theta"]),
-                   np.asarray(state["log_one_minus_theta"]))
-
 
 def fit_naive_bayes(spec, train):
-    check_training_labels(spec, train.labels)
     xb = _binarize(train.features)
     n = train.n_rows
     log_prior = np.empty(2)
@@ -65,4 +54,6 @@ def fit_naive_bayes(spec, train):
         log_prior[c] = np.log(n_c / n)
         log_theta[c] = np.log(theta)
         log_one_minus_theta[c] = np.log1p(-theta)
-    return NaiveBayesModel(spec, log_prior, log_theta, log_one_minus_theta)
+    return NaiveBayesModel(spec, train.n_features, log_prior=log_prior,
+                           log_theta=log_theta,
+                           log_one_minus_theta=log_one_minus_theta)

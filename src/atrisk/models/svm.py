@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import kernels
-from .base import TrainedModel, check_training_labels
+from .base import TrainedModel, fitted_array
 from .logistic import fit_logistic_raw, sigmoid
 
 _CLEAN_SWEEPS_TO_STOP = 3
@@ -98,18 +98,17 @@ def _smo(K, y, C, tol, max_sweeps, rng):
 
 
 class SvmModel(TrainedModel):
-    def __init__(self, spec, sv_features, sv_coef, intercept, gamma,
-                 link_scale, link_offset, non_converged):
-        super().__init__(spec, n_features=sv_features.shape[1],
-                         non_converged=non_converged)
-        sv_features = np.asarray(sv_features, dtype=np.float64)
-        sv_coef = np.asarray(sv_coef, dtype=np.float64)  # alpha_i * y_i
-        sv_features.setflags(write=False)
-        sv_coef.setflags(write=False)
-        self.sv_features = sv_features
-        self.sv_coef = sv_coef
+    state = ("sv_features", "sv_coef", "intercept", "gamma", "link_scale",
+             "link_offset")
+
+    def __init__(self, spec, n_features, non_converged=False, *, sv_features,
+                 sv_coef, intercept, gamma, link_scale, link_offset):
+        super().__init__(spec, n_features, non_converged)
+        self.sv_features = fitted_array(sv_features, None, n_features)
+        # alpha_i * y_i, one per support vector
+        self.sv_coef = fitted_array(sv_coef, len(self.sv_features))
         self.intercept = float(intercept)
-        self.gamma = gamma  # None for the linear kernel
+        self.gamma = None if self._kernel_kind == "linear" else float(gamma)
         self.link_scale = float(link_scale)
         self.link_offset = float(link_offset)
 
@@ -127,27 +126,8 @@ class SvmModel(TrainedModel):
         p_true = sigmoid(self.link_scale * scores + self.link_offset)
         return np.column_stack([1.0 - p_true, p_true])
 
-    def _state(self):
-        return {"sv_features": self.sv_features.tolist(),
-                "sv_coef": self.sv_coef.tolist(),
-                "intercept": self.intercept,
-                "gamma": self.gamma,
-                "link_scale": self.link_scale,
-                "link_offset": self.link_offset}
-
-    @classmethod
-    def from_state(cls, spec, state, n_features, non_converged):
-        sv = np.asarray(state["sv_features"], dtype=np.float64)
-        if sv.size == 0:
-            sv = sv.reshape(0, n_features)
-        return cls(spec, sv, np.asarray(state["sv_coef"]),
-                   state["intercept"], state["gamma"],
-                   state["link_scale"], state["link_offset"],
-                   non_converged)
-
 
 def fit_svm(spec, train):
-    check_training_labels(spec, train.labels)
     p = spec.params
     X = train.features
     y = np.where(train.labels, 1.0, -1.0)
@@ -171,6 +151,6 @@ def fit_svm(spec, train):
     w, b_link, _, _ = fit_logistic_raw(scores[:, None], y, C=1e4,
                                        l1_ratio=0.0, tolerance=1e-12,
                                        max_iterations=5000)
-    return SvmModel(spec, sv_features, sv_coef, b, gamma,
-                    link_scale=float(w[0]), link_offset=b_link,
-                    non_converged=not converged)
+    return SvmModel(spec, train.n_features, non_converged=not converged,
+                    sv_features=sv_features, sv_coef=sv_coef, intercept=b,
+                    gamma=gamma, link_scale=w[0], link_offset=b_link)

@@ -13,6 +13,7 @@ labels.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -22,15 +23,15 @@ from .base import TrainedModel
 _NO_FEATURE = -1
 
 
+@dataclass
 class _TreeArrays:
     """Flat preorder tree storage (JSON-friendly)."""
 
-    def __init__(self):
-        self.feature = []
-        self.threshold = []
-        self.left = []
-        self.right = []
-        self.probs = []  # per node: (p_false, p_true)
+    feature: list = field(default_factory=list)
+    threshold: list = field(default_factory=list)
+    left: list = field(default_factory=list)
+    right: list = field(default_factory=list)
+    probs: list = field(default_factory=list)  # per node: (p_false, p_true)
 
     def add_node(self):
         self.feature.append(_NO_FEATURE)
@@ -101,38 +102,44 @@ def _tree_proba(tree, rows):
     return out
 
 
-def _tree_to_state(tree):
-    return {"feature": list(tree.feature),
-            "threshold": list(tree.threshold),
-            "left": list(tree.left),
-            "right": list(tree.right),
-            "probs": [list(p) for p in tree.probs]}
-
-
-def _tree_from_state(state):
-    tree = _TreeArrays()
-    tree.feature = [int(v) for v in state["feature"]]
-    tree.threshold = [float(v) for v in state["threshold"]]
-    tree.left = [int(v) for v in state["left"]]
-    tree.right = [int(v) for v in state["right"]]
-    tree.probs = [tuple(p) for p in state["probs"]]
+def _fitted_tree(tree, n_features):
+    """tree, or its saved dict, as _TreeArrays whose every path ends at a
+    leaf: an internal node tests a feature in [0, n_features), and both its
+    children follow it in preorder."""
+    if not isinstance(tree, _TreeArrays):
+        tree = _TreeArrays([int(v) for v in tree["feature"]],
+                           [float(v) for v in tree["threshold"]],
+                           [int(v) for v in tree["left"]],
+                           [int(v) for v in tree["right"]],
+                           [(float(a), float(b)) for a, b in tree["probs"]])
+    n_nodes = len(tree.feature)
+    if n_nodes == 0 or any(len(getattr(tree, f.name)) != n_nodes
+                           for f in fields(tree)):
+        raise ValueError("a tree's five lists must have one equal, "
+                         "non-zero length")
+    for node, j in enumerate(tree.feature):
+        if j == _NO_FEATURE:
+            continue
+        if not 0 <= j < n_features:
+            raise ValueError(f"tree node {node} tests feature {j}, outside "
+                             f"[0, {n_features})")
+        if not node < tree.left[node] < n_nodes \
+                or not node < tree.right[node] < n_nodes:
+            raise ValueError(f"tree node {node} has a child outside "
+                             f"({node}, {n_nodes})")
     return tree
 
 
 class DecisionTreeModel(TrainedModel):
-    def __init__(self, spec, tree, n_features):
-        super().__init__(spec, n_features=n_features)
-        self.tree = tree
+    state = ("tree",)
+    needs_both_classes = False
+
+    def __init__(self, spec, n_features, non_converged=False, *, tree):
+        super().__init__(spec, n_features, non_converged)
+        self.tree = _fitted_tree(tree, n_features)
 
     def _proba(self, rows):
         return _tree_proba(self.tree, rows)
-
-    def _state(self):
-        return {"tree": _tree_to_state(self.tree)}
-
-    @classmethod
-    def from_state(cls, spec, state, n_features, non_converged):
-        return cls(spec, _tree_from_state(state["tree"]), n_features)
 
     @property
     def n_nodes(self):
@@ -140,9 +147,14 @@ class DecisionTreeModel(TrainedModel):
 
 
 class RandomForestModel(TrainedModel):
-    def __init__(self, spec, trees, n_features):
-        super().__init__(spec, n_features=n_features)
-        self.trees = trees
+    state = ("trees",)
+    needs_both_classes = False
+
+    def __init__(self, spec, n_features, non_converged=False, *, trees):
+        super().__init__(spec, n_features, non_converged)
+        self.trees = [_fitted_tree(t, n_features) for t in trees]
+        if not self.trees:
+            raise ValueError("a forest needs at least one tree")
 
     def _proba(self, rows):
         stacked = np.stack([_tree_proba(t, rows) for t in self.trees])
@@ -152,21 +164,13 @@ class RandomForestModel(TrainedModel):
         """Per-tree probabilities, for the mean-exactness check."""
         return [_tree_proba(t, rows) for t in self.trees]
 
-    def _state(self):
-        return {"trees": [_tree_to_state(t) for t in self.trees]}
-
-    @classmethod
-    def from_state(cls, spec, state, n_features, non_converged):
-        trees = [_tree_from_state(t) for t in state["trees"]]
-        return cls(spec, trees, n_features)
-
 
 def fit_decision_tree(spec, train):
     p = spec.params
     tree = _build_tree(train.features, train.labels,
                        max_depth=p["max_depth"],
                        min_samples_split=p["min_samples_split"])
-    return DecisionTreeModel(spec, tree, n_features=train.n_features)
+    return DecisionTreeModel(spec, train.n_features, tree=tree)
 
 
 def fit_random_forest(spec, train):
@@ -186,4 +190,4 @@ def fit_random_forest(spec, train):
                                  max_depth=p["max_depth"],
                                  min_samples_split=p["min_samples_split"],
                                  rng=rng, max_features=max_features))
-    return RandomForestModel(spec, trees, n_features=d)
+    return RandomForestModel(spec, d, trees=trees)

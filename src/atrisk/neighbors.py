@@ -65,19 +65,12 @@ def knn_indices(query, subset=None):
             raise ValueError("subset indices must be unique")
         pool = np.sort(pool)
 
-    in_pool = np.zeros(n, dtype=bool)
-    in_pool[pool] = True
     # pool rows are always among the queries and lose themselves as candidates
-    max_k = pool.size - 1
-    if query.k > max_k:
+    if query.k > pool.size - 1:
         raise ValueError(f"k={query.k} too large for candidate pool of "
                          f"{pool.size} (self excluded)")
 
     dist = kernels.pairwise_sqdist(points, points[pool])
-    col_of = np.full(n, -1, dtype=np.intp)
-    col_of[pool] = np.arange(pool.size)
-    for i in range(n):
-        if in_pool[i]:
-            dist[i, col_of[i]] = np.inf
+    dist[pool, np.arange(pool.size)] = np.inf
     order = np.argsort(dist, axis=1, kind="stable")[:, :query.k]
     return pool[order]

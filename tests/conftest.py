@@ -21,14 +21,15 @@ def assert_kkt_certificate(model, train):
 @pytest.fixture(autouse=True)
 def certify_logreg_fits(monkeypatch):
     """Every logreg fit made through atrisk.fit is checked by the oracle."""
-    fit_logistic = models._FITTERS["logreg"]
+    logreg = models._KINDS["logreg"]
 
     def certified(spec, train):
-        model = fit_logistic(spec, train)
+        model = logreg.fitter(spec, train)
         assert_kkt_certificate(model, train)
         return model
 
-    monkeypatch.setitem(models._FITTERS, "logreg", certified)
+    monkeypatch.setitem(models._KINDS, "logreg",
+                        logreg._replace(fitter=certified))
 
 
 @pytest.fixture(scope="session")

@@ -351,6 +351,7 @@ def test_bad_model_fails_before_any_stage(tmp_path, capsys, model, flags,
     ("[tune]\npenalties = l2,l1\n", "[tune] penalties", "'l1'"),
     ("[tune]\nc_values = 0.1,-1\n", "[tune] c_grid", "-1.0"),
     ("[tune]\nl1_ratios = 1.5\n", "[tune] l1_ratios", "1.5"),
+    ("[tune]\nthresholds = 0.5,0.5\n", "[tune] thresholds", "0.5"),
     ("[simulate]\nlabeling = threshold\n", "[simulate] labeling",
      "'threshold'"),
     ("[split]\ntrain_fraction = 1.5\n", "[split] train_fraction", "1.5"),

@@ -339,7 +339,7 @@ def test_grid_fits_each_objective_once_per_fold(split_w3, monkeypatch):
     monkeypatch.setattr(evaluation, "fit", counting_fit)
     monkeypatch.setattr(TrainedModel, "predict_proba", counting_proba)
     train, _ = split_w3
-    grid = tiny_grid(penalties=("elasticnet", "l2"), c_grid=(0.1, 0.1),
+    grid = tiny_grid(penalties=("elasticnet", "l2"), c_grid=(0.1,),
                      l1_ratios=(0.0, 0.5), thresholds=(0.4, 0.5, 0.6),
                      folds=2)
     cells = grid_search(grid, train).cells
@@ -384,6 +384,12 @@ def test_grid_spec_validation():
     ("c_grid", (1.0, 0.0), "0.0"),
     ("c_grid", (float("nan"),), "nan"),
     ("l1_ratios", (0.5, 1.5), "1.5"),
+    ("resample_methods", ("smote", "smote"), "'smote'"),
+    ("k_neighbors_grid", (5, 3, 5), "5"),
+    ("penalties", ("l2", "l2"), "'l2'"),
+    ("c_grid", (1.0, 1), "1"),
+    ("l1_ratios", (0.5, 0.5), "0.5"),
+    ("thresholds", (0.5, 0.5), "0.5"),
 ])
 def test_grid_spec_rejects_bad_axis_value(name, values, got):
     with pytest.raises(ValueError, match=f"^{name} entries .* got {got}$"):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from atrisk import ModelSpec, fit, load_model
+from atrisk.models import _KINDS, MODEL_KINDS
 
 KINDS = [
     ModelSpec("logreg", penalty="elasticnet", l1_ratio=0.5, C=0.01),
@@ -33,6 +34,9 @@ def test_round_trip_preserves_predictions_bitwise(tmp_path, spec, split_w3):
     assert loaded.spec == model.spec
     assert loaded.non_converged == model.non_converged
     assert loaded.n_features == model.n_features
+    resaved = tmp_path / "resaved.json"
+    loaded.save(resaved)
+    assert resaved.read_bytes() == path.read_bytes()
 
 
 def test_document_structure(tmp_path, split_w3):
@@ -67,17 +71,26 @@ def test_rejects_unknown_version(tmp_path, split_w3):
         load_model(path)
 
 
-def saved_logreg_document(tmp_path, train):
+SPECS = {spec.kind: spec for spec in KINDS}
+
+
+def saved_document(tmp_path, train, kind="logreg"):
     path = tmp_path / "model.json"
-    fit(ModelSpec("logreg"), train).save(path)
+    fit(SPECS[kind], train).save(path)
     return path, json.loads(path.read_text())
 
 
-@pytest.mark.parametrize("key", ["kind", "params", "n_features",
-                                 "non_converged", "state", "state.weights"])
-def test_rejects_missing_key(tmp_path, split_w3, key):
+@pytest.mark.parametrize("kind, key", [
+    *(pytest.param("logreg", key, id=key)
+      for key in ("kind", "params", "n_features", "non_converged", "state")),
+    *(pytest.param(kind, f"state.{name}",
+                   id=f"state.{name}" if kind == "logreg"
+                   else f"{kind}-state.{name}")
+      for kind in MODEL_KINDS for name in _KINDS[kind].model.state),
+])
+def test_rejects_missing_key(tmp_path, split_w3, kind, key):
     train, _ = split_w3
-    path, doc = saved_logreg_document(tmp_path, train)
+    path, doc = saved_document(tmp_path, train, kind)
     *parents, leaf = key.split(".")
     node = doc
     for parent in parents:
@@ -89,6 +102,47 @@ def test_rejects_missing_key(tmp_path, split_w3, key):
         load_model(path)
 
 
+def _set_n_features(doc):
+    doc["n_features"] = 10
+
+
+def _tree_edit(name, value):
+    def edit(doc):
+        doc["state"]["tree"][name][0] = value
+    return edit
+
+
+def _drop_last_probs(doc):
+    doc["state"]["tree"]["probs"].pop()
+
+
+def _set_gamma_null(doc):
+    doc["state"]["gamma"] = None
+
+
+def _keep_two_rows(doc):
+    for name in ("train_features", "train_labels"):
+        doc["state"][name] = doc["state"][name][:2]
+
+
+@pytest.mark.parametrize("kind, edit", [
+    pytest.param("logreg", _set_n_features, id="logreg-n_features"),
+    pytest.param("decision_tree", _tree_edit("feature", 500),
+                 id="tree-feature-out-of-range"),
+    pytest.param("decision_tree", _tree_edit("left", 0), id="tree-cycle"),
+    pytest.param("decision_tree", _drop_last_probs, id="tree-short-list"),
+    pytest.param("svm_rbf", _set_gamma_null, id="svm_rbf-gamma-null"),
+    pytest.param("knn", _keep_two_rows, id="knn-fewer-rows-than-k"),
+])
+def test_rejects_malformed_state(tmp_path, split_w3, kind, edit):
+    train, _ = split_w3
+    path, doc = saved_document(tmp_path, train, kind)
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="model.json: malformed 'state'"):
+        load_model(path)
+
+
 @pytest.mark.parametrize("key, value, message", [
     ("n_features", "3", "'n_features' must be a JSON int"),
     ("state", [], "'state' must be a JSON dict"),
@@ -96,7 +150,7 @@ def test_rejects_missing_key(tmp_path, split_w3, key):
 ])
 def test_rejects_wrong_typed_field(tmp_path, split_w3, key, value, message):
     train, _ = split_w3
-    path, doc = saved_logreg_document(tmp_path, train)
+    path, doc = saved_document(tmp_path, train)
     doc[key] = value
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=f"model.json: .*{message}"):
