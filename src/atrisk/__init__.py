@@ -12,7 +12,7 @@ from .data import (LabeledDataset, SplitSpec, StudentRecord, TaskId,
 from .evaluation import (EvalReport, GridSpec, evaluate, grid_search,
                          mann_whitney_auc, sweep_thresholds)
 from .models import ModelSpec, TrainedModel, fit, load_model
-from .neighbors import NeighborQuery, knn_indices
+from .neighbors import knn_indices
 from .pca import PcaModel, export_scatter, fit_pca, reconstruct, transform
 from .resampling import (Provenance, ResampleConfig, ResampleResult, adasyn,
                          resample, smote)
@@ -26,7 +26,7 @@ __all__ = [
     "EvalReport", "GridSpec", "evaluate", "grid_search", "mann_whitney_auc",
     "sweep_thresholds",
     "ModelSpec", "TrainedModel", "fit", "load_model",
-    "NeighborQuery", "knn_indices",
+    "knn_indices",
     "PcaModel", "export_scatter", "fit_pca", "reconstruct", "transform",
     "Provenance", "ResampleConfig", "ResampleResult", "adasyn", "resample",
     "smote",

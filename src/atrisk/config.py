@@ -72,6 +72,8 @@ class PipelineConfig:
     pca_method: str = ""         # empty -> resample.method
 
     def validate(self):
+        if self.seed < 0:
+            raise ValueError(f"run.seed must be >= 0, got {self.seed}")
         if self.train_input not in ("raw", "resampled"):
             raise ValueError(f"model.train_input must be 'raw' or "
                              f"'resampled', got {self.train_input!r}")
@@ -90,6 +92,11 @@ class PipelineConfig:
                              f"got {self.threshold}")
         if any(not 0.0 < t < 1.0 for t in self.sweep_thresholds):
             raise ValueError("evaluate.thresholds must lie inside (0,1)")
+        repeats = [t for i, t in enumerate(self.sweep_thresholds)
+                   if t in self.sweep_thresholds[:i]]
+        if repeats:
+            raise ValueError(f"evaluate.thresholds entries must be "
+                             f"distinct, got {repeats[0]!r}")
         return self
 
 

@@ -60,6 +60,9 @@ _RULES = {
     "gamma": (lambda v: v == "scale" or (isinstance(v, (int, float))
                                          and v > 0),
               "'scale' or > 0"),
+    "tolerance": (lambda v: v > 0, "> 0"),
+    "max_iterations": (lambda v: v >= 1, ">= 1"),
+    "seed": (lambda v: v >= 0, ">= 0"),
     "k": (lambda v: v >= 1, ">= 1"),
     "max_depth": (lambda v: v is None or v >= 1, ">= 1 or None"),
     "min_samples_split": (lambda v: v >= 2, ">= 2"),

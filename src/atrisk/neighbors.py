@@ -7,52 +7,42 @@ this package stay in the hundreds, so the O(n^2 d) scan through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import kernels
 
 
-@dataclass(frozen=True)
-class NeighborQuery:
-    points: np.ndarray
-    k: int
-
-    def __post_init__(self):
-        points = np.asarray(self.points, dtype=np.float64)
-        if points.ndim != 2 or points.shape[1] < 1:
-            raise ValueError("points must be a 2-D matrix with d >= 1")
-        object.__setattr__(self, "points", points)
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-
-
-def knn_among(queries, candidates, k):
-    """k nearest candidate rows for each query row (no self-exclusion).
+def knn_among(queries, candidates, k, own=None):
+    """k nearest candidate rows for each query row.
 
     Returns an (n_queries, k) int array of candidate positions ordered by
-    ascending distance, ties by ascending position.
+    ascending distance, ties by ascending position.  ``own[i]``, when
+    given, is query i's own position among the candidates, which never
+    counts as its neighbour.
     """
-    queries = np.asarray(queries, dtype=np.float64)
     candidates = np.asarray(candidates, dtype=np.float64)
-    if k > candidates.shape[0]:
-        raise ValueError(f"k={k} exceeds candidate pool of "
-                         f"{candidates.shape[0]}")
+    if candidates.ndim != 2 or candidates.shape[1] < 1:
+        raise ValueError("points must be a 2-D matrix with d >= 1")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if k > len(candidates) - (own is not None):
+        raise ValueError(f"k={k} exceeds candidate pool of {len(candidates)}"
+                         + (" (self excluded)" if own is not None else ""))
     dist = kernels.pairwise_sqdist(queries, candidates)
-    order = np.argsort(dist, axis=1, kind="stable")
-    return order[:, :k]
+    if own is not None:
+        dist[np.arange(len(dist)), own] = np.inf
+    return np.argsort(dist, axis=1, kind="stable")[:, :k]
 
 
-def knn_indices(query, subset=None):
-    """k nearest neighbours of every row among a candidate pool.
+def knn_indices(points, k, subset=None):
+    """k nearest other pool rows of every pool row.
 
-    The pool is all rows, or the given row indices; a row never counts as
-    its own neighbour.  Output indices are global row indices, one ordered
-    list of k per query row.
+    The pool is all rows of ``points``, or the given row indices.  Returns
+    one ordered list of k row indices of ``points`` per pool row, pool rows
+    in ascending order.
     """
-    points = query.points
-    n = points.shape[0]
+    points = np.asarray(points, dtype=np.float64)
+    n = len(points)
     if subset is None:
         pool = np.arange(n, dtype=np.intp)
     else:
@@ -64,13 +54,5 @@ def knn_indices(query, subset=None):
         if np.unique(pool).size != pool.size:
             raise ValueError("subset indices must be unique")
         pool = np.sort(pool)
-
-    # pool rows are always among the queries and lose themselves as candidates
-    if query.k > pool.size - 1:
-        raise ValueError(f"k={query.k} too large for candidate pool of "
-                         f"{pool.size} (self excluded)")
-
-    dist = kernels.pairwise_sqdist(points, points[pool])
-    dist[pool, np.arange(pool.size)] = np.inf
-    order = np.argsort(dist, axis=1, kind="stable")[:, :query.k]
-    return pool[order]
+    rows = points[pool]
+    return pool[knn_among(rows, rows, k, own=np.arange(pool.size))]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledDataset, write_csv
-from .neighbors import NeighborQuery, knn_indices
+from .neighbors import knn_among, knn_indices
 
 
 @dataclass(frozen=True)
@@ -73,8 +73,7 @@ def _neighbor_pools(train, minority_idx, k):
         raise ValueError(
             f"k_neighbors={k} needs at least {k + 1} minority rows, got "
             f"{minority_idx.size}; use a smaller k_neighbors")
-    query = NeighborQuery(points=train.features, k=k)
-    return knn_indices(query, subset=minority_idx)[minority_idx]
+    return knn_indices(train.features, k, subset=minority_idx)
 
 
 def _interpolate(base_row, neighbor_row, lam):
@@ -108,8 +107,7 @@ def allocate_by_share(share, gap):
 def _assemble(train, minority_label, synthetic, provenance_rows, fallback):
     flags = np.concatenate([train.synthetic_flags,
                             np.ones(len(synthetic), dtype=bool)])
-    features = np.vstack([train.features, synthetic]) if len(synthetic) \
-        else train.features
+    features = np.vstack([train.features, synthetic])
     labels = np.concatenate([train.labels,
                              np.full(len(synthetic), minority_label)])
     dataset = LabeledDataset(features, labels, train.feature_names, flags)
@@ -169,9 +167,9 @@ def adasyn(train, config):
     pools = _neighbor_pools(train, minority_idx, config.k_neighbors)
     rng = np.random.default_rng(config.seed)
 
-    mixed = knn_indices(NeighborQuery(points=train.features,
-                                      k=config.k_neighbors))
-    neighbor_labels = train.labels[mixed[minority_idx]]
+    mixed = knn_among(train.features[minority_idx], train.features,
+                      config.k_neighbors, own=minority_idx)
+    neighbor_labels = train.labels[mixed]
     r = (neighbor_labels != minority_label).sum(axis=1) / config.k_neighbors
 
     total = r.sum()

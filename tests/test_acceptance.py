@@ -9,10 +9,10 @@ import time
 import numpy as np
 import pytest
 
-from atrisk import (GridSpec, ModelSpec, NeighborQuery, ResampleConfig,
-                    SimConfig, SplitSpec, adasyn, encode, evaluate, fit,
-                    fit_pca, grid_search, knn_indices, reconstruct, simulate,
-                    smote, split, transform)
+from atrisk import (GridSpec, ModelSpec, ResampleConfig, SimConfig,
+                    SplitSpec, adasyn, encode, evaluate, fit, fit_pca,
+                    grid_search, knn_indices, reconstruct, simulate, smote,
+                    split, transform)
 from atrisk.cli import main as cli_main
 from atrisk.models.logistic import smooth_gradient, smooth_objective
 from conftest import make_dataset
@@ -65,7 +65,7 @@ def test_criterion_2_neighbor_exactness():
             points = (rng.random((n, d)) < 0.5).astype(float)  # exact ties
         else:
             points = rng.random((n, d))
-        result = knn_indices(NeighborQuery(points=points, k=k))
+        result = knn_indices(points, k)
         assert np.array_equal(result, knn_oracle_fast(points, k))
     elapsed = time.time() - start
     assert elapsed < 10.0

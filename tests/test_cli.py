@@ -327,6 +327,10 @@ def test_malformed_config_file_names_file_and_line(tmp_path, capsys, text,
      "decision_tree hyperparameter 'max_depth' must be an integer"),
     ("kind = random_forest\nn_trees = 2.5\n", [],
      "random_forest hyperparameter 'n_trees' must be an integer"),
+    ("kind = logreg\ntolerance = -1\n", [], "tolerance must be > 0, got -1"),
+    ("kind = svm_linear\nmax_iterations = 0\n", [],
+     "max_iterations must be >= 1, got 0"),
+    ("kind = random_forest\nseed = -1\n", [], "seed must be >= 0, got -1"),
 ])
 @pytest.mark.parametrize("command", ["train", "pipeline"])
 def test_bad_model_fails_before_any_stage(tmp_path, capsys, model, flags,
@@ -356,6 +360,8 @@ def test_bad_model_fails_before_any_stage(tmp_path, capsys, model, flags,
      "'threshold'"),
     ("[split]\ntrain_fraction = 1.5\n", "[split] train_fraction", "1.5"),
     ("[pca]\nmethod = foo\n", "pca.method", "'foo'"),
+    ("[run]\nseed = -1\n", "run.seed", "-1"),
+    ("[evaluate]\nthresholds = 0.5,0.5\n", "evaluate.thresholds", "0.5"),
 ])
 @pytest.mark.parametrize("command", ["pipeline", "simulate"])
 def test_bad_stage_value_fails_before_any_stage(tmp_path, capsys, text,

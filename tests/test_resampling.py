@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from atrisk import ResampleConfig, adasyn, resample, smote
 from atrisk.resampling import _interpolate, allocate_by_share
 from conftest import make_dataset
+from oracles import knn_oracle
 
 
 def clustered_dataset(n_minority=8, n_majority=30, separated=False, seed=0):
@@ -197,3 +201,45 @@ def test_provenance_csv_format(tmp_path, split_w3):
     first = result.provenance.rows[0]
     assert lines[1] == f"{first.synthetic_row},{first.base_row}," \
                        f"{first.neighbor_row},{first.lam!r}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), method=st.sampled_from(["smote", "adasyn"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_largest_k_with_duplicate_minority_rows(data, method, seed):
+    d = data.draw(st.integers(1, 4))
+    bits = st.sampled_from([0.0, 1.0])
+    drawn = data.draw(arrays(np.float64, (data.draw(st.integers(1, 6)), d),
+                             elements=bits))
+    minority = np.vstack([drawn, drawn[:1]])  # always one duplicate
+    n_majority = data.draw(st.integers(len(minority), 25))
+    majority = data.draw(arrays(np.float64, (n_majority, d), elements=bits))
+    ds = make_dataset(np.vstack([majority, minority]),
+                      [True] * n_majority + [False] * len(minority))
+    k = len(minority) - 1
+    result = resample(ds, ResampleConfig(method=method, k_neighbors=k,
+                                         seed=seed))
+
+    gap = n_majority - len(minority)
+    assert result.dataset.class_counts() == (n_majority, n_majority)
+    assert len(result.provenance.rows) == gap
+    minority_rows = set(range(n_majority, ds.n_rows))
+    for entry in result.provenance.rows:
+        assert entry.base_row in minority_rows
+        assert entry.neighbor_row in minority_rows - {entry.base_row}
+        base = ds.features[entry.base_row]
+        neighbor = ds.features[entry.neighbor_row]
+        synthetic = result.dataset.features[entry.synthetic_row]
+        assert np.all(synthetic >= np.minimum(base, neighbor))
+        assert np.all(synthetic <= np.maximum(base, neighbor))
+
+    if method == "adasyn":
+        # majority counts among each minority row's k nearest over all rows
+        idx = sorted(minority_rows)
+        r = ds.labels[knn_oracle(ds.features, k)[idx]].sum(axis=1) / k
+        assert result.provenance.adasyn_fallback == (r.sum() == 0)
+        if r.sum():
+            alloc = allocate_by_share(r / r.sum(), gap)
+            bases = np.bincount([e.base_row for e in result.provenance.rows],
+                                minlength=ds.n_rows)[idx]
+            assert np.array_equal(bases, alloc) and alloc.sum() == gap
