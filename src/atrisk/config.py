@@ -14,6 +14,7 @@ pipeline runs.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, replace
 
 from .data import SplitSpec, _parse_bool
@@ -100,6 +101,14 @@ class PipelineConfig:
         return self
 
 
+def _real(text):
+    """float(text), rejecting nan and inf, which pass range checks."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"must be a finite number, got {value}")
+    return value
+
+
 def _list(item):
     """Comma-separated values, each parsed by item; blank entries skipped."""
     return lambda text: tuple(item(p.strip()) for p in text.split(",")
@@ -115,25 +124,25 @@ _OPTIONS = {
     ("paths", "out"): ("out_dir", str),
     ("data", "intervals"): ("intervals", _list(int)),
     ("simulate", "n_students"): ("simulate.n_students", int),
-    ("simulate", "fail_rate"): ("simulate.fail_rate", float),
-    ("simulate", "noise"): ("simulate.noise", float),
-    ("simulate", "ability_spread"): ("simulate.ability_spread", float),
-    ("simulate", "difficulty_spread"): ("simulate.difficulty_spread", float),
+    ("simulate", "fail_rate"): ("simulate.fail_rate", _real),
+    ("simulate", "noise"): ("simulate.noise", _real),
+    ("simulate", "ability_spread"): ("simulate.ability_spread", _real),
+    ("simulate", "difficulty_spread"): ("simulate.difficulty_spread", _real),
     ("simulate", "labeling"): ("simulate.labeling", str),
-    ("split", "train_fraction"): ("split.train_fraction", float),
+    ("split", "train_fraction"): ("split.train_fraction", _real),
     ("split", "stratified"): ("split.stratified", _parse_bool),
     ("resample", "method"): ("resample.method", str),
     ("resample", "k_neighbors"): ("resample.k_neighbors", int),
     ("model", "kind"): ("model_kind", str),
     ("model", "train_input"): ("train_input", str),
-    ("evaluate", "threshold"): ("threshold", float),
-    ("evaluate", "thresholds"): ("sweep_thresholds", _list(float)),
+    ("evaluate", "threshold"): ("threshold", _real),
+    ("evaluate", "thresholds"): ("sweep_thresholds", _list(_real)),
     ("tune", "methods"): ("tune.resample_methods", _list(str)),
     ("tune", "k_neighbors"): ("tune.k_neighbors_grid", _list(int)),
     ("tune", "penalties"): ("tune.penalties", _list(str)),
-    ("tune", "c_values"): ("tune.c_grid", _list(float)),
-    ("tune", "l1_ratios"): ("tune.l1_ratios", _list(float)),
-    ("tune", "thresholds"): ("tune.thresholds", _list(float)),
+    ("tune", "c_values"): ("tune.c_grid", _list(_real)),
+    ("tune", "l1_ratios"): ("tune.l1_ratios", _list(_real)),
+    ("tune", "thresholds"): ("tune.thresholds", _list(_real)),
     ("tune", "folds"): ("tune.folds", int),
     ("tune", "metric"): ("tune.selection_metric", str),
     ("pca", "fit_on"): ("pca_fit_on", str),

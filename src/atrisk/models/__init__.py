@@ -10,6 +10,7 @@ kind (see ``base``).
 from __future__ import annotations
 
 import json
+from sys import float_info
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -41,10 +42,10 @@ _KINDS = {
         "max_features": "sqrt", "seed": 0}),
     "knn": _Kind(KnnModel, fit_knn, {"k": 5}),
     "svm_linear": _Kind(SvmModel, fit_svm, {
-        "C": 1.0, "tolerance": 1e-3, "max_iterations": 1000, "seed": 0}),
+        "C": 1.0, "tolerance": 1e-3, "max_iterations": 100000}),
     "svm_rbf": _Kind(SvmModel, fit_svm, {
         "C": 1.0, "gamma": "scale", "tolerance": 1e-3,
-        "max_iterations": 1000, "seed": 0}),
+        "max_iterations": 100000}),
 }
 
 MODEL_KINDS = tuple(sorted(_KINDS))
@@ -86,8 +87,13 @@ class ModelSpec:
             raise ValueError(f"unknown hyperparameter(s) for {kind}: "
                              f"{unknown}")
         for key, value in params.items():
-            # int defaults (and max_depth's None) need an int, float
-            # defaults a number; string-valued keys are checked by _RULES
+            # no value is a bool, and a number must fit a finite float (nan
+            # fails <=); int defaults (and max_depth's None) need an int,
+            # float defaults any number; _RULES checks string-valued keys
+            if isinstance(value, bool) or (isinstance(value, (int, float)) and
+                                           not abs(value) <= float_info.max):
+                raise ValueError(f"{kind} hyperparameter {key!r} must be "
+                                 f"a finite number, got {value!r}")
             default = defaults[key]
             if isinstance(default, str) or (default is None and value is None):
                 continue

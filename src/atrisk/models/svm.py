@@ -1,14 +1,13 @@
-"""Soft-margin SVM (linear and RBF) trained by sequential minimal
-optimization, with a logistic link fitted on training decision values to
-expose probabilities.
+"""Soft-margin SVM (linear and RBF) with a logistic link fitted on training
+decision values to expose probabilities.
 
-The SMO loop is the simplified variant: sweep every multiplier, pick the
-partner at random (seeded), and take the analytic two-variable step when it
-improves the pair.  Training stops after a few consecutive clean sweeps or
-at the sweep cap, in which case the model is flagged non-converged but
-remains usable.  The probability link is a one-dimensional logistic fit on
-the training decision values — a calibration approximation, adequate for
-threshold sweeps.
+SMO with second-order working-set selection (WSS2, Fan, Chen & Lin 2005)
+solves the dual: each step pairs the maximal violator with the partner of
+greatest second-order gain and takes the clipped two-variable step, ties
+going to the lowest index.  The fit stops when the KKT gap m - M (Keerthi
+et al. 2001) is within ``tolerance``; ``max_iterations`` caps the steps.
+``non_converged`` is read from the gap of a gradient recomputed at the
+returned multipliers, so the flag certifies the model actually returned.
 """
 
 from __future__ import annotations
@@ -19,8 +18,8 @@ from .. import kernels
 from .base import TrainedModel, fitted_array
 from .logistic import fit_logistic_raw, sigmoid
 
-_CLEAN_SWEEPS_TO_STOP = 3
-_ALPHA_EPS = 1e-12
+_ALPHA_EPS = 1e-12  # a multiplier above this makes its row a support vector
+_TAU = 1e-12        # floor of the curvature K_ii + K_jj - 2 K_ij
 
 
 def rbf_gamma(features):
@@ -37,64 +36,46 @@ def _kernel_matrix(kind, x, y, gamma):
     return np.exp(-gamma * kernels.pairwise_sqdist(x, y))
 
 
-def _smo(K, y, C, tol, max_sweeps, rng):
-    """Simplified SMO on a precomputed kernel matrix; returns (alpha, b,
-    converged)."""
-    n = K.shape[0]
-    alpha = np.zeros(n)
-    b = 0.0
-    clean = 0
-    sweeps = 0
-    while sweeps < max_sweeps:
-        sweeps += 1
-        changed = 0
-        for i in range(n):
-            f_i = (alpha * y) @ K[:, i] + b
-            e_i = f_i - y[i]
-            if not ((y[i] * e_i < -tol and alpha[i] < C) or
-                    (y[i] * e_i > tol and alpha[i] > 0)):
-                continue
-            j = int(rng.integers(n - 1))
-            if j >= i:
-                j += 1
-            f_j = (alpha * y) @ K[:, j] + b
-            e_j = f_j - y[j]
-            a_i_old, a_j_old = alpha[i], alpha[j]
-            if y[i] != y[j]:
-                low = max(0.0, a_j_old - a_i_old)
-                high = min(C, C + a_j_old - a_i_old)
-            else:
-                low = max(0.0, a_i_old + a_j_old - C)
-                high = min(C, a_i_old + a_j_old)
-            if low == high:
-                continue
-            eta = 2.0 * K[i, j] - K[i, i] - K[j, j]
-            if eta >= 0:
-                continue
-            a_j = a_j_old - y[j] * (e_i - e_j) / eta
-            a_j = min(high, max(low, a_j))
-            if abs(a_j - a_j_old) < 1e-12:
-                continue
-            a_i = a_i_old + y[i] * y[j] * (a_j_old - a_j)
-            alpha[i], alpha[j] = a_i, a_j
-            b1 = b - e_i - y[i] * (a_i - a_i_old) * K[i, i] \
-                - y[j] * (a_j - a_j_old) * K[i, j]
-            b2 = b - e_j - y[i] * (a_i - a_i_old) * K[i, j] \
-                - y[j] * (a_j - a_j_old) * K[j, j]
-            if 0.0 < a_i < C:
-                b = b1
-            elif 0.0 < a_j < C:
-                b = b2
-            else:
-                b = (b1 + b2) / 2.0
-            changed += 1
-        if changed == 0:
-            clean += 1
-            if clean >= _CLEAN_SWEEPS_TO_STOP:
-                return alpha, b, True
-        else:
-            clean = 0
-    return alpha, b, False
+def _violators(G, y, alpha, C):
+    """Scores -y*G and the masks of I_up (where y*alpha may grow) and
+    I_low (where y*alpha may shrink)."""
+    up = np.where(y > 0, alpha < C, alpha > 0.0)
+    low = np.where(y > 0, alpha > 0.0, alpha < C)
+    return -y * G, up, low
+
+
+def _smo(K, y, C, tolerance, max_iterations):
+    """Second-order SMO on a precomputed kernel matrix; returns
+    (alpha, b, gap), with b and the gap m - M read from a gradient
+    recomputed at alpha."""
+    alpha = np.zeros(len(y))
+    G = -np.ones(len(y))  # gradient of the dual: Q alpha - 1
+    diag = np.diag(K)
+    for _ in range(max_iterations):
+        score, up, low = _violators(G, y, alpha, C)
+        i = int(np.argmax(np.where(up, score, -np.inf)))
+        if score[i] - score[low].min() <= tolerance:
+            break
+        gain = score[i] - score
+        curvature = np.maximum(diag[i] + diag - 2.0 * K[i], _TAU)
+        j = int(np.argmax(np.where(low & (gain > 0.0),
+                                   gain * gain / curvature, -np.inf)))
+        # alpha_i += y_i * step, alpha_j -= y_j * step keeps y'alpha fixed
+        room_i = C - alpha[i] if y[i] > 0 else alpha[i]
+        room_j = C - alpha[j] if y[j] < 0 else alpha[j]
+        step = min(gain[j] / curvature[j], room_i, room_j)
+        alpha[i] = (C if y[i] > 0 else 0.0) if step == room_i \
+            else alpha[i] + y[i] * step
+        alpha[j] = (C if y[j] < 0 else 0.0) if step == room_j \
+            else alpha[j] - y[j] * step
+        G += step * y * (K[i] - K[j])
+
+    G = y * (K @ (alpha * y)) - 1.0
+    score, up, low = _violators(G, y, alpha, C)
+    top, bottom = score[up].max(), score[low].min()
+    free = (alpha > 0.0) & (alpha < C)
+    b = score[free].mean() if free.any() else (top + bottom) / 2.0
+    return alpha, float(b), float(top - bottom)
 
 
 class SvmModel(TrainedModel):
@@ -102,8 +83,12 @@ class SvmModel(TrainedModel):
              "link_offset")
 
     def __init__(self, spec, n_features, non_converged=False, *, sv_features,
-                 sv_coef, intercept, gamma, link_scale, link_offset):
+                 sv_coef, intercept, gamma, link_scale, link_offset,
+                 alpha=None, kkt_gap=None):
         super().__init__(spec, n_features, non_converged)
+        # fit diagnostics, kept in memory only (not serialised)
+        self.alpha = alpha
+        self.kkt_gap = kkt_gap
         self.sv_features = fitted_array(sv_features, None, n_features)
         # alpha_i * y_i, one per support vector
         self.sv_coef = fitted_array(sv_coef, len(self.sv_features))
@@ -131,26 +116,25 @@ def fit_svm(spec, train):
     p = spec.params
     X = train.features
     y = np.where(train.labels, 1.0, -1.0)
-    if spec.kind == "svm_rbf":
-        gamma = rbf_gamma(X) if p["gamma"] == "scale" else float(p["gamma"])
-        kind = "rbf"
-    else:
-        gamma = None
-        kind = "linear"
+    kind = "linear" if spec.kind == "svm_linear" else "rbf"
+    gamma = None if kind == "linear" else (
+        rbf_gamma(X) if p["gamma"] == "scale" else float(p["gamma"]))
     K = _kernel_matrix(kind, X, X, gamma)
-    rng = np.random.default_rng(p["seed"])
-    alpha, b, converged = _smo(K, y, C=p["C"], tol=p["tolerance"],
-                               max_sweeps=p["max_iterations"], rng=rng)
+    alpha, b, gap = _smo(K, y, p["C"], p["tolerance"], p["max_iterations"])
 
     support = alpha > _ALPHA_EPS
     sv_features = X[support]
     sv_coef = (alpha * y)[support]
 
-    # probability link: 1-D logistic fit on the training decision values
+    # probability link: 1-D logistic fit on the training decision values;
+    # its gradient's rounding floor reached 6e-12, and a tolerance below
+    # the floor runs all 5000 Newton steps
     scores = _kernel_matrix(kind, X, sv_features, gamma) @ sv_coef + b
     w, b_link, _, _ = fit_logistic_raw(scores[:, None], y, C=1e4,
-                                       l1_ratio=0.0, tolerance=1e-12,
+                                       l1_ratio=0.0, tolerance=1e-10,
                                        max_iterations=5000)
-    return SvmModel(spec, train.n_features, non_converged=not converged,
+    return SvmModel(spec, train.n_features,
+                    non_converged=gap > p["tolerance"],
                     sv_features=sv_features, sv_coef=sv_coef, intercept=b,
-                    gamma=gamma, link_scale=w[0], link_offset=b_link)
+                    gamma=gamma, link_scale=w[0], link_offset=b_link,
+                    alpha=alpha, kkt_gap=gap)

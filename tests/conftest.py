@@ -3,7 +3,7 @@ import pytest
 
 from atrisk import (LabeledDataset, ResampleConfig, SimConfig, SplitSpec,
                     encode, models, simulate, smote, split)
-from oracles import logistic_kkt_oracle
+from oracles import logistic_kkt_oracle, svm_kkt_oracle
 
 
 def assert_kkt_certificate(model, train):
@@ -30,6 +30,40 @@ def certify_logreg_fits(monkeypatch):
 
     monkeypatch.setitem(models._KINDS, "logreg",
                         logreg._replace(fitter=certified))
+
+
+def assert_svm_certificate(model, train):
+    """An SVM model's convergence flag agrees with the dual-KKT oracle, its
+    support vectors are the rows with alpha > 1e-12, and y'alpha = 0 within
+    1e-9 per unit of C (each step rounds at the multipliers' scale)."""
+    p = model.spec.params
+    y = np.where(train.labels, 1.0, -1.0)
+    alpha = model.alpha
+    kernel = "linear" if model.spec.kind == "svm_linear" else "rbf"
+    gap = svm_kkt_oracle(train.features, y, alpha, p["C"], kernel,
+                         model.gamma)
+    assert np.isfinite(alpha).all() and np.isfinite(model.intercept)
+    assert model.non_converged == (gap > p["tolerance"])
+    support = alpha > 1e-12
+    assert np.array_equal(model.sv_coef, (alpha * y)[support])
+    assert np.array_equal(model.sv_features, train.features[support])
+    assert abs(np.dot(alpha, y)) <= 1e-9 * max(1.0, p["C"])
+    return gap
+
+
+@pytest.fixture(autouse=True)
+def certify_svm_fits(monkeypatch):
+    """Every SVM fit made through atrisk.fit is checked by the oracle."""
+    for kind in ("svm_linear", "svm_rbf"):
+        entry = models._KINDS[kind]
+
+        def certified(spec, train, fitter=entry.fitter):
+            model = fitter(spec, train)
+            assert_svm_certificate(model, train)
+            return model
+
+        monkeypatch.setitem(models._KINDS, kind,
+                            entry._replace(fitter=certified))
 
 
 @pytest.fixture(scope="session")

@@ -150,3 +150,36 @@ def logistic_kkt_oracle(X, y, w, b, C, l1_ratio):
             pg = 0.0  # 0 lies in the subdifferential [g - l1, g + l1]
         residual = max(residual, abs(pg))
     return residual / max(1.0, abs(objective))
+
+
+def svm_kkt_oracle(X, y, alpha, C, kernel, gamma):
+    """KKT gap m(alpha) - M(alpha) of the soft-margin SVM dual
+
+        min 1/2 sum_st alpha_s alpha_t y_s y_t K(x_s, x_t) - sum_s alpha_s
+        s.t. 0 <= alpha <= C,  sum_s y_s alpha_s = 0,
+
+    at alpha, with y in {-1, +1} and K linear (x.x') or RBF
+    (exp(-gamma |x - x'|^2)), built row by row.  With G the gradient,
+    m is the largest -y_t G_t over the t whose alpha_t may still move up
+    along y_t, and M the smallest over those that may move down; alpha is
+    optimal exactly when m <= M (Keerthi et al. 2001).
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    alpha = np.asarray(alpha, dtype=np.float64)
+    n = X.shape[0]
+    K = np.empty((n, n))
+    for s in range(n):
+        if kernel == "linear":
+            K[s] = X @ X[s]
+        else:
+            delta = X - X[s]
+            K[s] = np.exp(-gamma * np.einsum("ij,ij->i", delta, delta))
+    m, M = -np.inf, np.inf
+    for t in range(n):
+        score = -y[t] * (y[t] * np.dot(K[t], alpha * y) - 1.0)
+        if (y[t] > 0 and alpha[t] < C) or (y[t] < 0 and alpha[t] > 0):
+            m = max(m, score)
+        if (y[t] > 0 and alpha[t] > 0) or (y[t] < 0 and alpha[t] < C):
+            M = min(M, score)
+    return m - M

@@ -331,6 +331,12 @@ def test_malformed_config_file_names_file_and_line(tmp_path, capsys, text,
     ("kind = svm_linear\nmax_iterations = 0\n", [],
      "max_iterations must be >= 1, got 0"),
     ("kind = random_forest\nseed = -1\n", [], "seed must be >= 0, got -1"),
+    ("kind = svm_rbf\ngamma = inf\n", [],
+     "svm_rbf hyperparameter 'gamma' must be a finite number, got inf"),
+    ("kind = svm_linear\nC = inf\n", [],
+     "svm_linear hyperparameter 'C' must be a finite number, got inf"),
+    ("kind = logreg\ntolerance = inf\n", [],
+     "logreg hyperparameter 'tolerance' must be a finite number, got inf"),
 ])
 @pytest.mark.parametrize("command", ["train", "pipeline"])
 def test_bad_model_fails_before_any_stage(tmp_path, capsys, model, flags,
@@ -362,6 +368,8 @@ def test_bad_model_fails_before_any_stage(tmp_path, capsys, model, flags,
     ("[pca]\nmethod = foo\n", "pca.method", "'foo'"),
     ("[run]\nseed = -1\n", "run.seed", "-1"),
     ("[evaluate]\nthresholds = 0.5,0.5\n", "evaluate.thresholds", "0.5"),
+    ("[tune]\nc_values = inf\n", "tune.c_values", "inf"),
+    ("[simulate]\nability_spread = nan\n", "simulate.ability_spread", "nan"),
 ])
 @pytest.mark.parametrize("command", ["pipeline", "simulate"])
 def test_bad_stage_value_fails_before_any_stage(tmp_path, capsys, text,

@@ -145,6 +145,10 @@ def test_spec_validation():
         ModelSpec("logreg", l1_ratio=0.5)
     with pytest.raises(ValueError, match="unknown model kind"):
         ModelSpec("mlp")
+    with pytest.raises(ValueError, match="'n_trees' must be a finite number"):
+        ModelSpec("random_forest", n_trees=True)
+    with pytest.raises(ValueError, match="'C' must be a finite number"):
+        ModelSpec("logreg", C=10**400)  # no float holds it
 
 
 # --- KKT certificate --------------------------------------------------------

@@ -15,8 +15,8 @@ KINDS = [
     ModelSpec("decision_tree"),
     ModelSpec("random_forest", n_trees=10, seed=4),
     ModelSpec("knn", k=3),
-    ModelSpec("svm_linear", seed=2),
-    ModelSpec("svm_rbf", seed=2),
+    ModelSpec("svm_linear"),
+    ModelSpec("svm_rbf"),
 ]
 
 
@@ -155,3 +155,22 @@ def test_rejects_wrong_typed_field(tmp_path, split_w3, key, value, message):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=f"model.json: .*{message}"):
         load_model(path)
+
+
+@pytest.mark.parametrize("params, message", [
+    pytest.param({"gamma": float("inf")},
+                 "svm_rbf hyperparameter 'gamma' must be a finite number, "
+                 "got inf", id="gamma-infinity"),
+    # a file saved while the SVM solver still took a seed
+    pytest.param({"max_iterations": 1000, "seed": 0},
+                 "unknown hyperparameter(s) for svm_rbf: ['seed']",
+                 id="svm-seed"),
+])
+def test_rejects_bad_svm_params(tmp_path, split_w3, params, message):
+    train, _ = split_w3
+    path, doc = saved_document(tmp_path, train, "svm_rbf")
+    doc["params"].update(params)
+    path.write_text(json.dumps(doc))  # inf is written as Infinity
+    with pytest.raises(ValueError) as caught:
+        load_model(path)
+    assert str(caught.value) == f"{path}: bad 'kind' or 'params' ({message})"
