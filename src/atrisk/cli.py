@@ -147,7 +147,13 @@ def cmd_evaluate(cfg, args, store, summary=None):
                           "evaluate", getattr(args, "model_file", None))
         test = store.get(f"test_w{interval}.csv", LabeledDataset.from_csv,
                          "evaluate", getattr(args, "test_file", None))
-        report = evaluate(model, test, cfg.threshold)
+        # one scoring serves the report and the sweep; without a sweep the
+        # plain evaluate call stays, as clibench/tracing.py times it by name
+        if cfg.sweep_thresholds:
+            report, *swept = sweep_thresholds(
+                model, test, (cfg.threshold, *cfg.sweep_thresholds))
+        else:
+            report = evaluate(model, test, cfg.threshold)
         store.put(f"report_w{interval}_{kind}.json", report, report.save)
         rows.append(report.summary_row(interval, test.n_features, kind))
         scores = " ".join(f"{name}={getattr(report, name):.4f}"
@@ -155,8 +161,8 @@ def cmd_evaluate(cfg, args, store, summary=None):
         print(f"evaluate: interval {interval} threshold {cfg.threshold} "
               f"{scores}")
         if cfg.sweep_thresholds:
-            sweep = [r.summary_row(interval, test.n_features, kind) for r
-                     in sweep_thresholds(model, test, cfg.sweep_thresholds)]
+            sweep = [r.summary_row(interval, test.n_features, kind)
+                     for r in swept]
             store.put(f"sweep_w{interval}_{kind}.csv", sweep,
                       lambda p: write_summary_csv(sweep, p))
     intervals = "_".join(f"w{i}" for i in cfg.intervals)

@@ -6,15 +6,23 @@ Cohort CSV:   header ``student_id,cohort,passed,right_answers,wrong_answers``;
               ``passed`` is ``true``/``false``; the two list fields hold
               pipe-separated task names and may be empty.
 Manifest CSV: header ``task,week``, one row per task.
-Dataset CSV:  one column per feature (named), then ``label`` and ``synthetic``.
+Dataset CSV:  one column per feature (named), then ``label`` and
+              ``synthetic`` (``true``/``false``).  A value with no
+              fractional part is written as an integer (``0``, ``-3``,
+              ``10000000000000000``; ``-0.0`` as ``0``), any other value as
+              its Python ``repr``, the shortest text that reads back to the
+              same float.  Real rows hold only ``0`` and ``1``.  These bytes
+              are a contract that reruns and releases keep.
 
-Every CSV artifact is written by :func:`write_csv` and every JSON artifact
-by :func:`write_json`; the loaders here read through :func:`read_rows`.
+Dataset CSVs are written by :meth:`LabeledDataset.to_csv`, every other CSV
+artifact by :func:`write_csv`, and every JSON artifact by
+:func:`write_json`; the loaders here read through :func:`read_rows`.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
 
@@ -39,14 +47,19 @@ def write_json(path, doc):
         fh.write("\n")
 
 
-def read_rows(path, header, parse, unique=None):
-    """(header found, [parse(row), ...]) for the rows of a CSV file.
+def read_rows(path, header, parse, unique=None, table=None):
+    """(header found, rows) for a CSV file, rows being [parse(row), ...].
 
     header names the expected columns; a leading ``...`` stands for one or
     more free names.  Blank lines are skipped; every row must have as many
     fields as the header, and no value may repeat in column ``unique``.  A
     row error, including any ValueError from parse, is raised prefixed with
     ``path:line``.
+
+    With table, rows is instead table(header found, raw rows), built from
+    the whole file at once, and parse only checks one raw row: it runs, row
+    by row, only after a ValueError, to find the first bad row and name its
+    line.
     """
     free = header[0] is ...
     fixed = list(header[free:])
@@ -57,7 +70,7 @@ def read_rows(path, header, parse, unique=None):
             expected = ",".join("..." if h is ... else h for h in header)
             raise ValueError(f"{path}: expected header {expected!r}, "
                              f"got {found}")
-        seen, rows = {}, []
+        seen, rows, lines = {}, [], []
         for row in reader:
             if not row:
                 continue
@@ -72,10 +85,27 @@ def read_rows(path, header, parse, unique=None):
                         raise ValueError(
                             f"duplicate {found[unique]} {row[unique]!r} "
                             f"(first seen on line {first})")
-                rows.append(parse(row))
+                rows.append(row if table else parse(row))
+                lines.append(line)
             except ValueError as exc:
+                if table:  # an earlier row's bad value comes first
+                    _first_bad_row(path, lines, rows, parse)
                 raise ValueError(f"{path}:{line}: {exc}") from None
-    return found, rows
+    if table is None:
+        return found, rows
+    try:
+        return found, table(found, rows)
+    except ValueError as exc:
+        _first_bad_row(path, lines, rows, parse)
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _first_bad_row(path, lines, rows, parse):
+    for line, row in zip(lines, rows):
+        try:
+            parse(row)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line}: {exc}") from None
 
 
 def _parse_bool(text):
@@ -84,12 +114,6 @@ def _parse_bool(text):
     if text == "false":
         return False
     raise ValueError(f"expected 'true' or 'false', got {text!r}")
-
-
-def _format_value(v):
-    # integral floats print without the trailing .0 so 0/1 matrices stay tidy
-    f = float(v)
-    return str(int(f)) if f == int(f) else repr(f)
 
 
 def _check_values(features, synthetic_flags):
@@ -244,25 +268,52 @@ class LabeledDataset:
                               self.feature_names, self.synthetic_flags[rows])
 
     def to_csv(self, path):
-        write_csv(path, (*self.feature_names, "label", "synthetic"),
-                  ([*map(_format_value, self.features[i]),
-                    "true" if self.labels[i] else "false",
-                    "true" if self.synthetic_flags[i] else "false"]
-                   for i in range(self.n_rows)))
+        """Write the dataset in the dataset CSV format (module docstring).
+
+        Real rows hold only 0/1, so the text of all of them comes from one
+        byte buffer, a slice per row; only synthetic rows are formatted
+        value by value.  Rows are streamed to the file, never joined.
+        """
+        header = io.StringIO()
+        csv.writer(header, lineterminator="\n").writerow(
+            (*self.feature_names, "label", "synthetic"))
+        # row i of digits is real row i's values as "d,d,...,d,"
+        digits = np.full((self.n_rows, 2 * self.n_features), ord(","),
+                         dtype=np.uint8)
+        digits[:, 0::2] = ord("0")
+        digits[:, 0::2] += self.features == 1.0
+        with open(path, "wb") as fh:
+            fh.write(header.getvalue().encode("utf-8"))
+            for row, text, label, synthetic in zip(
+                    self.features, digits, self.labels.tolist(),
+                    self.synthetic_flags.tolist()):
+                if synthetic:
+                    values = "".join(
+                        str(int(v)) + "," if v.is_integer() else repr(v) + ","
+                        for v in row.tolist()).encode("ascii")
+                else:
+                    values = text.tobytes()
+                fh.write(b"".join((values, b"true," if label else b"false,",
+                                   b"true\n" if synthetic else b"false\n")))
 
     @classmethod
     def from_csv(cls, path):
-        def parse(row):
+        def check(row):
             values = [float(v) for v in row[:-2]]
             label, synthetic = _parse_bool(row[-2]), _parse_bool(row[-1])
             _check_values(np.array([values]), np.array([synthetic]))
-            return values, label, synthetic
 
-        header, rows = read_rows(path, (..., "label", "synthetic"), parse)
-        names = header[:-2]
-        matrix = np.array([r[0] for r in rows], dtype=np.float64)
-        return cls(matrix.reshape(len(rows), len(names)),
-                   [r[1] for r in rows], names, [r[2] for r in rows])
+        def table(header, rows):
+            matrix = np.array([r[:-2] for r in rows], dtype=np.float64)
+            flags = np.array([r[-2:] for r in rows], dtype=str)
+            if not ((flags == "true") | (flags == "false")).all():
+                raise ValueError("label and synthetic must be true/false")
+            true = (flags == "true").reshape(len(rows), 2)
+            return cls(matrix.reshape(len(rows), len(header) - 2),
+                       true[:, 0], header[:-2], true[:, 1])
+
+        return read_rows(path, (..., "label", "synthetic"), check,
+                         table=table)[1]
 
 
 @dataclass(frozen=True)
@@ -320,16 +371,13 @@ def encode(records, manifest, max_week):
     columns = manifest.through_week(max_week)
     if not columns:
         raise ValueError(f"no manifest tasks fall within weeks 1..{max_week}")
-    names = tuple(t.name for t in columns)
+    column = {t.name: j for j, t in enumerate(columns)}
     matrix = np.zeros((len(records), len(columns)), dtype=np.float64)
-    labels = np.empty(len(records), dtype=bool)
     for i, record in enumerate(records):
-        right = set(record.right_answers)
-        for j, name in enumerate(names):
-            if name in right:
-                matrix[i, j] = 1.0
-        labels[i] = record.passed
-    return LabeledDataset(matrix, labels, names)
+        matrix[i, [column[n] for n in record.right_answers
+                   if n in column]] = 1.0
+    labels = np.array([r.passed for r in records], dtype=bool)
+    return LabeledDataset(matrix, labels, tuple(column))
 
 
 def _stratified_train_counts(class_sizes, train_fraction, n_train_total):

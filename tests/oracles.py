@@ -5,6 +5,9 @@ implementation is checked against, so they must not share code with the
 package internals.
 """
 
+import csv
+import io
+
 import numpy as np
 
 
@@ -183,3 +186,20 @@ def svm_kkt_oracle(X, y, alpha, C, kernel, gamma):
         if (y[t] > 0 and alpha[t] > 0) or (y[t] < 0 and alpha[t] < C):
             M = min(M, score)
     return m - M
+
+
+def dataset_csv_oracle(dataset):
+    """Dataset CSV bytes built cell by cell with the csv module: an
+    integral value as str(int(f)), any other as repr(f)."""
+    def cell(v):
+        f = float(v)
+        return str(int(f)) if f == int(f) else repr(f)
+
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow([*dataset.feature_names, "label", "synthetic"])
+    for row, label, synthetic in zip(dataset.features, dataset.labels,
+                                     dataset.synthetic_flags):
+        writer.writerow([*map(cell, row), "true" if label else "false",
+                         "true" if synthetic else "false"])
+    return out.getvalue().encode("utf-8")

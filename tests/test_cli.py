@@ -1,5 +1,6 @@
 """CLI stages: artifact chain, config handling, determinism, guards."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ from atrisk import cli
 from atrisk.cli import main
 from atrisk.data import LabeledDataset, TaskManifest
 from atrisk.models import MODEL_KINDS
+from atrisk.models.base import TrainedModel
 
 BASE_CONFIG = """\
 [run]
@@ -434,6 +436,81 @@ def test_loader_error_names_file_and_line(tmp_path, config_file, capsys,
     err = _one_line_error(capsys, [command, "--config", config_file,
                                    "--out", str(out)])
     assert f"{out / name}:{line}: {reason}" in err
+
+
+def test_evaluate_scores_once_per_interval_with_a_sweep(tmp_path,
+                                                      monkeypatch):
+    config = tmp_path / "sweep.cfg"
+    config.write_text(BASE_CONFIG.replace("intervals = 3\n",
+                                          "intervals = 3,6\n"))
+    out = tmp_path / "run"
+    for stage in ("simulate", "encode", "split", "resample", "train"):
+        run_ok([stage, "--config", str(config), "--out", str(out)])
+    scored = []
+    original = TrainedModel.predict_proba
+
+    def counting_proba(self, rows):
+        scored.append(rows.shape[1])
+        return original(self, rows)
+
+    monkeypatch.setattr(TrainedModel, "predict_proba", counting_proba)
+    run_ok(["evaluate", "--config", str(config), "--out", str(out)])
+    assert scored == [43, 106]
+    for interval in (3, 6):
+        report = json.loads(
+            (out / f"report_w{interval}_logreg.json").read_text())
+        sweep = (out / f"sweep_w{interval}_logreg.csv").read_text()
+        # the 0.5 row of the sweep is the report's own summary row
+        row = sweep.splitlines()[2].split(",")
+        assert row[-1] == "0.5" == str(report["threshold"])
+        assert float(row[5]) == report["f1_false"]
+
+
+# sha256 of the dataset CSVs that `atrisk pipeline --seed 7` and
+# `atrisk resample --seed 7 --method adasyn` write with the default config;
+# any change to the bytes the dataset writer produces changes these
+GOLDEN_DATASET_SHA256 = {
+    "dataset_w3.csv":
+        "2979b24c5d099662568b9b551670948377a8621dcf510b87be0e7b5b62e737bb",
+    "dataset_w6.csv":
+        "0abdd043c41e404c5db03a4b61053e15ad851d65fb5f7a59ccb8ce79826bae5a",
+    "dataset_w9.csv":
+        "fbaad40208fc6b54bf2a998eb98c5015c4959631c5e7f2980817aea165055841",
+    "train_w3.csv":
+        "87d8fa72a772e91da46ef9c12b621975443865ac205f52154771abf5cb8fa704",
+    "train_w6.csv":
+        "c925a55115ccf1e32b41af104cb30f3feef497e98567bf60f49423614b34e9ac",
+    "train_w9.csv":
+        "f9c786506ca7739966054184652ca099a62094240bf2db0b47d6284f6713533f",
+    "test_w3.csv":
+        "ae49128aa40d2131d4cdc59463c040137fe8c80012d909393959fd38c0a2d940",
+    "test_w6.csv":
+        "f65c947b182f4dd5d2eef81ab23be266d2ff93bde97bdae359db01babac9398d",
+    "test_w9.csv":
+        "5312e1acba4e94ad0258528630f2de4fcb3b01e3ecdb8cdb198a454b3871de2e",
+    "train_w3_smote.csv":
+        "7947043cafbb8b749d0a5c80185a07ceaaee56b276e615ef1cf691ed164674c8",
+    "train_w6_smote.csv":
+        "0a6838272226466db08dad941e124da6b5df8ab71bf5c06cb08528e1d0e5c5ba",
+    "train_w9_smote.csv":
+        "836c65cf26462632ab824d6120a96d399b0ab16bb3e7f3051126cf00a1500b09",
+    "train_w3_adasyn.csv":
+        "75866347d49693479745bbc2ec6fef6317634a3f16a7f87c6f029f1c31bcb6b4",
+    "train_w6_adasyn.csv":
+        "17760695df1c48e24f4a70ffb27c698d661256f3c5ddf6354308959407ad50a7",
+    "train_w9_adasyn.csv":
+        "43fa12b7b7a19f2f6ac4f0a98d9593080cc790f503eef9ee7db96fd9bfad73ff",
+}
+
+
+def test_seed7_dataset_csvs_match_golden_hashes(tmp_path):
+    out = str(tmp_path / "run")
+    for stage in ("simulate", "encode", "split", "resample"):
+        run_ok([stage, "--seed", "7", "--out", out])
+    run_ok(["resample", "--seed", "7", "--method", "adasyn", "--out", out])
+    found = {name: hashlib.sha256((tmp_path / "run" / name).read_bytes())
+             .hexdigest() for name in GOLDEN_DATASET_SHA256}
+    assert found == GOLDEN_DATASET_SHA256
 
 
 def test_tune_without_feasible_cell_fails(tmp_path, config_file, capsys):

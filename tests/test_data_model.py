@@ -1,12 +1,18 @@
 """Cohort loading, one-hot encoding, and split behaviour."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atrisk import (LabeledDataset, SplitSpec, StudentRecord, TaskId,
                     TaskManifest, default_manifest, encode, load_cohort,
                     save_cohort, split)
 from conftest import make_dataset
+from oracles import dataset_csv_oracle
 
 
 @pytest.fixture
@@ -229,6 +235,152 @@ def test_dataset_csv_rejects_missing_trailer(tmp_path):
     path.write_text("a,b,label\n0,1,true\n")
     with pytest.raises(ValueError, match="label,synthetic"):
         LabeledDataset.from_csv(path)
+
+
+# --- dataset CSV bytes and the loader's errors ------------------------------
+
+# values whose text is easy to get wrong: signed zero, integral floats, a
+# float above 2**53, the smallest subnormal, and a sum that is not 0.3
+AWKWARD_VALUES = (-0.0, 2.0, -3.0, 1e16, 5e-324, 0.1 + 0.2)
+
+
+def assert_csv_contract(dataset):
+    """to_csv writes the oracle's bytes, and from_csv reads them back
+    bitwise (-0.0 is written as 0, so it reads back as 0.0)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dataset.csv"
+        dataset.to_csv(path)
+        assert path.read_bytes() == dataset_csv_oracle(dataset)
+        again = LabeledDataset.from_csv(path)
+    assert again.features.shape == dataset.features.shape
+    assert np.array_equal(again.features.view(np.uint64),
+                          (dataset.features + 0.0).view(np.uint64))
+    assert np.array_equal(again.labels, dataset.labels)
+    assert np.array_equal(again.synthetic_flags, dataset.synthetic_flags)
+    assert again.feature_names == dataset.feature_names
+
+
+def test_dataset_csv_writes_awkward_values_as_the_oracle():
+    features = np.array([[0.0, 1.0, 1.0],
+                         [-0.0, 2.0, -3.0],
+                         [1.0, 0.0, 1.0],
+                         [1e16, 5e-324, 0.1 + 0.2],
+                         [0.0, 0.0, 0.0]])
+    dataset = LabeledDataset(features, [True, False, False, True, True],
+                             ("a", "b,c", 'd"e'),
+                             [False, True, False, True, False])
+    assert_csv_contract(dataset)
+
+
+synthetic_cells = st.one_of(st.sampled_from(AWKWARD_VALUES),
+                            st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def mixed_datasets(draw):
+    n_features = draw(st.integers(1, 5))
+    names = draw(st.lists(st.text("ab,\" é\n", max_size=4),
+                          min_size=n_features, max_size=n_features))
+    rows, labels, flags = [], [], []
+    for _ in range(draw(st.integers(0, 8))):
+        synthetic = draw(st.booleans())
+        cell = synthetic_cells if synthetic else st.sampled_from((0.0, 1.0))
+        rows.append(draw(st.lists(cell, min_size=n_features,
+                                  max_size=n_features)))
+        labels.append(draw(st.booleans()))
+        flags.append(synthetic)
+    features = np.array(rows, dtype=np.float64).reshape(-1, n_features)
+    return LabeledDataset(features, labels, names, flags)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dataset=mixed_datasets())
+def test_dataset_csv_bytes_match_cell_by_cell_oracle(dataset):
+    assert_csv_contract(dataset)
+
+
+# Python's float() accepts underscores, padding, signs and the words nan
+# and inf; the reader parses a whole file in one numpy call and must accept
+# and reject exactly what float() does
+@pytest.mark.parametrize("text", [
+    "1_0", " 2 ", "\t3", "+1", "-0", "1.", ".5", "1E5", "0.1e-3",
+    "Infinity", "inf", "-inf", "nan", "NaN", "0x1", "", "  ", "1__0", "_1",
+    "1_", "1e", "abc", "1d5", "nan(1)", "0b1", "\u0661"])
+def test_dataset_cell_parses_as_float_does(tmp_path, text):
+    path = tmp_path / "one.csv"
+    path.write_text(f"x,label,synthetic\n0,true,false\n{text},false,true\n")
+    try:
+        value = float(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            LabeledDataset.from_csv(path)
+        assert str(info.value) == f"{path}:3: {exc}"
+        return
+    if not np.isfinite(value):
+        with pytest.raises(ValueError) as info:
+            LabeledDataset.from_csv(path)
+        assert str(info.value) == f"{path}:3: features must be finite"
+        return
+    again = LabeledDataset.from_csv(path)
+    assert again.features[1, 0].tobytes() == np.float64(value).tobytes()
+
+
+FUZZ_BASE = LabeledDataset(
+    np.array([[0, 1, 1, 0], [1, 0, 0, 1], [1, 1, 0, 0], [0, 0, 1, 1],
+              [0.25, 1, 0.5, 0], [1, 0, 1, 0], [0.75, 0.125, 1, 0.5]]),
+    [True, False, True, False, False, True, False], ("t1", "t2", "t3", "t4"),
+    [False, False, False, False, True, False, True])
+ALL_ROWS = range(FUZZ_BASE.n_rows)
+REAL_ROWS = np.flatnonzero(~FUZZ_BASE.synthetic_flags).tolist()
+FEATURES, FLAGS = range(4), (4, 5)
+
+# (texts to write into one cell, or field counts to cut or pad a row to;
+# the reason the loader gives; the rows and columns it may hit)
+CORRUPTIONS = (
+    (("abc", "", "0x1", "1__0", "--1"), "could not convert string to float",
+     ALL_ROWS, FEATURES),
+    (("nan", "inf", "-inf", "NaN"), "features must be finite", ALL_ROWS,
+     FEATURES),
+    (("0.5", "2", "-1", "1e-9"),
+     "real rows must contain only exact 0/1 values", REAL_ROWS, FEATURES),
+    (("maybe", "True", "1", ""), "expected 'true' or 'false'", ALL_ROWS,
+     FLAGS),
+    ((5, 7, 1), "expected 6 fields", ALL_ROWS, FEATURES),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(corruption=st.sampled_from(CORRUPTIONS), data=st.data(),
+       blank_lines=st.integers(0, 2))
+def test_corrupted_dataset_csv_names_file_and_line(corruption, data,
+                                                   blank_lines):
+    values, reason, rows, columns = corruption
+    value = data.draw(st.sampled_from(values))
+    row = data.draw(st.sampled_from(rows))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dataset.csv"
+        FUZZ_BASE.to_csv(path)
+        lines = path.read_text().splitlines()
+        cells = lines[row + 1].split(",")
+        if isinstance(value, int):
+            cells = (cells * 2)[:value]
+        else:
+            cells[data.draw(st.sampled_from(columns))] = value
+        lines[row + 1:row + 2] = [""] * blank_lines + [",".join(cells)]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as info:
+            LabeledDataset.from_csv(path)
+    line = row + 2 + blank_lines
+    assert str(info.value).startswith(f"{path}:{line}: {reason}")
+
+
+def test_first_bad_row_wins_over_a_later_field_count(tmp_path):
+    path = tmp_path / "two.csv"
+    path.write_text("x,label,synthetic\n0,true,false\nabc,true,false\n"
+                    "0,true\n")
+    with pytest.raises(ValueError) as info:
+        LabeledDataset.from_csv(path)
+    assert str(info.value).startswith(f"{path}:3: could not convert")
 
 
 # --- split ------------------------------------------------------------------
