@@ -11,13 +11,23 @@ of OWL-QN, Andrew & Gao 2007, and newGLMNET, Yuan, Ho & Lin 2012): the
 Newton system is solved on the free set with the pseudo-gradient as
 right-hand side, and every trial point is projected onto the orthant of
 the current iterate, so a weight that would change sign becomes exactly 0.
-An Armijo backtracking search on the full objective makes every accepted
-step a strict decrease.
+Projection alone clips many weights at once and costs halvings, so the
+step is first corrected in the spirit of Bertsekas's (1982) projected
+Newton method: the weights the full step takes across zero are pinned at
+exactly 0 and the rest of the free set is solved again with the same
+Hessian, at most three times.  The corrected step is taken whole when it
+is a descent direction and passes the Armijo test at step length 1;
+otherwise the plain step is backtracked.  The Armijo test is on the full
+objective, so the objective never increases; with l1 = 0 no weight is
+pinned and the step is the plain Newton step.
 
 The fit stops on a KKT certificate: the largest pseudo-gradient entry is
-at most ``tolerance * max(1, |objective|)``.  ``kkt_residual`` reports that
-relative residual for any (w, b), and ``converged`` is true exactly when
-it is within ``tolerance``; ``max_iterations`` counts Newton steps.
+at most ``tolerance * max(1, |objective|)``.  ``fit_logistic_raw`` returns
+that relative residual at the point it returns, and the model is flagged
+non-converged exactly when it exceeds ``tolerance``; ``max_iterations``
+counts Newton steps.  A fit also stops, unconverged, when an accepted step
+changes neither the objective nor the residual in floating point, which
+happens once the tolerance lies below the gradient's rounding floor.
 """
 
 from __future__ import annotations
@@ -29,6 +39,7 @@ from .base import TrainedModel, fitted_array
 _RIDGE = 1e-10         # keeps the Newton system nonsingular without l2
 _ARMIJO = 1e-4         # sufficient-decrease fraction
 _MAX_HALVINGS = 60     # backtracking halvings before a step is given up
+_MAX_PINS = 3          # re-solves of a step with crossing weights pinned
 
 
 def sigmoid(z):
@@ -82,18 +93,66 @@ def _relative(pg, objective):
     return float(np.abs(pg).max() / max(1.0, abs(objective)))
 
 
-def kkt_residual(X, y, w, b, C, l1_ratio):
-    """max |pseudo-gradient| over [w, b] divided by max(1, |objective|)."""
-    return _relative(_pseudo_gradient(X, y, w, b, C, l1_ratio),
-                     _objective(X, y, w, b, C, l1_ratio))
+def _line_search(objective, theta, step, pg, current, orthant, tries):
+    """Armijo backtracking from theta along step, halving up to tries - 1
+    times; returns (trial, value), or None when no trial decreases enough.
+
+    With an orthant every trial is projected onto it: a weight that would
+    leave its orthant becomes exactly 0.
+    """
+    alpha = 1.0
+    for _ in range(tries):
+        trial = theta + alpha * step
+        if orthant is not None:
+            weights = trial[:-1]
+            weights[np.sign(weights) != orthant] = 0.0
+        value = objective(trial)
+        if value <= current + _ARMIJO * (pg @ (trial - theta)):
+            return trial, value
+        alpha *= 0.5
+    return None
+
+
+def _pinned_step(hessian, pg, theta, step, free, orthant):
+    """The free-set Newton step re-solved with zero-crossing weights pinned.
+
+    Every weight the full step would take out of its orthant is pinned at
+    exactly 0 (its step is -w) and the rest of the free set F is solved
+    again with the same Hessian, H_FF s_F = -pg_F - H_FK s_K over the
+    pinned set K; this repeats at most _MAX_PINS times.  Returns None when
+    the plain step crosses no zero.
+    """
+    d = len(orthant)
+    index = np.flatnonzero(free)         # theta position of Hessian row
+    start = theta[index]
+    signs = np.append(orthant, 0.0)[index]
+    weight = index < d                   # the intercept is never pinned
+    local = step[index]
+    pinned = np.zeros(len(index), dtype=bool)
+    for _ in range(_MAX_PINS):
+        crossing = weight & ~pinned & (np.sign(start + local) != signs)
+        if not crossing.any():
+            break
+        pinned |= crossing
+        rest = ~pinned
+        local[pinned] = -start[pinned]
+        local[rest] = np.linalg.solve(
+            hessian[np.ix_(rest, rest)],
+            -pg[index[rest]] - hessian[np.ix_(rest, pinned)] @ local[pinned])
+    if not pinned.any():
+        return None
+    out = np.zeros_like(step)
+    out[index] = local
+    return out
 
 
 def fit_logistic_raw(X, y, C, l1_ratio, tolerance, max_iterations):
-    """Core solver on y in {-1,+1}; returns (w, b, history, converged).
+    """Core solver on y in {-1,+1}; returns (w, b, history, residual).
 
     history[k] is the objective after k accepted Newton steps (history[0]
-    is the start, w = 0 and b = 0).  converged is true exactly when
-    kkt_residual at the returned point is within tolerance.
+    is the start, w = 0 and b = 0).  residual is the relative KKT residual
+    at the returned point; the fit converged exactly when it is within
+    tolerance.
     """
     n, d = X.shape
     l1 = l1_ratio / C
@@ -101,14 +160,20 @@ def fit_logistic_raw(X, y, C, l1_ratio, tolerance, max_iterations):
     # diagonal of the penalty's Hessian plus the ridge, intercept last
     penalty_diag = np.append(np.full(d, (1.0 - l1_ratio) / C), 0.0) + _RIDGE
 
+    def objective(t):
+        return _objective(X, y, t[:d], t[d], C, l1_ratio)
+
     theta = np.zeros(d + 1)
-    current = _objective(X, y, theta[:d], theta[d], C, l1_ratio)
+    current = objective(theta)
     history = [current]
+    residual = None
     while True:
         pg = _pseudo_gradient(X, y, theta[:d], theta[d], C, l1_ratio)
-        converged = _relative(pg, current) <= tolerance
-        if converged or len(history) > max_iterations:
+        previous, residual = residual, _relative(pg, current)
+        if residual <= tolerance or len(history) > max_iterations:
             break
+        if residual == previous and history[-1] == history[-2]:
+            break  # the last step changed nothing at fp precision
         free = (theta != 0.0) | (pg != 0.0)
         free[d] = True
         # Z_F' D Z_F with D = p(1 - p), as one symmetric product
@@ -119,23 +184,25 @@ def fit_logistic_raw(X, y, C, l1_ratio, tolerance, max_iterations):
         hessian[np.diag_indices_from(hessian)] += penalty_diag[free]
         step = np.zeros(d + 1)
         step[free] = np.linalg.solve(hessian, -pg[free])
-        # orthant of the iterate: a zero weight may only move against pg
-        orthant = np.where(theta[:d] != 0.0, np.sign(theta[:d]),
-                           -np.sign(pg[:d]))
-        alpha = 1.0
-        for _ in range(_MAX_HALVINGS):
-            trial = theta + alpha * step
-            if l1 > 0.0:
-                trial[:d][np.sign(trial[:d]) != orthant] = 0.0
-            value = _objective(X, y, trial[:d], trial[d], C, l1_ratio)
-            if value <= current + _ARMIJO * (pg @ (trial - theta)):
-                break
-            alpha *= 0.5
-        else:
+        accepted = orthant = None
+        if l1 > 0.0:
+            # orthant of the iterate: a zero weight may only move against pg
+            orthant = np.where(theta[:d] != 0.0, np.sign(theta[:d]),
+                               -np.sign(pg[:d]))
+            pinned = _pinned_step(hessian, pg, theta, step, free, orthant)
+            # the pinned step is taken whole or not at all; only the plain
+            # step backtracks
+            if pinned is not None and pg @ pinned < 0.0:
+                accepted = _line_search(objective, theta, pinned, pg,
+                                        current, orthant, 1)
+        if accepted is None:
+            accepted = _line_search(objective, theta, step, pg, current,
+                                    orthant, _MAX_HALVINGS)
+        if accepted is None:
             break  # no sufficient decrease at fp precision
-        theta, current = trial, value
+        theta, current = accepted
         history.append(current)
-    return theta[:d].copy(), float(theta[d]), np.asarray(history), converged
+    return theta[:d].copy(), float(theta[d]), np.asarray(history), residual
 
 
 class LogisticModel(TrainedModel):
@@ -159,10 +226,9 @@ def fit_logistic(spec, train):
     p = spec.params
     l1_ratio = p["l1_ratio"] if p["penalty"] == "elasticnet" else 0.0
     y = np.where(train.labels, 1.0, -1.0)
-    w, b, history, _ = fit_logistic_raw(
+    w, b, history, residual = fit_logistic_raw(
         train.features, y, C=p["C"], l1_ratio=l1_ratio,
         tolerance=p["tolerance"], max_iterations=p["max_iterations"])
-    residual = kkt_residual(train.features, y, w, b, p["C"], l1_ratio)
     return LogisticModel(spec, train.n_features,
                          non_converged=residual > p["tolerance"],
                          weights=w, intercept=b, objective_history=history,

@@ -128,7 +128,7 @@ def fit_svm(spec, train):
 
     # probability link: 1-D logistic fit on the training decision values;
     # its gradient's rounding floor reached 6e-12, and a tolerance below
-    # the floor runs all 5000 Newton steps
+    # the floor ends on a stalled step instead of the certificate
     scores = _kernel_matrix(kind, X, sv_features, gamma) @ sv_coef + b
     w, b_link, _, _ = fit_logistic_raw(scores[:, None], y, C=1e4,
                                        l1_ratio=0.0, tolerance=1e-10,
