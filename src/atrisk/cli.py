@@ -16,7 +16,8 @@ once.  A single-stage subcommand reads its inputs from that directory;
 ``pipeline`` chains the stages across the configured intervals, hands each
 artifact to the next stage in memory, and writes a manifest of artifact
 hashes.  Rerunning with an identical config at the same BLAS thread count
-reproduces the same bytes (ROADMAP item 3 covers thread counts).
+reproduces the same bytes (the ROADMAP's reproducibility contract covers
+thread counts).
 """
 
 from __future__ import annotations
@@ -27,14 +28,14 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .config import _OPTIONS, build_config, stage_seed
+from .config import _OPTIONS, build_config
 from .data import (LabeledDataset, TaskManifest, encode, load_cohort,
                    save_cohort, split, write_json)
 from .evaluation import (SELECTION_METRICS, evaluate, grid_search,
                          sweep_thresholds, write_summary_csv)
-from .models import ModelSpec, fit, load_model
+from .models import fit, load_model
 from .pca import export_scatter
-from .resampling import resample
+from .resampling import METHODS, resample
 from .simulate import simulate
 
 
@@ -67,13 +68,6 @@ class _Store:
         if not path.exists():
             raise CliError(f"[{stage}] missing upstream artifact: {path}")
         return read(path)
-
-
-def _model_spec(cfg):
-    spec = ModelSpec(cfg.model_kind, **cfg.model_params)
-    if "seed" in spec.params and "seed" not in cfg.model_params:
-        spec.params["seed"] = stage_seed(cfg.seed, "train")
-    return spec
 
 
 def cmd_simulate(cfg, args, store):
@@ -122,7 +116,7 @@ def cmd_resample(cfg, args, store):
 
 
 def cmd_train(cfg, args, store):
-    spec = _model_spec(cfg)
+    spec = cfg.model
     suffix = "" if cfg.train_input == "raw" else f"_{cfg.resample.method}"
     for interval in cfg.intervals:
         train = store.get(f"train_w{interval}{suffix}.csv",
@@ -135,7 +129,7 @@ def cmd_train(cfg, args, store):
 
 
 def cmd_evaluate(cfg, args, store, summary=None):
-    kind = cfg.model_kind
+    kind = cfg.model.kind
     for flag in ("model_file", "test_file"):
         # getattr: pipeline's args have no --model-file or --test-file
         if getattr(args, flag, None) and len(cfg.intervals) > 1:
@@ -197,7 +191,6 @@ def cmd_pca_export(cfg, args, store):
 
 
 def cmd_pipeline(cfg, args, store):
-    _model_spec(cfg)  # a bad kind or hyperparameter fails up front
     if cfg.cohort_path:  # ingest an existing cohort instead of simulating
         print(f"pipeline: ingesting {cfg.cohort_path}")
     else:
@@ -257,21 +250,21 @@ def _parser():
             p.add_argument("--threshold", type=float)
             p.add_argument("--model-file")
             p.add_argument("--test-file")
-            p.add_argument("--model-kind")
+        if name in ("evaluate", "train", "pipeline"):
+            p.add_argument("--model-kind", dest="model.kind",
+                           metavar="MODEL_KIND")
         if name == "resample":
             p.add_argument("--method", dest="resample.method",
-                           choices=("smote", "adasyn"))
+                           choices=METHODS)
             p.add_argument("--k-neighbors", dest="resample.k_neighbors",
                            metavar="K_NEIGHBORS", type=int)
         if name in ("train", "pipeline"):
-            p.add_argument("--model-kind")
             p.add_argument("--train-input", choices=("raw", "resampled"))
         if name == "tune":
             p.add_argument("--metric", dest="tune.selection_metric",
                            choices=SELECTION_METRICS)
         if name == "pca-export":
-            p.add_argument("--method", dest="pca_method",
-                           choices=("smote", "adasyn"))
+            p.add_argument("--method", dest="pca_method", choices=METHODS)
             p.add_argument("--real-only", dest="pca_fit_on",
                            action="store_const", const="real")
     return parser

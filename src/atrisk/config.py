@@ -1,9 +1,10 @@
 """Pipeline configuration: INI-style key=value files with section headers.
 
 Each file key maps to one setting through ``_OPTIONS``.  The [simulate],
-[split], [resample] and [tune] sections fill their stage's own settings
-object (SimConfig, SplitSpec, ResampleConfig, GridSpec), checked when the
-config is built, so a bad value fails before any stage runs.  Some keys
+[split], [resample], [model] and [tune] sections fill their stage's own
+settings object (SimConfig, SplitSpec, ResampleConfig, ModelSpec, GridSpec),
+checked when the config is built, so a bad value fails before any stage
+runs; [model] also takes the kind's hyperparameters as open keys.  Some keys
 also have a CLI flag (README lists which), and a flag wins over its file
 key.  Unknown sections or keys are rejected by dotted path (e.g.
 "split.train_fractoin").  All stage randomness derives from one root seed
@@ -18,8 +19,9 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .data import SplitSpec, _parse_bool
-from .evaluation import GridSpec
-from .resampling import ResampleConfig
+from .evaluation import THRESHOLD_RULE, GridSpec, check_axis
+from .models import ModelSpec
+from .resampling import RULES as RESAMPLE_RULES, ResampleConfig
 from .simulate import SimConfig
 
 # stage seed = run.seed + offset
@@ -30,10 +32,6 @@ SEED_OFFSETS = {
     "train": 3,
     "tune": 4,
 }
-
-
-def stage_seed(root_seed, stage):
-    return root_seed + SEED_OFFSETS[stage]
 
 
 def _parse_number(text):
@@ -60,9 +58,7 @@ class PipelineConfig:
     simulate: SimConfig = SimConfig()
     split: SplitSpec = SplitSpec()
     resample: ResampleConfig = ResampleConfig()
-    # model
-    model_kind: str = "logreg"
-    model_params: dict = field(default_factory=dict)
+    model: ModelSpec = field(default_factory=lambda: ModelSpec("logreg"))
     train_input: str = "resampled"
     # evaluate
     threshold: float = 0.5
@@ -73,31 +69,25 @@ class PipelineConfig:
     pca_method: str = ""         # empty -> resample.method
 
     def validate(self):
-        if self.seed < 0:
-            raise ValueError(f"run.seed must be >= 0, got {self.seed}")
-        if self.train_input not in ("raw", "resampled"):
-            raise ValueError(f"model.train_input must be 'raw' or "
-                             f"'resampled', got {self.train_input!r}")
-        if self.pca_fit_on not in ("union", "real"):
-            raise ValueError(f"pca.fit_on must be 'union' or 'real', "
-                             f"got {self.pca_fit_on!r}")
-        if self.pca_method not in ("", "smote", "adasyn"):
-            raise ValueError(f"pca.method must be empty, 'smote' or "
-                             f"'adasyn', got {self.pca_method!r}")
-        if not self.intervals:
-            raise ValueError("data.intervals must be non-empty")
-        if any(i < 1 for i in self.intervals):
-            raise ValueError("data.intervals entries must be >= 1")
-        if not 0.0 < self.threshold < 1.0:
-            raise ValueError(f"evaluate.threshold must be in (0,1), "
-                             f"got {self.threshold}")
-        if any(not 0.0 < t < 1.0 for t in self.sweep_thresholds):
-            raise ValueError("evaluate.thresholds must lie inside (0,1)")
-        repeats = [t for i, t in enumerate(self.sweep_thresholds)
-                   if t in self.sweep_thresholds[:i]]
-        if repeats:
-            raise ValueError(f"evaluate.thresholds entries must be "
-                             f"distinct, got {repeats[0]!r}")
+        """Check the settings that no stage's settings object owns."""
+        ok_method, methods = RESAMPLE_RULES["method"]
+        for name, value, (ok, rule) in (
+                ("run.seed", self.seed, (lambda s: s >= 0, ">= 0")),
+                ("model.train_input", self.train_input,
+                 (lambda v: v in ("raw", "resampled"),
+                  "'raw' or 'resampled'")),
+                ("pca.fit_on", self.pca_fit_on,
+                 (lambda v: v in ("union", "real"), "'union' or 'real'")),
+                ("pca.method", self.pca_method,
+                 (lambda m: m == "" or ok_method(m), f"empty, {methods}")),
+                ("evaluate.threshold", self.threshold, THRESHOLD_RULE)):
+            if not ok(value):
+                raise ValueError(f"{name} must be {rule}, got {value!r}")
+        check_axis("data.intervals", self.intervals,
+                   (lambda i: i >= 1, ">= 1"))
+        if self.sweep_thresholds:
+            check_axis("evaluate.thresholds", self.sweep_thresholds,
+                       THRESHOLD_RULE)
         return self
 
 
@@ -116,7 +106,8 @@ def _list(item):
 
 
 # (section, key) -> (PipelineConfig field or "stage.field", parser of the
-# file text); [model] also takes the kind's hyperparameters as open keys
+# file text); [model] also takes the kind's hyperparameters as open keys,
+# each a "model.<name>" setting parsed by _parse_number
 _OPTIONS = {
     ("run", "seed"): ("seed", int),
     ("paths", "cohort"): ("cohort_path", str),
@@ -133,7 +124,7 @@ _OPTIONS = {
     ("split", "stratified"): ("split.stratified", _parse_bool),
     ("resample", "method"): ("resample.method", str),
     ("resample", "k_neighbors"): ("resample.k_neighbors", int),
-    ("model", "kind"): ("model_kind", str),
+    ("model", "kind"): ("model.kind", str),
     ("model", "train_input"): ("train_input", str),
     ("evaluate", "threshold"): ("threshold", _real),
     ("evaluate", "thresholds"): ("sweep_thresholds", _list(_real)),
@@ -171,14 +162,23 @@ def read_config(path):
     return out
 
 
+def _model_spec(default, settings, seed):
+    """The [model] settings as a ModelSpec, of default's kind unless they
+    name one; a kind that takes a seed and is given none gets seed."""
+    new = ModelSpec(settings.pop("kind", default.kind), **settings)
+    if "seed" in new.params and "seed" not in settings:
+        new.params["seed"] = seed
+    return new
+
+
 def build_config(config_path=None, overrides=None):
     """Defaults <- config file <- CLI overrides keyed by _OPTIONS path."""
-    values, params = {}, {}
+    values = {}
     raw = read_config(config_path) if config_path else {}
     for section, items in raw.items():
         for key, text in items.items():
             if (section, key) not in _OPTIONS:  # a [model] hyperparameter
-                params[key] = _parse_number(text)
+                values[f"model.{key}"] = _parse_number(text)
                 continue
             path, parse = _OPTIONS[section, key]
             try:
@@ -197,13 +197,22 @@ def build_config(config_path=None, overrides=None):
     staged = {path.partition(".")[0]: {} for path in paths if "." in path}
     flat = {}
     for path, value in values.items():
-        stage, _, name = path.rpartition(".")
-        (staged[stage] if stage else flat)[name] = value
-    cfg = PipelineConfig(model_params=params, **flat)
+        if "." in path:  # split at the first: a hyperparameter may hold "."
+            stage, name = path.split(".", 1)
+            staged[stage][name] = value
+        else:
+            flat[path] = value
+    cfg = PipelineConfig(**flat)
     for stage, settings in staged.items():
-        try:  # the object's own __post_init__ checks its values
-            setattr(cfg, stage, replace(getattr(cfg, stage), **settings,
-                                        seed=stage_seed(cfg.seed, stage)))
+        old = getattr(cfg, stage)
+        try:  # each settings object checks its own values
+            if stage == "model":  # the train stage's settings
+                new = _model_spec(old, settings,
+                                  cfg.seed + SEED_OFFSETS["train"])
+            else:
+                new = replace(old, **settings,
+                              seed=cfg.seed + SEED_OFFSETS[stage])
         except ValueError as exc:
             raise ValueError(f"[{stage}] {exc}") from None
+        setattr(cfg, stage, new)
     return cfg.validate()

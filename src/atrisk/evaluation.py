@@ -20,12 +20,30 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .data import write_csv, write_json
-from .models import ModelSpec, fit
-from .resampling import ResampleConfig, resample
+from .models import _RULES, ModelSpec, fit
+from .resampling import RULES as RESAMPLE_RULES, ResampleConfig, resample
 
 METRICS = ("precision_false", "recall_false", "f1_false", "accuracy", "auc")
 SELECTION_METRICS = ("f1_false", "recall_false")  # what tune may rank by
 SUMMARY_COLUMNS = ("interval", "n_features", "model", *METRICS, "threshold")
+
+# (check, rule) for a decision threshold, wherever one is set
+THRESHOLD_RULE = (lambda t: 0.0 < t < 1.0, "inside (0,1)")
+
+
+def check_axis(name, values, rule, distinct=True):
+    """A list setting: non-empty, every entry passing rule (check, text),
+    and with distinct=True no entry repeated."""
+    ok, text = rule
+    if not values:
+        raise ValueError(f"{name} must be non-empty")
+    bad = [v for v in values if not ok(v)]
+    if bad:
+        raise ValueError(f"{name} entries must be {text}, got {bad[0]!r}")
+    repeats = [v for i, v in enumerate(values) if v in values[:i]]
+    if distinct and repeats:
+        raise ValueError(f"{name} entries must be distinct, "
+                         f"got {repeats[0]!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,17 +113,12 @@ def sweep_thresholds(model, test, grid):
     """One EvalReport per threshold in grid, all from one scoring of the
     real-only test set, so every report carries the same AUC."""
     grid = tuple(grid)
-    if not grid:
-        raise ValueError("threshold grid is empty")
+    check_axis("thresholds", grid, THRESHOLD_RULE, distinct=False)
     if test.synthetic_flags.any():
         raise ValueError("test purity violated: test data contains "
                          "synthetic rows")
     if test.n_rows == 0:
         raise ValueError("test set is empty")
-    for threshold in grid:
-        if not 0.0 < threshold < 1.0:
-            raise ValueError(f"threshold must be inside (0,1), "
-                             f"got {threshold}")
 
     p_false = model.predict_proba(test.features)[:, 0]
     actual_false = ~test.labels
@@ -171,27 +184,14 @@ class GridSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name, ok, rule in (
-                ("resample_methods", lambda m: m in ("smote", "adasyn"),
-                 "'smote' or 'adasyn'"),
-                ("k_neighbors_grid", lambda k: k >= 1, ">= 1"),
-                ("penalties", lambda p: p in ("l2", "elasticnet"),
-                 "'l2' or 'elasticnet'"),
-                ("c_grid", lambda c: c > 0.0, "> 0"),
-                ("l1_ratios", lambda r: 0.0 <= r <= 1.0, "in [0,1]"),
-                ("thresholds", lambda t: 0.0 < t < 1.0,
-                 "strictly inside (0,1)")):
-            values = getattr(self, name)
-            if not values:
-                raise ValueError(f"{name} must be non-empty")
-            bad = [v for v in values if not ok(v)]
-            if bad:
-                raise ValueError(f"{name} entries must be {rule}, "
-                                 f"got {bad[0]!r}")
-            repeats = [v for i, v in enumerate(values) if v in values[:i]]
-            if repeats:
-                raise ValueError(f"{name} entries must be distinct, "
-                                 f"got {repeats[0]!r}")
+        for name, rule in (
+                ("resample_methods", RESAMPLE_RULES["method"]),
+                ("k_neighbors_grid", RESAMPLE_RULES["k_neighbors"]),
+                ("penalties", _RULES["penalty"]),
+                ("c_grid", _RULES["C"]),
+                ("l1_ratios", _RULES["l1_ratio"]),
+                ("thresholds", THRESHOLD_RULE)):
+            check_axis(name, getattr(self, name), rule)
         if self.selection_metric not in SELECTION_METRICS:
             raise ValueError(f"selection_metric must be "
                              f"{' or '.join(map(repr, SELECTION_METRICS))}, "

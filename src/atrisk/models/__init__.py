@@ -77,7 +77,7 @@ _RULES = {
 class ModelSpec:
     """Classifier kind plus validated hyperparameters."""
 
-    def __init__(self, kind, **params):
+    def __init__(self, kind, /, **params):
         if kind not in _KINDS:
             raise ValueError(f"unknown model kind {kind!r}; "
                              f"expected one of {MODEL_KINDS}")

@@ -111,10 +111,4 @@ def _jsonable(value):
     if dataclasses.is_dataclass(value):
         return {field.name: _jsonable(getattr(value, field.name))
                 for field in dataclasses.fields(value)}
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
     return value

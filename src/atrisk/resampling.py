@@ -18,6 +18,15 @@ from .data import LabeledDataset, write_csv
 from .neighbors import knn_among, knn_indices
 
 
+METHODS = ("smote", "adasyn")  # the names resample() dispatches on
+
+# setting -> (check, rule); the tune grid checks its axes by the same rules
+RULES = {
+    "method": (lambda m: m in METHODS, " or ".join(map(repr, METHODS))),
+    "k_neighbors": (lambda k: k >= 1, ">= 1"),
+}
+
+
 @dataclass(frozen=True)
 class ResampleConfig:
     method: str = "smote"
@@ -25,12 +34,10 @@ class ResampleConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.method not in ("smote", "adasyn"):
-            raise ValueError(f"method must be 'smote' or 'adasyn', "
-                             f"got {self.method!r}")
-        if self.k_neighbors < 1:
-            raise ValueError(f"k_neighbors must be >= 1, "
-                             f"got {self.k_neighbors}")
+        for name, (ok, rule) in RULES.items():
+            value = getattr(self, name)
+            if not ok(value):
+                raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 @dataclass(frozen=True)

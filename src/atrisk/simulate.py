@@ -31,8 +31,7 @@ class SimConfig:
 
     n_students: int = 379
     fail_rate: float = 0.15
-    n_weeks: int = 9
-    tasks_per_week: tuple = DEFAULT_TASKS_PER_WEEK
+    tasks_per_week: tuple = DEFAULT_TASKS_PER_WEEK  # one count per week
     ability_spread: float = 1.0
     difficulty_spread: float = 1.0
     # 0.15 keeps enough class overlap that a threshold-0.5 baseline model
@@ -49,11 +48,6 @@ class SimConfig:
             raise ValueError(f"n_students must be >= 10, got {self.n_students}")
         if not 0.0 < self.fail_rate < 1.0:
             raise ValueError(f"fail_rate must be in (0,1), got {self.fail_rate}")
-        if self.n_weeks < 1:
-            raise ValueError(f"n_weeks must be >= 1, got {self.n_weeks}")
-        if len(self.tasks_per_week) != self.n_weeks:
-            raise ValueError(f"tasks_per_week has {len(self.tasks_per_week)} "
-                             f"entries for {self.n_weeks} weeks")
         if any(c < 0 for c in self.tasks_per_week):
             raise ValueError("tasks_per_week entries must be >= 0")
         if sum(self.tasks_per_week) < 1:

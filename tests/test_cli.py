@@ -8,6 +8,7 @@ import pytest
 
 from atrisk import cli
 from atrisk.cli import main
+from atrisk.config import SEED_OFFSETS
 from atrisk.data import LabeledDataset, TaskManifest
 from atrisk.models import MODEL_KINDS
 from atrisk.models.base import TrainedModel
@@ -262,6 +263,25 @@ def test_train_on_raw_input(tmp_path, config_file):
     assert (tmp_path / "run" / "model_w3_logreg.json").exists()
 
 
+@pytest.mark.parametrize("model, seed", [
+    ("", 5 + SEED_OFFSETS["train"]),  # BASE_CONFIG has run.seed = 5
+    ("seed = 4\n", 4),
+])
+def test_train_seeds_a_seeded_kind_from_the_run(tmp_path, model, seed):
+    config = tmp_path / "forest.cfg"
+    config.write_text(BASE_CONFIG.replace(
+        "kind = logreg\nC = 1.0\n",
+        f"kind = random_forest\nn_trees = 5\n{model}"))
+    out = str(tmp_path / "run")
+    for stage in ("simulate", "encode", "split", "resample"):
+        run_ok([stage, "--config", str(config), "--out", out])
+    run_ok(["train", "--config", str(config), "--out", out,
+            "--model-kind", "random_forest"])
+    doc = json.loads(
+        (tmp_path / "run" / "model_w3_random_forest.json").read_text())
+    assert doc["params"]["seed"] == seed
+
+
 def test_interval_flag_restricts(tmp_path):
     out = tmp_path / "run"
     run_ok(["simulate", "--out", str(out), "--seed", "3"])
@@ -339,10 +359,14 @@ def test_malformed_config_file_names_file_and_line(tmp_path, capsys, text,
      "svm_linear hyperparameter 'C' must be a finite number, got inf"),
     ("kind = logreg\ntolerance = inf\n", [],
      "logreg hyperparameter 'tolerance' must be a finite number, got inf"),
+    ("self = 1\n", [], "unknown hyperparameter(s) for logreg: ['self']"),
+    ("a.b = 1\n", [], "unknown hyperparameter(s) for logreg: ['a.b']"),
 ])
-@pytest.mark.parametrize("command", ["train", "pipeline"])
+@pytest.mark.parametrize("command", tuple(cli._COMMANDS))
 def test_bad_model_fails_before_any_stage(tmp_path, capsys, model, flags,
                                           expected, command):
+    if flags and command not in ("train", "evaluate", "pipeline"):
+        pytest.skip(f"{command} takes no --model-kind")
     bad = tmp_path / "bad.cfg"
     bad.write_text(BASE_CONFIG.replace("[model]\nkind = logreg\nC = 1.0\n",
                                        "[model]\n" + model))
@@ -370,6 +394,7 @@ def test_bad_model_fails_before_any_stage(tmp_path, capsys, model, flags,
     ("[pca]\nmethod = foo\n", "pca.method", "'foo'"),
     ("[run]\nseed = -1\n", "run.seed", "-1"),
     ("[evaluate]\nthresholds = 0.5,0.5\n", "evaluate.thresholds", "0.5"),
+    ("[data]\nintervals = 3,3\n", "data.intervals", "3"),
     ("[tune]\nc_values = inf\n", "tune.c_values", "inf"),
     ("[simulate]\nability_spread = nan\n", "simulate.ability_spread", "nan"),
 ])

@@ -9,6 +9,7 @@ from atrisk import cli
 from atrisk.config import _OPTIONS, PipelineConfig, build_config
 from atrisk.data import SplitSpec
 from atrisk.evaluation import GridSpec
+from atrisk.models import ModelSpec
 from atrisk.resampling import ResampleConfig
 from atrisk.simulate import SimConfig
 
@@ -86,8 +87,7 @@ def test_every_file_key_reaches_its_field(tmp_path):
                            labeling="stochastic", seed=11),
         split=SplitSpec(train_fraction=0.7, stratified=False, seed=12),
         resample=ResampleConfig(method="adasyn", k_neighbors=3, seed=13),
-        model_kind="svm_rbf",
-        model_params={"C": 2, "gamma": "scale", "tolerance": 0.01},
+        model=ModelSpec("svm_rbf", C=2, gamma="scale", tolerance=0.01),
         train_input="raw", threshold=0.4, sweep_thresholds=(0.3, 0.6),
         tune=GridSpec(resample_methods=("smote", "adasyn"),
                       k_neighbors_grid=(3, 7), penalties=("l2",),
@@ -95,7 +95,7 @@ def test_every_file_key_reaches_its_field(tmp_path):
                       thresholds=(0.4, 0.5), folds=3,
                       selection_metric="recall_false", seed=15),
         pca_fit_on="real", pca_method="adasyn")
-    assert type(cfg.model_params["C"]) is int
+    assert type(cfg.model.params["C"]) is int
     default = build_config()
     for option, _ in _OPTIONS.values():
         assert _setting(cfg, option) != _setting(default, option), option
@@ -115,7 +115,7 @@ FLAG_CASES = [
     (["--method", "adasyn"], "resample.method", "adasyn", ("resample",)),
     (["--method", "adasyn"], "pca_method", "adasyn", ("pca-export",)),
     (["--k-neighbors", "3"], "resample.k_neighbors", 3, ("resample",)),
-    (["--model-kind", "knn"], "model_kind", "knn",
+    (["--model-kind", "knn"], "model.kind", "knn",
      ("evaluate", "train", "pipeline")),
     (["--train-input", "raw"], "train_input", "raw", ("train", "pipeline")),
     (["--metric", "recall_false"], "tune.selection_metric", "recall_false",

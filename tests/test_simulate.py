@@ -7,8 +7,7 @@ from atrisk import SimConfig, encode, save_cohort, simulate
 
 
 def small_config(**kw):
-    defaults = dict(n_students=60, n_weeks=3, tasks_per_week=(4, 4, 4),
-                    seed=0)
+    defaults = dict(n_students=60, tasks_per_week=(4, 4, 4), seed=0)
     defaults.update(kw)
     return SimConfig(**defaults)
 
@@ -102,9 +101,7 @@ def test_config_validation():
     with pytest.raises(ValueError, match="fail_rate"):
         SimConfig(fail_rate=0.0)
     with pytest.raises(ValueError, match="at least one task"):
-        SimConfig(n_weeks=2, tasks_per_week=(0, 0))
-    with pytest.raises(ValueError, match="entries for"):
-        SimConfig(n_weeks=2, tasks_per_week=(1, 2, 3))
+        SimConfig(tasks_per_week=(0, 0))
     with pytest.raises(ValueError, match="noise"):
         SimConfig(noise=0.9)
     with pytest.raises(ValueError, match="labeling"):
