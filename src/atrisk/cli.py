@@ -28,7 +28,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .config import _OPTIONS, build_config
+from .config import (PCA_REAL_ONLY, TRAIN_INPUTS, TRAIN_RAW, _OPTIONS,
+                     build_config)
 from .data import (LabeledDataset, TaskManifest, encode, load_cohort,
                    save_cohort, split, write_json)
 from .evaluation import (SELECTION_METRICS, evaluate, grid_search,
@@ -117,7 +118,8 @@ def cmd_resample(cfg, args, store):
 
 def cmd_train(cfg, args, store):
     spec = cfg.model
-    suffix = "" if cfg.train_input == "raw" else f"_{cfg.resample.method}"
+    suffix = "" if cfg.train_input == TRAIN_RAW \
+        else f"_{cfg.resample.method}"
     for interval in cfg.intervals:
         train = store.get(f"train_w{interval}{suffix}.csv",
                           LabeledDataset.from_csv, "train")
@@ -181,12 +183,13 @@ def cmd_tune(cfg, args, store):
 
 def cmd_pca_export(cfg, args, store):
     method = cfg.pca_method or cfg.resample.method
+    real_only = cfg.pca_fit_on == PCA_REAL_ONLY
     for interval in cfg.intervals:
         grown = store.get(f"train_w{interval}_{method}.csv",
                           LabeledDataset.from_csv, "pca-export")
         name = f"scatter_w{interval}_{method}.csv"
         store.put(name, None, lambda p: export_scatter(
-            grown, method, p, fit_on_real_only=(cfg.pca_fit_on == "real")))
+            grown, method, p, fit_on_real_only=real_only))
         print(f"pca-export: interval {interval} {method} -> {name}")
 
 
@@ -259,14 +262,14 @@ def _parser():
             p.add_argument("--k-neighbors", dest="resample.k_neighbors",
                            metavar="K_NEIGHBORS", type=int)
         if name in ("train", "pipeline"):
-            p.add_argument("--train-input", choices=("raw", "resampled"))
+            p.add_argument("--train-input", choices=TRAIN_INPUTS)
         if name == "tune":
             p.add_argument("--metric", dest="tune.selection_metric",
                            choices=SELECTION_METRICS)
         if name == "pca-export":
             p.add_argument("--method", dest="pca_method", choices=METHODS)
             p.add_argument("--real-only", dest="pca_fit_on",
-                           action="store_const", const="real")
+                           action="store_const", const=PCA_REAL_ONLY)
     return parser
 
 

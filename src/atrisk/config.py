@@ -34,6 +34,18 @@ SEED_OFFSETS = {
 }
 
 
+# model.train_input: train on the split's real rows, or on those rows
+# after [resample]
+TRAIN_RAW, TRAIN_RESAMPLED = TRAIN_INPUTS = ("raw", "resampled")
+# pca.fit_on: fit PCA on every row, or on the real rows only
+PCA_UNION, PCA_REAL_ONLY = PCA_FIT_ON = ("union", "real")
+
+
+def _one_of(values):
+    """(check, rule) accepting exactly the given values."""
+    return (lambda v: v in values, " or ".join(map(repr, values)))
+
+
 def _parse_number(text):
     """int when it looks integral, float otherwise, str as fallback."""
     try:
@@ -59,13 +71,13 @@ class PipelineConfig:
     split: SplitSpec = SplitSpec()
     resample: ResampleConfig = ResampleConfig()
     model: ModelSpec = field(default_factory=lambda: ModelSpec("logreg"))
-    train_input: str = "resampled"
+    train_input: str = TRAIN_RESAMPLED
     # evaluate
     threshold: float = 0.5
     sweep_thresholds: tuple = ()  # optional grid; empty disables the sweep
     tune: GridSpec = GridSpec()
     # pca
-    pca_fit_on: str = "union"    # or "real"
+    pca_fit_on: str = PCA_UNION
     pca_method: str = ""         # empty -> resample.method
 
     def validate(self):
@@ -74,10 +86,8 @@ class PipelineConfig:
         for name, value, (ok, rule) in (
                 ("run.seed", self.seed, (lambda s: s >= 0, ">= 0")),
                 ("model.train_input", self.train_input,
-                 (lambda v: v in ("raw", "resampled"),
-                  "'raw' or 'resampled'")),
-                ("pca.fit_on", self.pca_fit_on,
-                 (lambda v: v in ("union", "real"), "'union' or 'real'")),
+                 _one_of(TRAIN_INPUTS)),
+                ("pca.fit_on", self.pca_fit_on, _one_of(PCA_FIT_ON)),
                 ("pca.method", self.pca_method,
                  (lambda m: m == "" or ok_method(m), f"empty, {methods}")),
                 ("evaluate.threshold", self.threshold, THRESHOLD_RULE)):

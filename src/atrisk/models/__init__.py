@@ -56,7 +56,7 @@ MODEL_KINDS = tuple(sorted(_KINDS))
 _RULES = {
     "penalty": (lambda v: v in ("l2", "elasticnet"),
                 "'l2' or 'elasticnet'"),
-    "C": (lambda v: v > 0, "> 0"),
+    "C": (lambda v: 0 < v <= float_info.max, "> 0 and finite"),
     "l1_ratio": (lambda v: 0.0 <= v <= 1.0, "in [0,1]"),
     "gamma": (lambda v: v == "scale" or (isinstance(v, (int, float))
                                          and v > 0),
@@ -123,8 +123,22 @@ class ModelSpec:
                 and self.params == other.params)
 
 
-def fit(spec, train):
-    """Fit a classifier of spec.kind on a LabeledDataset."""
+def fit(spec, train, start=None):
+    """Fit a classifier of spec.kind on a LabeledDataset.
+
+    start, logreg only, is the [weights, intercept] vector its solver
+    iterates from (see logistic.fit_logistic_raw); None starts at zero.
+    """
+    if start is not None:
+        if spec.kind != "logreg":
+            raise ValueError(f"a start vector applies to logreg only, "
+                             f"not {spec.kind}")
+        if np.shape(start) != (train.n_features + 1,):
+            raise ValueError(f"start must hold {train.n_features} weights "
+                             f"and an intercept, got shape "
+                             f"{np.shape(start)}")
+        if not np.isfinite(start).all():
+            raise ValueError("start must be finite")
     if not np.isfinite(train.features).all():
         raise ValueError("training features must be finite")
     if train.n_rows == 0:
@@ -139,7 +153,9 @@ def fit(spec, train):
         if min(n_true, n_false) < 2:
             raise ValueError(f"{spec.kind} requires >= 2 rows per class, "
                              f"got false={n_false}, true={n_true}")
-    return kind.fitter(spec, train)
+    if start is None:
+        return kind.fitter(spec, train)
+    return kind.fitter(spec, train, start=start)
 
 
 # top-level document keys read after the format/version check, and the

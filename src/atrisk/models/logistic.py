@@ -21,6 +21,12 @@ otherwise the plain step is backtracked.  The Armijo test is on the full
 objective, so the objective never increases; with l1 = 0 no weight is
 pinned and the step is the plain Newton step.
 
+A fit starts at w = 0 and b = 0 unless it is given a ``start`` vector
+[w, b]; a start near the optimum (a neighbouring objective's solution, as
+the grid search passes along its regularization path) saves Newton steps.
+The solution does not depend on the start, as the objective is convex; its
+last bits may.
+
 The fit stops on a KKT certificate: the largest pseudo-gradient entry is
 at most ``tolerance * max(1, |objective|)``.  ``fit_logistic_raw`` returns
 that relative residual at the point it returns, and the model is flagged
@@ -146,11 +152,13 @@ def _pinned_step(hessian, pg, theta, step, free, orthant):
     return out
 
 
-def fit_logistic_raw(X, y, C, l1_ratio, tolerance, max_iterations):
+def fit_logistic_raw(X, y, C, l1_ratio, tolerance, max_iterations,
+                     start=None):
     """Core solver on y in {-1,+1}; returns (w, b, history, residual).
 
+    start is the [w, b] vector to iterate from (None: all zeros).
     history[k] is the objective after k accepted Newton steps (history[0]
-    is the start, w = 0 and b = 0).  residual is the relative KKT residual
+    is the objective at the start).  residual is the relative KKT residual
     at the returned point; the fit converged exactly when it is within
     tolerance.
     """
@@ -163,7 +171,8 @@ def fit_logistic_raw(X, y, C, l1_ratio, tolerance, max_iterations):
     def objective(t):
         return _objective(X, y, t[:d], t[d], C, l1_ratio)
 
-    theta = np.zeros(d + 1)
+    theta = np.zeros(d + 1) if start is None \
+        else np.array(start, dtype=np.float64)
     current = objective(theta)
     history = [current]
     residual = None
@@ -222,13 +231,14 @@ class LogisticModel(TrainedModel):
         return np.column_stack([1.0 - p_true, p_true])
 
 
-def fit_logistic(spec, train):
+def fit_logistic(spec, train, start=None):
     p = spec.params
     l1_ratio = p["l1_ratio"] if p["penalty"] == "elasticnet" else 0.0
     y = np.where(train.labels, 1.0, -1.0)
     w, b, history, residual = fit_logistic_raw(
         train.features, y, C=p["C"], l1_ratio=l1_ratio,
-        tolerance=p["tolerance"], max_iterations=p["max_iterations"])
+        tolerance=p["tolerance"], max_iterations=p["max_iterations"],
+        start=start)
     return LogisticModel(spec, train.n_features,
                          non_converged=residual > p["tolerance"],
                          weights=w, intercept=b, objective_history=history,

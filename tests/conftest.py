@@ -23,8 +23,8 @@ def certify_logreg_fits(monkeypatch):
     """Every logreg fit made through atrisk.fit is checked by the oracle."""
     logreg = models._KINDS["logreg"]
 
-    def certified(spec, train):
-        model = logreg.fitter(spec, train)
+    def certified(spec, train, start=None):
+        model = logreg.fitter(spec, train, start=start)
         assert_kkt_certificate(model, train)
         return model
 

@@ -5,8 +5,11 @@ import argparse
 from functools import reduce
 from pathlib import Path
 
+import pytest
+
 from atrisk import cli
-from atrisk.config import _OPTIONS, PipelineConfig, build_config
+from atrisk.config import (_OPTIONS, PCA_FIT_ON, TRAIN_INPUTS,
+                           PipelineConfig, build_config)
 from atrisk.data import SplitSpec
 from atrisk.evaluation import GridSpec
 from atrisk.models import ModelSpec
@@ -147,3 +150,43 @@ def test_every_flag_dest_is_a_config_field():
     for command, sub in subparsers.choices.items():
         for action in sub._actions:
             assert action.dest in names, (command, action.dest)
+
+
+def _subcommand_action(command, dest):
+    parser = cli._parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in subparsers.choices[command]._actions
+                if a.dest == dest)
+
+
+def assert_validates_exactly(option, values):
+    """build_config accepts each of values for option, and nothing else."""
+    for value in values:
+        assert getattr(build_config(overrides={option: value}),
+                       option) == value
+    rule = " or ".join(map(repr, values))
+    with pytest.raises(ValueError, match=f"must be {rule}, got 'other'$"):
+        build_config(overrides={option: "other"})
+
+
+def test_train_input_flag_offers_the_validated_values():
+    for command in ("train", "pipeline"):
+        action = _subcommand_action(command, "train_input")
+        assert tuple(action.choices) == TRAIN_INPUTS
+    assert_validates_exactly("train_input", TRAIN_INPUTS)
+
+
+def test_real_only_flag_sets_a_validated_value():
+    assert _subcommand_action("pca-export", "pca_fit_on").const in PCA_FIT_ON
+    assert_validates_exactly("pca_fit_on", PCA_FIT_ON)
+
+
+def test_infinite_c_value_fails_on_its_config_key(tmp_path):
+    # GridSpec rejects inf too, but the file's parser names the key first
+    path = tmp_path / "inf.cfg"
+    path.write_text("[tune]\nc_values = 0.1, inf\n")
+    with pytest.raises(ValueError) as err:
+        build_config(path)
+    assert str(err.value) == \
+        f"{path}: tune.c_values: must be a finite number, got inf"

@@ -6,7 +6,8 @@ import pytest
 from atrisk import (GridSpec, ModelSpec, TrainedModel, evaluate, fit,
                     grid_search, mann_whitney_auc, sweep_thresholds)
 import atrisk.evaluation as evaluation
-from atrisk.evaluation import stratified_fold_indices, write_summary_csv
+from atrisk.evaluation import (METRICS, stratified_fold_indices,
+                               write_summary_csv)
 from conftest import make_dataset
 from oracles import auc_pairwise_oracle, metrics_oracle
 
@@ -322,33 +323,80 @@ def test_default_grid_has_no_duplicate_objectives(split_w3):
 
 
 def test_grid_fits_each_objective_once_per_fold(split_w3, monkeypatch):
-    fitted = []
+    fitted = []   # (objective, start, solution) per fit
     scored = []
     original_fit = evaluation.fit
     original_proba = TrainedModel.predict_proba
 
-    def counting_fit(spec, train):
-        fitted.append((spec.params["penalty"], spec.params["C"],
-                       spec.params["l1_ratio"]))
-        return original_fit(spec, train)
+    def counting_fit(spec, train, start=None):
+        model = original_fit(spec, train, start=start)
+        p = spec.params
+        fitted.append(((p["penalty"], p["C"], p["l1_ratio"]), start,
+                       np.append(model.weights, model.intercept)))
+        return model
 
     def counting_proba(self, rows):
-        scored.append(self.spec.params["penalty"])
+        scored.append((self.spec.params["penalty"], self.spec.params["C"]))
         return original_proba(self, rows)
 
     monkeypatch.setattr(evaluation, "fit", counting_fit)
     monkeypatch.setattr(TrainedModel, "predict_proba", counting_proba)
     train, _ = split_w3
-    grid = tiny_grid(penalties=("elasticnet", "l2"), c_grid=(0.1,),
+    grid = tiny_grid(penalties=("elasticnet", "l2"), c_grid=(1.0, 0.1),
                      l1_ratios=(0.0, 0.5), thresholds=(0.4, 0.5, 0.6),
                      folds=2)
     cells = grid_search(grid, train).cells
-    # first-seen order: elasticnet 0.0 becomes l2 before the l2 entry
-    assert fitted == [("l2", 0.1, 0.0), ("elasticnet", 0.1, 0.5)] * 2
-    # one scoring per (fold, objective), however many thresholds
-    assert scored == ["l2", "elasticnet"] * 2
-    assert sorted((c.penalty, c.l1_ratio) for c in cells) == \
-        [("elasticnet", 0.5)] * 3 + [("l2", 0.0)] * 3
+    # path order: C ascending, l1_ratio descending, l2 last; elasticnet 0.0
+    # is fitted as l2
+    path = [("elasticnet", 0.1, 0.5), ("l2", 0.1, 0.0),
+            ("elasticnet", 1.0, 0.5), ("l2", 1.0, 0.0)]
+    assert [objective for objective, _, _ in fitted] == path * 2
+    for fold in (fitted[:4], fitted[4:]):
+        (_, first, a), (_, second, _), (_, third, c), (_, fourth, _) = fold
+        assert first is None  # each fold starts cold
+        assert np.array_equal(second, a)   # the fit just before
+        assert np.array_equal(third, a)    # the first at the previous C
+        assert np.array_equal(fourth, c)
+    # one scoring per (fold, objective) in first-seen order, however many
+    # thresholds
+    assert scored == [("l2", 1.0), ("elasticnet", 1.0), ("l2", 0.1),
+                      ("elasticnet", 0.1)] * 2
+    assert sorted((c.penalty, c.C, c.l1_ratio) for c in cells) == \
+        [("elasticnet", 0.1, 0.5)] * 3 + [("elasticnet", 1.0, 0.5)] * 3 + \
+        [("l2", 0.1, 0.0)] * 3 + [("l2", 1.0, 0.0)] * 3
+
+
+def test_grid_path_scores_match_cold_fits(split_w3, monkeypatch):
+    # C = 0.01 holds all-zero fits, whose P(fail) = 0.5 ties with the
+    # threshold 0.5; every mean metric must equal that of cold fits
+    train, _ = split_w3
+    grid = tiny_grid(penalties=("l2", "elasticnet"),
+                     c_grid=(0.01, 0.1, 1.0, 10.0), l1_ratios=(0.0, 0.5, 1.0),
+                     thresholds=(0.4, 0.5, 0.6), folds=3)
+    original_fit = evaluation.fit
+    starts, zero_fits = [], []
+
+    def warm_fit(spec, train, start=None):
+        model = original_fit(spec, train, start=start)
+        starts.append(start)
+        if not model.weights.any():
+            zero_fits.append((spec.params["C"], model.intercept))
+        return model
+
+    def cold_fit(spec, train, start=None):
+        return original_fit(spec, train)
+
+    monkeypatch.setattr(evaluation, "fit", warm_fit)
+    warm = grid_search(grid, train)
+    monkeypatch.setattr(evaluation, "fit", cold_fit)
+    cold = grid_search(grid, train)
+    # 12 objectives a fold, all but the first warm started
+    assert sum(start is not None for start in starts) == 3 * (12 - 1)
+    assert zero_fits and all(C == 0.01 and b == 0.0 for C, b in zero_fits)
+    for a, b in zip(warm.cells, cold.cells, strict=True):
+        assert a.key() == b.key()
+        for name in METRICS:
+            assert a.mean_metric(name) == b.mean_metric(name), (a.key(), name)
 
 
 def test_grid_search_rejects_more_folds_than_smaller_class(monkeypatch):
@@ -390,6 +438,7 @@ def test_grid_spec_validation():
     ("c_grid", (1.0, 1), "1"),
     ("l1_ratios", (0.5, 0.5), "0.5"),
     ("thresholds", (0.5, 0.5), "0.5"),
+    ("c_grid", (1.0, float("inf")), "inf"),
 ])
 def test_grid_spec_rejects_bad_axis_value(name, values, got):
     with pytest.raises(ValueError, match=f"^{name} entries .* got {got}$"):

@@ -249,6 +249,77 @@ def test_wide_l1_problems_meet_kkt_oracle(seed, n, d, C, l1_ratio, binary):
     assert np.all(np.diff(model.objective_history) <= 0)
 
 
+# --- warm starts ----------------------------------------------------------
+
+def solution(model):
+    return np.append(model.weights, model.intercept)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(10, 40),
+       d=st.integers(1, 8), C=st.floats(1e-2, 1e2),
+       l1_ratio=st.floats(0.0, 1.0), other_C=st.floats(1e-2, 1e2),
+       other_l1_ratio=st.floats(0.0, 1.0), scale=st.floats(0.01, 10.0),
+       binary=st.booleans())
+def test_warm_started_fits_meet_kkt_oracle(seed, n, d, C, l1_ratio, other_C,
+                                           other_l1_ratio, scale, binary):
+    ds = random_problem(seed, n, d, binary)
+    spec = logreg_spec("elasticnet", l1_ratio, C)
+    cold = fit(spec, ds)
+    other = fit(logreg_spec("elasticnet", other_l1_ratio, other_C), ds)
+    random_start = np.random.default_rng(seed).normal(scale=scale,
+                                                      size=d + 1)
+    y = np.where(ds.labels, 1.0, -1.0)
+    for start in (random_start, solution(other)):
+        model = fit(spec, ds, start=start)
+        assert not model.non_converged
+        assert assert_kkt_certificate(model, ds) <= 1e-8
+        history = model.objective_history
+        assert history[0] == smooth_objective(
+            ds.features, y, start[:d], start[d], C, l1_ratio) \
+            + l1_ratio / C * np.abs(start[:d]).sum()
+        assert np.all(np.diff(history) <= 0)
+        final = cold.objective_history[-1]
+        assert abs(history[-1] - final) <= 1e-8 * max(1.0, abs(final))
+
+
+def test_all_zero_chain_keeps_a_zero_intercept_on_balanced_data():
+    # as test_l1_limit_balanced_data_gives_half_probabilities, warm started
+    # along a path of all-zero solutions
+    rng = np.random.default_rng(12)
+    features = (rng.random((20, 5)) < 0.5).astype(float)
+    ds = make_dataset(features, [False] * 10 + [True] * 10)
+    start = None
+    for C, l1_ratio in ((1e-8, 1.0), (1e-8, 0.5), (1e-6, 1.0), (1e-6, 0.5)):
+        model = fit(logreg_spec("elasticnet", l1_ratio, C), ds, start=start)
+        assert np.all(model.weights == 0.0)
+        assert model.intercept == 0.0
+        assert np.all(model.predict_proba(ds.features) == 0.5)
+        start = solution(model)
+
+
+def test_start_is_checked_before_fitting(smote_train_w3):
+    d = smote_train_w3.n_features
+    with pytest.raises(ValueError, match="^a start vector applies to logreg "
+                                         "only, not knn$"):
+        fit(ModelSpec("knn"), smote_train_w3, start=np.zeros(d + 1))
+    for bad in (np.zeros(d), np.zeros((1, d + 1))):
+        with pytest.raises(ValueError, match=f"^start must hold {d} weights "
+                                             f"and an intercept"):
+            fit(ModelSpec("logreg"), smote_train_w3, start=bad)
+    with pytest.raises(ValueError, match="^start must be finite$"):
+        fit(ModelSpec("logreg"), smote_train_w3,
+            start=np.full(d + 1, np.nan))
+
+
+def test_start_at_the_optimum_takes_no_step(smote_train_w3):
+    spec = logreg_spec("elasticnet", 0.5, 1.0)
+    cold = fit(spec, smote_train_w3)
+    warm = fit(spec, smote_train_w3, start=solution(cold))
+    assert len(warm.objective_history) == 1
+    assert np.array_equal(solution(warm), solution(cold))
+
+
 @pytest.fixture(scope="module")
 def smote_train_seed7_w9():
     """The week-9 SMOTE training set of `atrisk pipeline --seed 7`."""
