@@ -18,7 +18,7 @@ import configparser
 import math
 from dataclasses import dataclass, field, replace
 
-from .data import SplitSpec, _parse_bool
+from .data import SplitSpec, _parse_bool, read_text
 from .evaluation import THRESHOLD_RULE, GridSpec, check_axis
 from .models import ModelSpec
 from .resampling import RULES as RESAMPLE_RULES, ResampleConfig
@@ -155,11 +155,10 @@ def read_config(path):
     """Parse and schema-check a config file into {section: {key: str}}."""
     parser = configparser.ConfigParser(interpolation=None, delimiters=("=",))
     parser.optionxform = str  # hyperparameter names are case-sensitive (C)
-    with open(path, encoding="utf-8") as fh:
-        try:
-            parser.read_file(fh, source=path)
-        except configparser.Error as exc:  # names the file and the line
-            raise ValueError(" ".join(str(exc).split())) from None
+    try:
+        parser.read_string(read_text(path), source=path)
+    except configparser.Error as exc:  # names the file and the line
+        raise ValueError(" ".join(str(exc).split())) from None
     out = {}
     for section in parser.sections():
         if section not in {s for s, _ in _OPTIONS}:

@@ -16,7 +16,8 @@ Dataset CSV:  one column per feature (named), then ``label`` and
 
 Dataset CSVs are written by :meth:`LabeledDataset.to_csv`, every other CSV
 artifact by :func:`write_csv`, and every JSON artifact by
-:func:`write_json`; the loaders here read through :func:`read_rows`.
+:func:`write_json`; the loaders here read through :func:`read_rows`, and
+every loader decodes its file with :func:`read_text`.
 """
 
 from __future__ import annotations
@@ -47,8 +48,21 @@ def write_json(path, doc):
         fh.write("\n")
 
 
+def read_text(path):
+    """The UTF-8 text of a file; other bytes raise ValueError naming the
+    file and the line they are on."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{line}: not UTF-8 text ({exc.reason} at "
+                         f"byte {exc.start})") from None
+
+
 def read_rows(path, header, parse, unique=None, table=None):
-    """(header found, rows) for a CSV file, rows being [parse(row), ...].
+    """[parse(row), ...] for the rows of a CSV file.
 
     header names the expected columns; a leading ``...`` stands for one or
     more free names.  Blank lines are skipped; every row must have as many
@@ -56,45 +70,44 @@ def read_rows(path, header, parse, unique=None, table=None):
     row error, including any ValueError from parse, is raised prefixed with
     ``path:line``.
 
-    With table, rows is instead table(header found, raw rows), built from
-    the whole file at once, and parse only checks one raw row: it runs, row
-    by row, only after a ValueError, to find the first bad row and name its
-    line.
+    With table, the result is instead table(header found, raw rows), built
+    from the whole file at once, and parse only checks one raw row: it
+    runs, row by row, only after a ValueError, to find the first bad row
+    and name its line.
     """
     free = header[0] is ...
     fixed = list(header[free:])
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        found = next(reader, [])
-        if found[-len(fixed):] != fixed or (len(found) > len(fixed)) != free:
-            expected = ",".join("..." if h is ... else h for h in header)
-            raise ValueError(f"{path}: expected header {expected!r}, "
-                             f"got {found}")
-        seen, rows, lines = {}, [], []
-        for row in reader:
-            if not row:
-                continue
-            line = reader.line_num
-            try:
-                if len(row) != len(found):
-                    raise ValueError(f"expected {len(found)} fields, "
-                                     f"got {len(row)}")
-                if unique is not None:
-                    first = seen.setdefault(row[unique], line)
-                    if first != line:
-                        raise ValueError(
-                            f"duplicate {found[unique]} {row[unique]!r} "
-                            f"(first seen on line {first})")
-                rows.append(row if table else parse(row))
-                lines.append(line)
-            except ValueError as exc:
-                if table:  # an earlier row's bad value comes first
-                    _first_bad_row(path, lines, rows, parse)
-                raise ValueError(f"{path}:{line}: {exc}") from None
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    found = next(reader, [])
+    if found[-len(fixed):] != fixed or (len(found) > len(fixed)) != free:
+        expected = ",".join("..." if h is ... else h for h in header)
+        raise ValueError(f"{path}: expected header {expected!r}, "
+                         f"got {found}")
+    seen, rows, lines = {}, [], []
+    for row in reader:
+        if not row:
+            continue
+        line = reader.line_num
+        try:
+            if len(row) != len(found):
+                raise ValueError(f"expected {len(found)} fields, "
+                                 f"got {len(row)}")
+            if unique is not None:
+                first = seen.setdefault(row[unique], line)
+                if first != line:
+                    raise ValueError(
+                        f"duplicate {found[unique]} {row[unique]!r} "
+                        f"(first seen on line {first})")
+            rows.append(row if table else parse(row))
+            lines.append(line)
+        except ValueError as exc:
+            if table:  # an earlier row's bad value comes first
+                _first_bad_row(path, lines, rows, parse)
+            raise ValueError(f"{path}:{line}: {exc}") from None
     if table is None:
-        return found, rows
+        return rows
     try:
-        return found, table(found, rows)
+        return table(found, rows)
     except ValueError as exc:
         _first_bad_row(path, lines, rows, parse)
         raise ValueError(f"{path}: {exc}") from None
@@ -168,9 +181,6 @@ class TaskManifest:
         """Tasks with week <= max_week, in manifest order."""
         return tuple(t for t in self._tasks if t.week <= max_week)
 
-    def count_through_week(self, max_week):
-        return len(self.through_week(max_week))
-
     @classmethod
     def from_csv(cls, path):
         def parse(row):
@@ -181,7 +191,7 @@ class TaskManifest:
                                  f"got {row[1]!r}") from None
             return TaskId(name=row[0], week=week)
 
-        return cls(read_rows(path, ("task", "week"), parse, unique=0)[1])
+        return cls(read_rows(path, ("task", "week"), parse, unique=0))
 
     def to_csv(self, path):
         write_csv(path, ("task", "week"),
@@ -313,7 +323,7 @@ class LabeledDataset:
                        true[:, 0], header[:-2], true[:, 1])
 
         return read_rows(path, (..., "label", "synthetic"), check,
-                         table=table)[1]
+                         table=table)
 
 
 @dataclass(frozen=True)
@@ -349,7 +359,7 @@ def load_cohort(path, manifest):
         record.validate_against(manifest)
         return record
 
-    return read_rows(path, COHORT_COLUMNS, parse, unique=0)[1]
+    return read_rows(path, COHORT_COLUMNS, parse, unique=0)
 
 
 def save_cohort(records, path):

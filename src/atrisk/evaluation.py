@@ -200,6 +200,10 @@ class GridSpec:
             raise ValueError(f"folds must be >= 2, got {self.folds}")
 
 
+# the columns that name a grid cell, in the order of GridCell.key()
+CELL_KEY = ("method", "k_neighbors", "penalty", "C", "l1_ratio", "threshold")
+
+
 @dataclass
 class GridCell:
     method: str
@@ -220,45 +224,45 @@ class GridCell:
         return getattr(self, f"mean_{name}")
 
     def key(self):
-        return (self.method, self.k_neighbors, self.penalty, self.C,
-                self.l1_ratio, self.threshold)
+        return tuple(getattr(self, name) for name in CELL_KEY)
 
 
 @dataclass(frozen=True)
 class GridSearchResult:
     cells: tuple           # ranked, feasible first
     audit: dict            # leakage audit counters
-    folds: int
-    seed: int
 
     def best(self):
         return self.cells[0]
 
-    def find(self, method, k_neighbors, penalty, C, l1_ratio, threshold):
-        target = (method, k_neighbors, penalty, C, l1_ratio, threshold)
+    def find(self, *key):
+        """The cell whose key() is key, given in CELL_KEY order."""
         for cell in self.cells:
-            if cell.key() == target:
+            if cell.key() == key:
                 return cell
-        raise KeyError(f"cell {target} not in grid results")
+        raise KeyError(f"cell {key} not in grid results")
 
     def to_csv(self, path):
         """Every cell in rank order with its fold-mean METRICS."""
-        write_csv(path, ("rank", "method", "k_neighbors", "penalty", "C",
-                         "l1_ratio", "threshold", "feasible", *METRICS),
-                  ((cell.rank, cell.method, cell.k_neighbors, cell.penalty,
-                    repr(cell.C), repr(cell.l1_ratio), repr(cell.threshold),
+        write_csv(path, ("rank", *CELL_KEY, "feasible", *METRICS),
+                  ((cell.rank, *map(_csv_value, cell.key()),
                     "true" if cell.feasible else "false",
-                    *(repr(cell.mean_metric(name)) for name in METRICS))
+                    *(_csv_value(cell.mean_metric(name)) for name in METRICS))
                    for cell in self.cells))
 
     def save_best(self, path):
         """The best cell's key, its fold-mean METRICS and the audit."""
         best = self.best()
         write_json(path, {
-            **dict(zip(("method", "k_neighbors", "penalty", "C", "l1_ratio",
-                        "threshold"), best.key())),
+            **dict(zip(CELL_KEY, best.key())),
             **{f"mean_{name}": best.mean_metric(name) for name in METRICS},
             "audit": self.audit})
+
+
+def _csv_value(v):
+    """A float as its repr, the shortest text that reads back to it; any
+    other value as it is."""
+    return repr(float(v)) if isinstance(v, float) else v
 
 
 def stratified_fold_indices(labels, folds, seed):
@@ -279,36 +283,35 @@ def stratified_fold_indices(labels, folds, seed):
 
 
 def _model_cells(grid):
-    """Distinct (penalty, C, l1_ratio) objectives in first-seen order;
+    """Distinct (penalty, C, l1_ratio) objectives in path order: C
+    ascending, then l1_ratio descending.  A ratio of 0 is named l2, so
     (elasticnet, C, 0.0) is the same objective as (l2, C, 0.0)."""
-    cells = {}
-    for penalty in grid.penalties:
-        ratios = (0.0,) if penalty == "l2" else grid.l1_ratios
-        for C in grid.c_grid:
-            for l1r in ratios:
-                pure_l2 = penalty == "elasticnet" and l1r == 0.0
-                cells.setdefault(("l2" if pure_l2 else penalty, C, l1r))
-    return list(cells)
+    ratios = {0.0} if "l2" in grid.penalties else set()
+    if "elasticnet" in grid.penalties:
+        ratios.update(grid.l1_ratios)
+    return [("elasticnet" if l1r else "l2", C, l1r)
+            for C in sorted(grid.c_grid)
+            for l1r in sorted(ratios, reverse=True)]
 
 
 def _fit_path(model_cells, train):
-    """A logreg model per (penalty, C, l1_ratio) cell, fitted along a
-    regularization path: C ascending, l1_ratio descending within each C
-    (l2, ratio 0, last).  The first fit starts at zero, the first at each
-    later C from the first solution at the previous C, and every other fit
-    from the solution just before it."""
-    path = sorted(model_cells, key=lambda cell: (cell[1], -cell[2]))
-    fitted = {}
-    head = None  # the first solution at the previous C
-    for _, same_c in itertools.groupby(path, key=lambda cell: cell[1]):
-        start = head
-        for i, (penalty, C, l1r) in enumerate(same_c):
-            spec = ModelSpec("logreg", penalty=penalty, C=C, l1_ratio=l1r)
-            model = fitted[penalty, C, l1r] = fit(spec, train, start=start)
-            start = np.append(model.weights, model.intercept)
-            if i == 0:
-                head = start
-    return fitted
+    """A logreg model per (penalty, C, l1_ratio) cell of the path-ordered
+    model_cells, in that order.  The first fit starts at zero, the first at
+    each later C from the first solution at the previous C, and every other
+    fit from the solution just before it."""
+    models = []
+    start = head = last_c = None  # head: the first solution at last_c
+    for penalty, C, l1r in model_cells:
+        first = C != last_c
+        if first:
+            start, last_c = head, C
+        spec = ModelSpec("logreg", penalty=penalty, C=C, l1_ratio=l1r)
+        model = fit(spec, train, start=start)
+        models.append(model)
+        start = np.append(model.weights, model.intercept)
+        if first:
+            head = start
+    return models
 
 
 def grid_search(grid, train):
@@ -322,16 +325,16 @@ def grid_search(grid, train):
 
     Inside a fold the logistic fits follow a regularization path
     (Friedman, Hastie & Tibshirani 2010), each started from a neighbouring
-    solution (see _fit_path), which saves Newton steps; cells are still
-    scored in _model_cells order.  The path runs from the strongest l1
-    penalty l1_ratio / C to the weakest.  w = 0 is optimal exactly when
-    every |dL/dw_j| at (w, b) = (0, b*) is at most l1_ratio / C, a bound
-    that only shrinks along the path, so a cell whose weights are all zero
-    starts only from other all-zero solutions.  On a balanced fold (SMOTE
-    balances the classes) that is the zero vector, which the cold fit
-    returns too, so such a cell keeps P(fail) = 0.5 exactly.  In the
-    grid's own order a warm start from a denser solution ended such cells
-    at an intercept near 1e-12 instead, which flipped threshold-0.5 ties.
+    solution (see _fit_path), which saves Newton steps.  The path runs from
+    the strongest l1 penalty l1_ratio / C to the weakest.  w = 0 is optimal
+    exactly when every |dL/dw_j| at (w, b) = (0, b*) is at most
+    l1_ratio / C, a bound that only shrinks along the path, so a cell whose
+    weights are all zero starts only from other all-zero solutions.  On a
+    balanced fold (SMOTE balances the classes) that is the zero vector,
+    which the cold fit returns too, so such a cell keeps P(fail) = 0.5
+    exactly.  In the grid's own order a warm start from a denser solution
+    ended such cells at an intercept near 1e-12 instead, which flipped
+    threshold-0.5 ties.
     """
     if train.synthetic_flags.any():
         raise ValueError("grid_search requires real-only training data")
@@ -341,59 +344,56 @@ def grid_search(grid, train):
             f"folds = {grid.folds} exceeds the smaller class count "
             f"({n_fail} failing, {n_pass} passing training rows); every "
             f"validation fold needs a row of each class")
-    fold_validation = stratified_fold_indices(train.labels, grid.folds,
-                                              grid.seed)
-    all_rows = np.arange(train.n_rows, dtype=np.intp)
+    folds = []  # (fit rows, validation rows, fit-part minority count)
+    for val_idx in stratified_fold_indices(train.labels, grid.folds,
+                                           grid.seed):
+        fit_idx = np.setdiff1d(np.arange(train.n_rows), val_idx,
+                               assume_unique=True)
+        n_true = int(train.labels[fit_idx].sum())
+        folds.append((fit_idx, val_idx, min(n_true, fit_idx.size - n_true)))
     audit = {"folds_checked": 0, "synthetic_rows_in_validation": 0,
              "synthetic_rows_in_fit": 0}
     model_cells = _model_cells(grid)
+    mean_fields = [f"mean_{name}" for name in METRICS]
     cells = []
-    smallest_minority = train.n_rows
-
-    res_combos = list(itertools.product(grid.resample_methods,
-                                        grid.k_neighbors_grid))
-    for ri, (method, k) in enumerate(res_combos):
-        fold_scores = []  # (penalty, C, l1r) -> one report per threshold
-        feasible = True
-        for f, val_idx in enumerate(fold_validation):
-            fit_idx = np.setdiff1d(all_rows, val_idx, assume_unique=True)
-            fit_part = train.subset(fit_idx)
+    for ri, (method, k) in enumerate(itertools.product(
+            grid.resample_methods, grid.k_neighbors_grid)):
+        scores = []  # [fold][model cell][threshold][metric]
+        for f, (fit_idx, val_idx, minority) in enumerate(folds):
             val_part = train.subset(val_idx)
             audit["folds_checked"] += 1
             audit["synthetic_rows_in_validation"] += \
                 int(val_part.synthetic_flags.sum())
-            minority = min(fit_part.class_counts())
-            smallest_minority = min(smallest_minority, minority)
             if minority < k + 1:
-                feasible = False
+                cells += [GridCell(method, k, *cell, t, feasible=False)
+                          for cell in model_cells for t in grid.thresholds]
                 break
             seed = int(np.random.SeedSequence(
                 grid.seed, spawn_key=(ri, f)).generate_state(1)[0])
-            grown = resample(fit_part, ResampleConfig(
+            grown = resample(train.subset(fit_idx), ResampleConfig(
                 method=method, k_neighbors=k, seed=seed))
             audit["synthetic_rows_in_fit"] += \
                 int(grown.dataset.synthetic_flags.sum())
-            fitted = _fit_path(model_cells, grown.dataset)
-            fold_scores.append({cell: sweep_thresholds(
-                fitted[cell], val_part, grid.thresholds)
-                for cell in model_cells})
-
-        for penalty, C, l1r in model_cells:
-            for i, t in enumerate(grid.thresholds):
-                cell = GridCell(method=method, k_neighbors=k,
-                                penalty=penalty, C=C, l1_ratio=l1r,
-                                threshold=t, feasible=feasible)
-                if feasible:
-                    reports = [fs[(penalty, C, l1r)][i] for fs in fold_scores]
-                    for name in METRICS:
-                        setattr(cell, f"mean_{name}", float(np.mean(
-                            [getattr(r, name) for r in reports])))
-                cells.append(cell)
+            scores.append([
+                [[getattr(r, name) for name in METRICS] for r in
+                 sweep_thresholds(model, val_part, grid.thresholds)]
+                for model in _fit_path(model_cells, grown.dataset)])
+        else:
+            # a contiguous last fold axis sums each mean pairwise, as over
+            # one list; axis 0 sums in sequence: another last bit at 8+ folds
+            by_fold = np.moveaxis(np.array(scores), 0, -1).copy()
+            means = by_fold.mean(axis=-1).tolist()
+            cells += [GridCell(method, k, *cell, t,
+                               **dict(zip(mean_fields, metric_means)))
+                      for cell, by_threshold in zip(model_cells, means)
+                      for t, metric_means in zip(grid.thresholds,
+                                                 by_threshold)]
 
     if not any(cell.feasible for cell in cells):
         raise ValueError(
-            f"no feasible grid cell: a fit fold has {smallest_minority} "
-            f"minority rows, too few for every k_neighbors up to "
+            f"no feasible grid cell: a fit fold has "
+            f"{min(minority for _, _, minority in folds)} minority rows, "
+            f"too few for every k_neighbors up to "
             f"{max(grid.k_neighbors_grid)} (each needs k + 1)")
 
     def sort_key(cell):
@@ -405,8 +405,7 @@ def grid_search(grid, train):
     cells.sort(key=sort_key)
     for i, cell in enumerate(cells):
         cell.rank = i + 1
-    return GridSearchResult(cells=tuple(cells), audit=audit,
-                            folds=grid.folds, seed=grid.seed)
+    return GridSearchResult(cells=tuple(cells), audit=audit)
 
 
 def write_summary_csv(rows, path):
@@ -414,6 +413,4 @@ def write_summary_csv(rows, path):
     per line."""
     if not rows:
         raise ValueError("no summary rows to write")
-    write_csv(path, SUMMARY_COLUMNS,
-              ([repr(float(v)) if isinstance(v, float) else v for v in row]
-               for row in rows))
+    write_csv(path, SUMMARY_COLUMNS, (map(_csv_value, row) for row in rows))

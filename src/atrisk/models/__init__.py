@@ -15,6 +15,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from ..data import read_text
 from .base import MODEL_FORMAT, MODEL_VERSION, TrainedModel
 from .knn import KnnModel, fit_knn
 from .logistic import LogisticModel, fit_logistic
@@ -169,11 +170,10 @@ def load_model(path):
 
     A malformed document raises ValueError naming the file and the key.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON ({exc})") from None
+    try:
+        doc = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path}: not an atrisk model file")
     if doc.get("version") != MODEL_VERSION:

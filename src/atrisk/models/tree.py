@@ -160,10 +160,6 @@ class RandomForestModel(TrainedModel):
         stacked = np.stack([_tree_proba(t, rows) for t in self.trees])
         return stacked.mean(axis=0)
 
-    def member_probas(self, rows):
-        """Per-tree probabilities, for the mean-exactness check."""
-        return [_tree_proba(t, rows) for t in self.trees]
-
 
 def fit_decision_tree(spec, train):
     p = spec.params

@@ -1,5 +1,6 @@
 """Cohort loading, one-hot encoding, and split behaviour."""
 
+import re
 import tempfile
 from pathlib import Path
 
@@ -8,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atrisk import (LabeledDataset, SplitSpec, StudentRecord, TaskId,
-                    TaskManifest, default_manifest, encode, load_cohort,
-                    save_cohort, split)
+from atrisk import (LabeledDataset, ModelSpec, SplitSpec, StudentRecord,
+                    TaskId, TaskManifest, default_manifest, encode, fit,
+                    load_cohort, load_model, save_cohort, split)
+from atrisk.config import read_config
 from conftest import make_dataset
 from oracles import dataset_csv_oracle
 
@@ -47,9 +49,9 @@ def test_task_id_validation():
 
 def test_reference_manifest_interval_counts():
     manifest = default_manifest()
-    assert manifest.count_through_week(3) == 43
-    assert manifest.count_through_week(6) == 106
-    assert manifest.count_through_week(9) == 150
+    assert len(manifest.through_week(3)) == 43
+    assert len(manifest.through_week(6)) == 106
+    assert len(manifest.through_week(9)) == 150
 
 
 def test_interval_columns_are_prefixes():
@@ -372,6 +374,30 @@ def test_corrupted_dataset_csv_names_file_and_line(corruption, data,
             LabeledDataset.from_csv(path)
     line = row + 2 + blank_lines
     assert str(info.value).startswith(f"{path}:{line}: {reason}")
+
+
+@pytest.mark.parametrize("loader", ["cohort", "manifest", "dataset",
+                                    "model", "config"])
+def test_loaders_name_file_and_line_of_non_utf8_byte(tmp_path, loader,
+                                                      small_manifest):
+    path = tmp_path / f"{loader}.txt"
+    write, load = {
+        "cohort": (lambda p: write_cohort(p, ["s1,2023,true,,",
+                                              "s2,2023,false,w01_t01,"]),
+                   lambda p: load_cohort(p, small_manifest)),
+        "manifest": (small_manifest.to_csv, TaskManifest.from_csv),
+        "dataset": (FUZZ_BASE.to_csv, LabeledDataset.from_csv),
+        "model": (fit(ModelSpec("naive_bayes"), FUZZ_BASE).save, load_model),
+        "config": (lambda p: p.write_text("[run]\nseed = 1\n[tune]\n"
+                                          "folds = 3\n"), read_config),
+    }[loader]
+    write(path)
+    lines = path.read_bytes().split(b"\n")
+    lines[2] = "é".encode() + lines[2][:1] + b"\xff" + lines[2][1:]
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(str(path))}:3: not UTF-8 text"):
+        load(path)
 
 
 def test_first_bad_row_wins_over_a_later_field_count(tmp_path):

@@ -289,6 +289,9 @@ def test_grid_search_marks_infeasible_cells():
     assert not by_k[5].feasible      # needs 6, only 4 available
     assert by_k[5].rank > by_k[3].rank
     assert np.isnan(by_k[5].mean_f1_false)
+    # every fold for k = 3, then k = 5 stops at its first fold
+    assert result.audit["folds_checked"] == 3 + 1
+    assert result.audit["synthetic_rows_in_validation"] == 0
 
 
 def test_grid_ranking_tie_breaks_prefer_smaller_c(split_w3):
@@ -357,13 +360,60 @@ def test_grid_fits_each_objective_once_per_fold(split_w3, monkeypatch):
         assert np.array_equal(second, a)   # the fit just before
         assert np.array_equal(third, a)    # the first at the previous C
         assert np.array_equal(fourth, c)
-    # one scoring per (fold, objective) in first-seen order, however many
+    # one scoring per (fold, objective) in path order, however many
     # thresholds
-    assert scored == [("l2", 1.0), ("elasticnet", 1.0), ("l2", 0.1),
-                      ("elasticnet", 0.1)] * 2
+    assert scored == [(penalty, C) for penalty, C, _ in path] * 2
     assert sorted((c.penalty, c.C, c.l1_ratio) for c in cells) == \
         [("elasticnet", 0.1, 0.5)] * 3 + [("elasticnet", 1.0, 0.5)] * 3 + \
         [("l2", 0.1, 0.0)] * 3 + [("l2", 1.0, 0.0)] * 3
+
+
+def test_grid_means_equal_np_mean_of_fold_values(split_w3, monkeypatch):
+    # from 8 folds on, numpy's pairwise sum and a running sum can differ in
+    # the last bit; a cell's mean must be np.mean of its fold values
+    reports = {}  # (penalty, C, l1_ratio) -> one report list per fold
+    original_sweep = evaluation.sweep_thresholds
+
+    def recording_sweep(model, test, grid):
+        p = model.spec.params
+        out = original_sweep(model, test, grid)
+        reports.setdefault((p["penalty"], p["C"], p["l1_ratio"]),
+                           []).append(out)
+        return out
+
+    monkeypatch.setattr(evaluation, "sweep_thresholds", recording_sweep)
+    train, _ = split_w3
+    grid = tiny_grid(penalties=("l2", "elasticnet"), c_grid=(0.1, 1.0),
+                     thresholds=(0.4, 0.5, 0.6), folds=10)
+    cells = grid_search(grid, train).cells
+    assert len(cells) == 4 * 3
+    for cell in cells:
+        folds = reports[cell.penalty, cell.C, cell.l1_ratio]
+        i = grid.thresholds.index(cell.threshold)
+        assert len(folds) == 10
+        for name in METRICS:
+            expected = float(np.mean([getattr(f[i], name) for f in folds]))
+            assert cell.mean_metric(name) == expected, (cell.key(), name)
+
+
+@pytest.mark.parametrize("order", [
+    lambda axis: axis[::-1],
+    lambda axis: axis[1:] + axis[:1],
+], ids=["reversed", "rotated"])
+def test_tune_file_ignores_objective_axis_order(split_w3, tmp_path, order):
+    # k_neighbors_grid and resample_methods are left out: their positions
+    # seed the resampling
+    train, _ = split_w3
+    axes = dict(penalties=GridSpec.penalties, c_grid=GridSpec.c_grid,
+                l1_ratios=GridSpec.l1_ratios, thresholds=(0.4, 0.5, 0.6))
+    base = dict(k_neighbors_grid=(5,), folds=3, seed=7)
+    grid_search(GridSpec(**base, **axes), train).to_csv(tmp_path / "a.csv")
+    permuted = {name: order(values) for name, values in axes.items()}
+    assert permuted != axes
+    grid_search(GridSpec(**base, **permuted), train).to_csv(
+        tmp_path / "b.csv")
+    assert (tmp_path / "a.csv").read_bytes() == \
+        (tmp_path / "b.csv").read_bytes()
 
 
 def test_grid_path_scores_match_cold_fits(split_w3, monkeypatch):

@@ -16,8 +16,8 @@ def test_default_config_shape(default_cohort):
     records, manifest = default_cohort
     assert len(records) == 379
     assert len(manifest) == 150
-    assert manifest.count_through_week(3) == 43
-    assert manifest.count_through_week(6) == 106
+    assert len(manifest.through_week(3)) == 43
+    assert len(manifest.through_week(6)) == 106
 
 
 def test_default_failing_count_is_pinned_and_in_band():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from atrisk import ModelSpec, fit
+from atrisk.models import DecisionTreeModel
 from conftest import make_dataset, random_binary_dataset
 
 
@@ -98,7 +99,9 @@ def test_forest_probability_is_exact_mean_of_members(split_w3):
     train, test = split_w3
     model = fit(ModelSpec("random_forest", n_trees=12, seed=5), train)
     proba = model.predict_proba(test.features)
-    members = model.member_probas(test.features)
+    members = [DecisionTreeModel(ModelSpec("decision_tree"),
+                                 train.n_features, tree=tree)
+               .predict_proba(test.features) for tree in model.trees]
     assert np.array_equal(proba, np.stack(members).mean(axis=0))
 
 
