@@ -66,9 +66,11 @@ def read_rows(path, header, parse, unique=None, table=None):
 
     header names the expected columns; a leading ``...`` stands for one or
     more free names.  Blank lines are skipped; every row must have as many
-    fields as the header, and no value may repeat in column ``unique``.  A
-    row error, including any ValueError from parse, is raised prefixed with
-    ``path:line``.
+    fields as the header, and no value may repeat in column ``unique``.
+    Quoting is strict: a quote that opens a field must close it, and only a
+    delimiter or line end may follow.  A row error, including any
+    ValueError from parse and any malformed CSV, is raised as a ValueError
+    prefixed with ``path:line``, the line the row starts on.
 
     With table, the result is instead table(header found, raw rows), built
     from the whole file at once, and parse only checks one raw row: it
@@ -77,18 +79,25 @@ def read_rows(path, header, parse, unique=None, table=None):
     """
     free = header[0] is ...
     fixed = list(header[free:])
-    reader = csv.reader(io.StringIO(read_text(path), newline=""))
-    found = next(reader, [])
+    reader = csv.reader(io.StringIO(read_text(path), newline=""),
+                        strict=True)
+    try:
+        found = next(reader, [])
+    except csv.Error as exc:
+        raise ValueError(f"{path}:1: malformed CSV: {exc}") from None
     if found[-len(fixed):] != fixed or (len(found) > len(fixed)) != free:
         expected = ",".join("..." if h is ... else h for h in header)
         raise ValueError(f"{path}: expected header {expected!r}, "
                          f"got {found}")
     seen, rows, lines = {}, [], []
-    for row in reader:
-        if not row:
-            continue
-        line = reader.line_num
+    while True:
+        line = reader.line_num + 1  # a quoted field may span lines
         try:
+            row = next(reader, None)
+            if row is None:
+                break
+            if not row:
+                continue
             if len(row) != len(found):
                 raise ValueError(f"expected {len(found)} fields, "
                                  f"got {len(row)}")
@@ -100,10 +109,12 @@ def read_rows(path, header, parse, unique=None, table=None):
                         f"(first seen on line {first})")
             rows.append(row if table else parse(row))
             lines.append(line)
-        except ValueError as exc:
+        except (ValueError, csv.Error) as exc:
             if table:  # an earlier row's bad value comes first
                 _first_bad_row(path, lines, rows, parse)
-            raise ValueError(f"{path}:{line}: {exc}") from None
+            malformed = "malformed CSV: " if isinstance(exc, csv.Error) \
+                else ""
+            raise ValueError(f"{path}:{line}: {malformed}{exc}") from None
     if table is None:
         return rows
     try:
@@ -147,6 +158,9 @@ class TaskId:
     def __post_init__(self):
         if not self.name:
             raise ValueError("task name must be non-empty")
+        if "|" in self.name:
+            raise ValueError(f"task name {self.name!r} contains '|', which "
+                             "separates the tasks of a cohort CSV list")
         if self.week < 1:
             raise ValueError(f"task {self.name!r}: week must be >= 1, "
                              f"got {self.week}")

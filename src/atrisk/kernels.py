@@ -43,6 +43,10 @@ def split_scan(values, labels):
     of a column, scored by weighted child Gini.  The first strict minimum
     wins: the lowest column, then the lowest threshold within it.
 
+    The scores are built in three (n - 1, m) buffers reused in place, each
+    value by the same operations in the same order as the textbook
+    expression, so they are bit-identical to it.
+
     Returns ``(column, weighted_gini, threshold)``; column is -1 when no
     column has two distinct values.
     """
@@ -58,12 +62,23 @@ def split_scan(values, labels):
     nl = np.arange(1, n, dtype=np.float64)[:, None]
     nr = ntot - nl
     total = labels.sum(axis=0, dtype=np.float64)
+    # wg = (nl - (cl0*cl0 + cl1*cl1)/nl + nr - (cr0*cr0 + cr1*cr1)/nr) / ntot
     cl1 = np.cumsum(labels[:-1], axis=0, dtype=np.float64)
-    cl0 = nl - cl1
-    cr1 = total - cl1
-    cr0 = nr - cr1
-    wg = (nl - (cl0 * cl0 + cl1 * cl1) / nl
-          + nr - (cr0 * cr0 + cr1 * cr1) / nr) / ntot
+    wg = np.subtract(nl, cl1)                      # cl0
+    cr1 = np.subtract(total, cl1)
+    np.multiply(cl1, cl1, out=cl1)
+    np.multiply(wg, wg, out=wg)
+    np.add(wg, cl1, out=wg)                        # cl0*cl0 + cl1*cl1
+    cr0 = np.subtract(nr, cr1, out=cl1)            # cl1 is no longer needed
+    np.divide(wg, nl, out=wg)
+    np.subtract(nl, wg, out=wg)
+    np.add(wg, nr, out=wg)
+    np.multiply(cr0, cr0, out=cr0)
+    np.multiply(cr1, cr1, out=cr1)
+    np.add(cr0, cr1, out=cr0)                      # cr0*cr0 + cr1*cr1
+    np.divide(cr0, nr, out=cr0)
+    np.subtract(wg, cr0, out=wg)
+    np.divide(wg, ntot, out=wg)
     wg[values[1:] == values[:-1]] = np.inf
     split_at = np.argmin(wg, axis=0)
     best = wg[split_at, np.arange(wg.shape[1])]

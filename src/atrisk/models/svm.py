@@ -33,7 +33,9 @@ def rbf_gamma(features):
 def _kernel_matrix(kind, x, y, gamma):
     if kind == "linear":
         return x @ y.T
-    return np.exp(-gamma * kernels.pairwise_sqdist(x, y))
+    K = kernels.pairwise_sqdist(x, y)
+    K *= -gamma
+    return np.exp(K, out=K)
 
 
 def _violators(G, y, alpha, C):

@@ -8,6 +8,14 @@ feature index, then the lowest threshold.  Impure nodes accept zero-gain
 splits (needed for XOR-like layouts), so a fully grown tree reaches
 training accuracy 1.0 whenever no duplicate feature rows carry different
 labels.
+
+A tree is grown by a loop over an explicit stack of pending nodes, each
+the row indices that reach it: a split pushes its right child, then its
+left, so nodes are numbered, and the forest's feature draws made, in
+preorder.  A node's sorted block lives only during its own scan, and
+nothing refers back to the builder, so a forest tree's bootstrap rows are
+freed as soon as that tree is built instead of waiting for the cyclic
+garbage collector.
 """
 
 from __future__ import annotations
@@ -42,6 +50,19 @@ class _TreeArrays:
         return len(self.feature) - 1
 
 
+def _best_split(X, node_labels, rows, candidates):
+    """(feature, threshold) of the best split of X's rows over the candidate
+    features, or None when every candidate is constant on them."""
+    block = X[np.ix_(rows, candidates)]
+    order = np.argsort(block, axis=0, kind="stable")
+    column, _, threshold = kernels.split_scan(
+        np.take_along_axis(block, order, axis=0),
+        node_labels.astype(np.uint8)[order])
+    if column < 0:
+        return None
+    return int(candidates[column]), float(threshold)
+
+
 def _build_tree(X, y, max_depth, min_samples_split, rng=None,
                 max_features=None):
     """Grow a tree on y (bool); returns _TreeArrays.
@@ -52,37 +73,36 @@ def _build_tree(X, y, max_depth, min_samples_split, rng=None,
     """
     tree = _TreeArrays()
     d = X.shape[1]
-
-    def grow(rows, depth):
+    # (rows, depth, parent, the parent's child list) of each node still to
+    # grow; a left child is pushed last so that it is grown first
+    pending = [(np.arange(X.shape[0], dtype=np.intp), 0, -1, None)]
+    while pending:
+        rows, depth, parent, children = pending.pop()
         node = tree.add_node()
+        if children is not None:
+            children[parent] = node
+        node_labels = y[rows]
         n = rows.size
-        n_true = int(y[rows].sum())
+        n_true = int(node_labels.sum())
         tree.probs[node] = ((n - n_true) / n, n_true / n)
         pure = n_true == 0 or n_true == n
         if pure or n < min_samples_split or \
                 (max_depth is not None and depth >= max_depth):
-            return node
+            continue
         if max_features is not None and max_features < d:
             candidates = np.sort(rng.choice(d, size=max_features,
                                             replace=False))
         else:
             candidates = np.arange(d)
-        block = X[np.ix_(rows, candidates)]
-        order = np.argsort(block, axis=0, kind="stable")
-        labels = y[rows].astype(np.uint8)[order]
-        column, _, threshold = kernels.split_scan(
-            np.take_along_axis(block, order, axis=0), labels)
-        if column < 0:
-            return node  # all candidate features constant here
-        j = candidates[column]
-        tree.feature[node] = int(j)
-        tree.threshold[node] = float(threshold)
+        split = _best_split(X, node_labels, rows, candidates)
+        if split is None:
+            continue  # all candidate features constant here
+        j, threshold = split
+        tree.feature[node] = j
+        tree.threshold[node] = threshold
         go_left = X[rows, j] <= threshold
-        tree.left[node] = grow(rows[go_left], depth + 1)
-        tree.right[node] = grow(rows[~go_left], depth + 1)
-        return node
-
-    grow(np.arange(X.shape[0], dtype=np.intp), 0)
+        pending.append((rows[~go_left], depth + 1, node, tree.right))
+        pending.append((rows[go_left], depth + 1, node, tree.left))
     return tree
 
 

@@ -538,6 +538,37 @@ def test_seed7_dataset_csvs_match_golden_hashes(tmp_path):
     assert found == GOLDEN_DATASET_SHA256
 
 
+# sha256 of the tree and forest files that `atrisk train --seed 7` writes
+# after simulate, encode, split and resample with the default config; any
+# change to node numbering, tie rules, rng draws or the file format
+# changes these
+GOLDEN_TREE_MODEL_SHA256 = {
+    "model_w3_decision_tree.json":
+        "e98a3bd1bd68ddb7fdabf8c8e69b31b74bc253bb27998719a27a141335de355d",
+    "model_w6_decision_tree.json":
+        "81354fda759e5fe4cd4289b06171e38fabef8e0ab76ec119a58ec46d8286b884",
+    "model_w9_decision_tree.json":
+        "bd20456c403286fa19e39073babc35d81acb16e5aed640c6b9e20120618f5469",
+    "model_w3_random_forest.json":
+        "bd254942978371004f3fbac660ba55ff590970488fa5be8551e2f11368cb9fdb",
+    "model_w6_random_forest.json":
+        "edd5cd20d2aaa5393a1a73037c03178e0a05031074f696b360d81d0c3a1fb8f9",
+    "model_w9_random_forest.json":
+        "2c1dd0715311d41ed4b5bbeabedeac11ef6be05c4ff7a885a19d61b1b20060e1",
+}
+
+
+def test_seed7_tree_model_files_match_golden_hashes(tmp_path):
+    out = str(tmp_path / "run")
+    for stage in ("simulate", "encode", "split", "resample"):
+        run_ok([stage, "--seed", "7", "--out", out])
+    for kind in ("decision_tree", "random_forest"):
+        run_ok(["train", "--seed", "7", "--model-kind", kind, "--out", out])
+    found = {name: hashlib.sha256((tmp_path / "run" / name).read_bytes())
+             .hexdigest() for name in GOLDEN_TREE_MODEL_SHA256}
+    assert found == GOLDEN_TREE_MODEL_SHA256
+
+
 def test_tune_without_feasible_cell_fails(tmp_path, config_file, capsys):
     out = tmp_path / "run"
     for stage in ("simulate", "encode", "split"):

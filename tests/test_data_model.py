@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from atrisk import (LabeledDataset, ModelSpec, SplitSpec, StudentRecord,
                     TaskId, TaskManifest, default_manifest, encode, fit,
                     load_cohort, load_model, save_cohort, split)
+from atrisk.cli import main
 from atrisk.config import read_config
 from conftest import make_dataset
 from oracles import dataset_csv_oracle
@@ -45,6 +46,9 @@ def test_task_id_validation():
         TaskId("", 1)
     with pytest.raises(ValueError, match="week must be >= 1"):
         TaskId("a", 0)
+    # '|' separates the tasks of a cohort CSV list
+    with pytest.raises(ValueError, match=r"'w01_b\|c' contains '\|'"):
+        TaskId("w01_b|c", 1)
 
 
 def test_reference_manifest_interval_counts():
@@ -70,6 +74,20 @@ def test_manifest_csv_round_trip(tmp_path, small_manifest):
     assert again.names() == small_manifest.names()
     assert [t.week for t in again.tasks] == \
         [t.week for t in small_manifest.tasks]
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("task,week\nw01_a,1\nw01_b|c,1\n",
+     "3: task name 'w01_b|c' contains '|', which separates the tasks of a "
+     "cohort CSV list"),
+    ('"task,week\nw01_a,1\n', "1: malformed CSV: unexpected end of data"),
+])
+def test_bad_manifest_file_names_line(tmp_path, text, reason):
+    path = tmp_path / "manifest.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        TaskManifest.from_csv(path)
+    assert str(info.value) == f"{path}:{reason}"
 
 
 # --- cohort loading ---------------------------------------------------------
@@ -374,6 +392,94 @@ def test_corrupted_dataset_csv_names_file_and_line(corruption, data,
             LabeledDataset.from_csv(path)
     line = row + 2 + blank_lines
     assert str(info.value).startswith(f"{path}:{line}: {reason}")
+
+
+@pytest.fixture(scope="module")
+def seed7_files(tmp_path_factory):
+    """The cohort.csv and manifest.csv bytes `atrisk simulate --seed 7`
+    writes, and the manifest they load against."""
+    out = tmp_path_factory.mktemp("seed7")
+    assert main(["simulate", "--seed", "7", "--out", str(out)]) == 0
+    return ({name: (out / name).read_bytes()
+             for name in ("cohort.csv", "manifest.csv")},
+            TaskManifest.from_csv(out / "manifest.csv"))
+
+
+def _drop_field(data, cells, lines, row):
+    del cells[data.draw(st.integers(0, len(cells) - 1))]
+
+
+def _add_field(data, cells, lines, row):
+    cells.insert(data.draw(st.integers(0, len(cells))), b"x")
+
+
+def _set_field(column, values):
+    def edit(data, cells, lines, row):
+        cells[column] = data.draw(st.sampled_from(values))
+    return edit
+
+
+def _repeat_key(data, cells, lines, row):
+    """Give the row the key (first field) of an earlier data row; returns
+    the end of the reason."""
+    first = data.draw(st.integers(1, row - 1))
+    cells[0] = lines[first].split(b",")[0]
+    return f" {cells[0].decode()!r} (first seen on line {first + 1})"
+
+
+def _stray_quote(data, cells, lines, row):
+    column = data.draw(st.integers(0, len(cells) - 1))
+    cells[column] = b'"' + cells[column]
+
+
+def _non_utf8(data, cells, lines, row):
+    column = data.draw(st.integers(0, len(cells) - 1))
+    at = data.draw(st.integers(0, len(cells[column])))
+    cells[column] = cells[column][:at] + b"\xff" + cells[column][at:]
+
+
+# (file, corruption of one data row, the start of the reason the loader
+# gives); a stray quote that opens a field never closes it
+INPUT_CORRUPTIONS = (
+    ("cohort.csv", _drop_field, "expected 5 fields, got 4"),
+    ("cohort.csv", _add_field, "expected 5 fields, got 6"),
+    ("cohort.csv", _set_field(2, (b"yes", b"True", b"1", b"", b"false ")),
+     "expected 'true' or 'false'"),
+    ("cohort.csv", _repeat_key, "duplicate student_id"),
+    ("cohort.csv", _stray_quote, "malformed CSV: "),
+    ("cohort.csv", _non_utf8, "not UTF-8 text"),
+    ("manifest.csv", _drop_field, "expected 2 fields, got 1"),
+    ("manifest.csv", _add_field, "expected 2 fields, got 3"),
+    ("manifest.csv", _set_field(1, (b"1.5", b"x", b"", b"one", b"1e3")),
+     "week must be an integer"),
+    ("manifest.csv", _repeat_key, "duplicate task"),
+    ("manifest.csv", _stray_quote, "malformed CSV: unexpected end of data"),
+    ("manifest.csv", _non_utf8, "not UTF-8 text"),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(corruption=st.sampled_from(INPUT_CORRUPTIONS), data=st.data(),
+       blank_lines=st.integers(0, 2))
+def test_corrupted_cohort_and_manifest_name_file_and_line(
+        seed7_files, corruption, data, blank_lines):
+    (files, manifest), (name, edit, reason) = seed7_files, corruption
+    load = {"cohort.csv": lambda p: load_cohort(p, manifest),
+            "manifest.csv": TaskManifest.from_csv}[name]
+    lines = files[name].split(b"\n")  # header, data rows, then b""
+    # from the second data row on, so that _repeat_key has an earlier one
+    row = data.draw(st.integers(2, len(lines) - 2))
+    cells = lines[row].split(b",")
+    reason += edit(data, cells, lines, row) or ""
+    lines[row:row + 1] = [b""] * blank_lines + [b",".join(cells)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(ValueError) as info:
+            load(path)
+    message = str(info.value)
+    assert type(info.value) is ValueError and "\n" not in message
+    assert message.startswith(f"{path}:{row + 1 + blank_lines}: {reason}")
 
 
 @pytest.mark.parametrize("loader", ["cohort", "manifest", "dataset",

@@ -75,6 +75,53 @@ def test_split_scan_against_oracle():
         assert kernels.split_scan(values, labels) == expected
 
 
+def split_scan_reference(values, labels):
+    """split_scan as one textbook expression: the weighted Gini scores whose
+    bits every saved tree and forest depends on."""
+    n = values.shape[0]
+    ntot = float(n)
+    nl = np.arange(1, n, dtype=np.float64)[:, None]
+    nr = ntot - nl
+    total = labels.sum(axis=0, dtype=np.float64)
+    cl1 = np.cumsum(labels[:-1], axis=0, dtype=np.float64)
+    cl0 = nl - cl1
+    cr1 = total - cl1
+    cr0 = nr - cr1
+    wg = (nl - (cl0 * cl0 + cl1 * cl1) / nl
+          + nr - (cr0 * cr0 + cr1 * cr1) / nr) / ntot
+    wg[values[1:] == values[:-1]] = np.inf
+    split_at = np.argmin(wg, axis=0)
+    best = wg[split_at, np.arange(wg.shape[1])]
+    column = int(np.argmin(best))
+    if best[column] == np.inf:
+        return -1, np.inf, 0.0
+    k = split_at[column]
+    threshold = (values[k, column] + values[k + 1, column]) / 2.0
+    return column, float(best[column]), float(threshold)
+
+
+def test_split_scan_bit_identical_to_reference_expression():
+    # exact equality: a reordered sum or product shifts the last bits of
+    # some score, which the oracle test's 1e-12 tolerance would let pass
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        n = int(rng.integers(2, 300))
+        m = int(rng.integers(1, 12))
+        if rng.random() < 0.5:
+            values = rng.integers(0, 2, (n, m)).astype(float)
+        else:
+            values = rng.random((n, m))
+        labels = np.repeat((rng.random((n, 1)) < rng.random())
+                           .astype(np.uint8), m, axis=1)
+        values, labels = sorted_block(values, labels)
+        assert kernels.split_scan(values, labels) == \
+            split_scan_reference(values, labels)
+        for j in range(m):
+            single = (values[:, [j]], labels[:, [j]])
+            assert kernels.split_scan(*single) == \
+                split_scan_reference(*single)
+
+
 def test_split_scan_identical_columns_lower_wins():
     values = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
     labels = np.array([[0, 0], [0, 0], [1, 1], [1, 1]], dtype=np.uint8)

@@ -1,10 +1,13 @@
 """CART tree and random forest behaviour."""
 
+import gc
+
 import numpy as np
 import pytest
 
-from atrisk import ModelSpec, fit
-from atrisk.models import DecisionTreeModel
+from atrisk import LabeledDataset, ModelSpec, fit
+from atrisk.cli import main
+from atrisk.models import MODEL_KINDS, DecisionTreeModel
 from conftest import make_dataset, random_binary_dataset
 
 
@@ -130,3 +133,25 @@ def test_forest_explicit_max_features(split_w3):
     model = fit(ModelSpec("random_forest", n_trees=4, max_features=2,
                           seed=2), train)
     assert model.predict_proba(train.features).shape == (train.n_rows, 2)
+
+
+@pytest.fixture(scope="module")
+def smote_train_w9_seed7(tmp_path_factory):
+    out = str(tmp_path_factory.mktemp("seed7"))
+    for stage in ("simulate", "encode", "split", "resample"):
+        assert main([stage, "--seed", "7", "--out", out]) == 0
+    return LabeledDataset.from_csv(f"{out}/train_w9_smote.csv")
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_fit_leaves_no_cyclic_garbage(kind, smote_train_w9_seed7):
+    # garbage in a reference cycle lives until the cyclic collector runs, so
+    # a fit that leaves one holds its arrays (a forest tree's bootstrap
+    # rows) after it returns
+    gc.collect()
+    gc.disable()
+    try:
+        fit(ModelSpec(kind), smote_train_w9_seed7)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
