@@ -93,6 +93,10 @@ class PipelineConfig:
                 ("evaluate.threshold", self.threshold, THRESHOLD_RULE)):
             if not ok(value):
                 raise ValueError(f"{name} must be {rule}, got {value!r}")
+        if bool(self.cohort_path) != bool(self.manifest_path):
+            given = "cohort" if self.cohort_path else "manifest"
+            raise ValueError(f"paths.cohort and paths.manifest must be set "
+                             f"together, got only paths.{given}")
         check_axis("data.intervals", self.intervals,
                    (lambda i: i >= 1, ">= 1"))
         if self.sweep_thresholds:

@@ -3,8 +3,8 @@
 File formats
 ------------
 Cohort CSV:   header ``student_id,cohort,passed,right_answers,wrong_answers``;
-              ``passed`` is ``true``/``false``; the two list fields hold
-              pipe-separated task names and may be empty.
+              ``passed`` is a bool; the two list fields hold pipe-separated
+              task names and may be empty.
 Manifest CSV: header ``task,week``, one row per task.
 Dataset CSV:  one column per feature (named), then ``label`` and
               ``synthetic`` (``true``/``false``).  A value with no
@@ -13,11 +13,16 @@ Dataset CSV:  one column per feature (named), then ``label`` and
               its Python ``repr``, the shortest text that reads back to the
               same float.  Real rows hold only ``0`` and ``1``.  These bytes
               are a contract that reruns and releases keep.
+Other CSVs:   a bool cell is ``true``/``false``, a float cell (numpy's too)
+              ``repr(float(v))``, any other as the csv module writes it.
+JSON:         key-sorted, indented by two spaces, newline-terminated; an
+              ndarray is its list, a dataclass the dict of its fields, and
+              any other value JSON has no type for a TypeError.
 
 Dataset CSVs are written by :meth:`LabeledDataset.to_csv`, every other CSV
 artifact by :func:`write_csv`, and every JSON artifact by
-:func:`write_json`; the loaders here read through :func:`read_rows`, and
-every loader decodes its file with :func:`read_text`.
+:func:`write_json`, from raw values; the loaders here read through
+:func:`read_rows`, and every loader decodes its file with :func:`read_text`.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -33,18 +38,34 @@ COHORT_COLUMNS = ("student_id", "cohort", "passed", "right_answers",
                   "wrong_answers")
 
 
+def _cell(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(float(value))
+    return value
+
+
 def write_csv(path, header, rows):
-    """Header line then one line per row, comma-separated, LF-terminated."""
+    """Header, then a line per row, LF-terminated; cells by the module rule."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows(map(_cell, row) for row in rows)
+
+
+def _json_default(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if is_dataclass(value):
+        return {f.name: getattr(value, f.name) for f in fields(value)}
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def write_json(path, doc):
-    """doc as key-sorted JSON indented by two spaces, newline-terminated."""
+    """doc as JSON by the rule in the module docstring."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True, default=_json_default)
         fh.write("\n")
 
 
@@ -61,21 +82,18 @@ def read_text(path):
                          f"byte {exc.start})") from None
 
 
-def read_rows(path, header, parse, unique=None, table=None):
-    """[parse(row), ...] for the rows of a CSV file.
+def read_rows(path, header, check, build, unique=None):
+    """build(header found, raw rows) for the rows of a CSV file.
 
     header names the expected columns; a leading ``...`` stands for one or
     more free names.  Blank lines are skipped; every row must have as many
     fields as the header, and no value may repeat in column ``unique``.
     Quoting is strict: a quote that opens a field must close it, and only a
-    delimiter or line end may follow.  A row error, including any
-    ValueError from parse and any malformed CSV, is raised as a ValueError
-    prefixed with ``path:line``, the line the row starts on.
-
-    With table, the result is instead table(header found, raw rows), built
-    from the whole file at once, and parse only checks one raw row: it
-    runs, row by row, only after a ValueError, to find the first bad row
-    and name its line.
+    delimiter or line end may follow.  build makes the result from the
+    whole file at once; check(row) checks one raw row, and runs, row by
+    row, only after a ValueError, to find the first bad row.  A row error,
+    including any malformed CSV and a ValueError from check, is raised as a
+    ValueError prefixed with ``path:line``, the line the row starts on.
     """
     free = header[0] is ...
     fixed = list(header[free:])
@@ -107,27 +125,24 @@ def read_rows(path, header, parse, unique=None, table=None):
                     raise ValueError(
                         f"duplicate {found[unique]} {row[unique]!r} "
                         f"(first seen on line {first})")
-            rows.append(row if table else parse(row))
+            rows.append(row)
             lines.append(line)
         except (ValueError, csv.Error) as exc:
-            if table:  # an earlier row's bad value comes first
-                _first_bad_row(path, lines, rows, parse)
+            _first_bad_row(path, lines, rows, check)  # an earlier row first
             malformed = "malformed CSV: " if isinstance(exc, csv.Error) \
                 else ""
             raise ValueError(f"{path}:{line}: {malformed}{exc}") from None
-    if table is None:
-        return rows
     try:
-        return table(found, rows)
+        return build(found, rows)
     except ValueError as exc:
-        _first_bad_row(path, lines, rows, parse)
+        _first_bad_row(path, lines, rows, check)
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _first_bad_row(path, lines, rows, parse):
+def _first_bad_row(path, lines, rows, check):
     for line, row in zip(lines, rows):
         try:
-            parse(row)
+            check(row)
         except ValueError as exc:
             raise ValueError(f"{path}:{line}: {exc}") from None
 
@@ -205,7 +220,8 @@ class TaskManifest:
                                  f"got {row[1]!r}") from None
             return TaskId(name=row[0], week=week)
 
-        return cls(read_rows(path, ("task", "week"), parse, unique=0))
+        return read_rows(path, ("task", "week"), parse,
+                         lambda _, rows: cls(map(parse, rows)), unique=0)
 
     def to_csv(self, path):
         write_csv(path, ("task", "week"),
@@ -327,7 +343,7 @@ class LabeledDataset:
             label, synthetic = _parse_bool(row[-2]), _parse_bool(row[-1])
             _check_values(np.array([values]), np.array([synthetic]))
 
-        def table(header, rows):
+        def build(header, rows):
             matrix = np.array([r[:-2] for r in rows], dtype=np.float64)
             flags = np.array([r[-2:] for r in rows], dtype=str)
             if not ((flags == "true") | (flags == "false")).all():
@@ -336,8 +352,7 @@ class LabeledDataset:
             return cls(matrix.reshape(len(rows), len(header) - 2),
                        true[:, 0], header[:-2], true[:, 1])
 
-        return read_rows(path, (..., "label", "synthetic"), check,
-                         table=table)
+        return read_rows(path, (..., "label", "synthetic"), check, build)
 
 
 @dataclass(frozen=True)
@@ -373,14 +388,15 @@ def load_cohort(path, manifest):
         record.validate_against(manifest)
         return record
 
-    return read_rows(path, COHORT_COLUMNS, parse, unique=0)
+    return read_rows(path, COHORT_COLUMNS, parse,
+                     lambda _, rows: list(map(parse, rows)), unique=0)
 
 
 def save_cohort(records, path):
     """Write records back out in the cohort CSV format."""
     write_csv(path, COHORT_COLUMNS,
-              ((r.student_id, r.cohort, "true" if r.passed else "false",
-                "|".join(r.right_answers), "|".join(r.wrong_answers))
+              ((r.student_id, r.cohort, r.passed, "|".join(r.right_answers),
+                "|".join(r.wrong_answers))
                for r in records))
 
 

@@ -15,7 +15,7 @@ it.  ``METRICS`` names the five reported metrics once for every file format.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,14 +62,8 @@ class EvalReport:
     threshold: float
     zero_division: tuple = ()
 
-    def to_json_dict(self):
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
-        doc["confusion"] = self.confusion.tolist()
-        doc["zero_division"] = list(self.zero_division)
-        return doc
-
     def save(self, path):
-        write_json(path, self.to_json_dict())
+        write_json(path, self)
 
     def summary_row(self, interval, n_features, model):
         """This report as a SUMMARY_COLUMNS row (see write_summary_csv)."""
@@ -245,9 +239,8 @@ class GridSearchResult:
     def to_csv(self, path):
         """Every cell in rank order with its fold-mean METRICS."""
         write_csv(path, ("rank", *CELL_KEY, "feasible", *METRICS),
-                  ((cell.rank, *map(_csv_value, cell.key()),
-                    "true" if cell.feasible else "false",
-                    *(_csv_value(cell.mean_metric(name)) for name in METRICS))
+                  ((cell.rank, *cell.key(), cell.feasible,
+                    *(cell.mean_metric(name) for name in METRICS))
                    for cell in self.cells))
 
     def save_best(self, path):
@@ -257,12 +250,6 @@ class GridSearchResult:
             **dict(zip(CELL_KEY, best.key())),
             **{f"mean_{name}": best.mean_metric(name) for name in METRICS},
             "audit": self.audit})
-
-
-def _csv_value(v):
-    """A float as its repr, the shortest text that reads back to it; any
-    other value as it is."""
-    return repr(float(v)) if isinstance(v, float) else v
 
 
 def stratified_fold_indices(labels, folds, seed):
@@ -413,4 +400,4 @@ def write_summary_csv(rows, path):
     per line."""
     if not rows:
         raise ValueError("no summary rows to write")
-    write_csv(path, SUMMARY_COLUMNS, (map(_csv_value, row) for row in rows))
+    write_csv(path, SUMMARY_COLUMNS, rows)

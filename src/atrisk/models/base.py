@@ -13,8 +13,6 @@ constructor checks a loaded value as it checks a fitted one.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from ..data import write_json
@@ -23,12 +21,27 @@ MODEL_FORMAT = "atrisk-model"
 MODEL_VERSION = 1
 
 
+# by dtype kind: a JSON string or bool is no number, and a fraction no index
+_ENTRIES = {"f": ((int, float), "numbers"), "i": ((int,), "integers"),
+            "b": ((bool,), "bools")}
+
+
 def fitted_array(value, *shape, dtype=np.float64):
-    """value as a read-only array of the given shape (None: any length).
+    """value as a read-only array of the given shape (None: any length; no
+    shape: a scalar).  An entry of the wrong type raises TypeError.
 
     A saved matrix with no rows is the JSON list ``[]``; it is read back as
     zero rows of ``shape[1]`` columns.
     """
+    kind = np.dtype(dtype).kind
+    types, what = _ENTRIES[kind]
+    if isinstance(value, np.ndarray):  # one dtype: an entry stands for all
+        entries = value.ravel()[:1].tolist()
+    else:
+        entries = np.asarray(value, dtype=object).flat
+    for t in set(map(type, entries)):
+        if not issubclass(t, types) or (t is bool and kind != "b"):
+            raise TypeError(f"expected {what}, got {t.__name__}")
     array = np.asarray(value, dtype=dtype)
     if len(shape) == 2 and array.shape == (0,):
         array = array.reshape(0, shape[1])
@@ -72,12 +85,11 @@ class TrainedModel:
             "format": MODEL_FORMAT,
             "version": MODEL_VERSION,
             "kind": self.spec.kind,
-            "params": _jsonable(self.spec.params),
+            "params": self.spec.params,
             "classes": list(self.classes),
             "n_features": self.n_features,
             "non_converged": self.non_converged,
-            "state": {name: _jsonable(getattr(self, name))
-                      for name in self.state},
+            "state": {name: getattr(self, name) for name in self.state},
         }
 
     @classmethod
@@ -93,22 +105,3 @@ class TrainedModel:
     def save(self, path):
         write_json(path, self.to_json_dict())
 
-
-# tested first: a forest holds tens of thousands of plain values, and the
-# fall-through to the numpy and dataclass checks made saving one ~8x slower
-_PLAIN = (str, int, float, bool, type(None))
-
-
-def _jsonable(value):
-    if isinstance(value, _PLAIN):
-        return value
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if dataclasses.is_dataclass(value):
-        return {field.name: _jsonable(getattr(value, field.name))
-                for field in dataclasses.fields(value)}
-    return value

@@ -221,7 +221,7 @@ class LogisticModel(TrainedModel):
                  intercept, objective_history=None, kkt_residual=None):
         super().__init__(spec, n_features, non_converged)
         self.weights = fitted_array(weights, n_features)
-        self.intercept = float(intercept)
+        self.intercept = float(fitted_array(intercept))
         # fit diagnostics, kept in memory only (not serialised)
         self.objective_history = objective_history
         self.kkt_residual = kkt_residual

@@ -94,10 +94,11 @@ class SvmModel(TrainedModel):
         self.sv_features = fitted_array(sv_features, None, n_features)
         # alpha_i * y_i, one per support vector
         self.sv_coef = fitted_array(sv_coef, len(self.sv_features))
-        self.intercept = float(intercept)
-        self.gamma = None if self._kernel_kind == "linear" else float(gamma)
-        self.link_scale = float(link_scale)
-        self.link_offset = float(link_offset)
+        self.intercept = float(fitted_array(intercept))
+        self.gamma = None if self._kernel_kind == "linear" \
+            else float(fitted_array(gamma))
+        self.link_scale = float(fitted_array(link_scale))
+        self.link_offset = float(fitted_array(link_offset))
 
     @property
     def _kernel_kind(self):

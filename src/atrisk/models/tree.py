@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .. import kernels
-from .base import TrainedModel
+from .base import TrainedModel, fitted_array
 
 _NO_FEATURE = -1
 
@@ -127,16 +127,14 @@ def _fitted_tree(tree, n_features):
     leaf: an internal node tests a feature in [0, n_features), and both its
     children follow it in preorder."""
     if not isinstance(tree, _TreeArrays):
-        tree = _TreeArrays([int(v) for v in tree["feature"]],
-                           [float(v) for v in tree["threshold"]],
-                           [int(v) for v in tree["left"]],
-                           [int(v) for v in tree["right"]],
-                           [(float(a), float(b)) for a, b in tree["probs"]])
-    n_nodes = len(tree.feature)
-    if n_nodes == 0 or any(len(getattr(tree, f.name)) != n_nodes
-                           for f in fields(tree)):
-        raise ValueError("a tree's five lists must have one equal, "
-                         "non-zero length")
+        tree = _TreeArrays(*(tree[f.name] for f in fields(_TreeArrays)))
+    n_nodes = len(fitted_array(tree.feature, None, dtype=np.intp))
+    if n_nodes == 0:
+        raise ValueError("a tree needs at least one node")
+    fitted_array(tree.threshold, n_nodes)
+    fitted_array(tree.left, n_nodes, dtype=np.intp)
+    fitted_array(tree.right, n_nodes, dtype=np.intp)
+    fitted_array(tree.probs, n_nodes, 2)
     for node, j in enumerate(tree.feature):
         if j == _NO_FEATURE:
             continue

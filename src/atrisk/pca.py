@@ -87,8 +87,7 @@ def export_scatter(dataset, method, path, fit_on_real_only=False):
     model = fit_pca(fit_rows, r=2)
     scores = transform(model, dataset.features)
     write_csv(path, ("pc1", "pc2", "label", "synthetic", "method"),
-              ((repr(float(scores[i, 0])), repr(float(scores[i, 1])),
-                "true" if dataset.labels[i] else "false",
-                "true" if dataset.synthetic_flags[i] else "false", method)
-               for i in range(dataset.n_rows)))
+              ((*pcs, label, synthetic, method) for pcs, label, synthetic in
+               zip(scores.tolist(), dataset.labels.tolist(),
+                   dataset.synthetic_flags.tolist())))
     return model

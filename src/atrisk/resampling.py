@@ -56,7 +56,7 @@ class Provenance:
     def to_csv(self, path):
         write_csv(path, ("synthetic_row", "base_row", "neighbor_row",
                          "lambda"),
-                  ((r.synthetic_row, r.base_row, r.neighbor_row, repr(r.lam))
+                  ((r.synthetic_row, r.base_row, r.neighbor_row, r.lam)
                    for r in self.rows))
 
 

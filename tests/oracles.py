@@ -6,7 +6,9 @@ package internals.
 """
 
 import csv
+import dataclasses
 import io
+import json
 
 import numpy as np
 
@@ -202,4 +204,44 @@ def dataset_csv_oracle(dataset):
                                      dataset.synthetic_flags):
         writer.writerow([*map(cell, row), "true" if label else "false",
                          "true" if synthetic else "false"])
+    return out.getvalue().encode("utf-8")
+
+
+def jsonable_oracle(value):
+    """A document as plain JSON values by an explicit walk: the conversion
+    model files and reports went through before json.dump."""
+    if isinstance(value, (str, int, float, bool, type(None))):
+        return value
+    if isinstance(value, dict):
+        return {k: jsonable_oracle(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonable_oracle(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if dataclasses.is_dataclass(value):
+        return {field.name: jsonable_oracle(getattr(value, field.name))
+                for field in dataclasses.fields(value)}
+    return value
+
+
+def json_file_oracle(doc):
+    """JSON artifact bytes: the walked document, key-sorted, indented by
+    two spaces, newline-terminated."""
+    text = json.dumps(jsonable_oracle(doc), indent=2, sort_keys=True)
+    return (text + "\n").encode("utf-8")
+
+
+def csv_file_oracle(header, rows):
+    """Non-dataset CSV bytes with each cell formatted by its caller, as
+    the writers of the summary, tune, scatter, provenance and cohort files
+    did: a bool as true/false, a float as repr(float(v))."""
+    def cell(v):
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        return repr(float(v)) if isinstance(v, float) else v
+
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([cell(v) for v in row] for row in rows)
     return out.getvalue().encode("utf-8")

@@ -397,6 +397,12 @@ def test_bad_model_fails_before_any_stage(tmp_path, capsys, model, flags,
     ("[data]\nintervals = 3,3\n", "data.intervals", "3"),
     ("[tune]\nc_values = inf\n", "tune.c_values", "inf"),
     ("[simulate]\nability_spread = nan\n", "simulate.ability_spread", "nan"),
+    # an outside manifest alone once encoded the simulated cohort against
+    # it, and a cohort alone failed on a missing OUT/manifest.csv
+    ("[paths]\nmanifest = m.csv\n", "paths.cohort and paths.manifest",
+     "only paths.manifest"),
+    ("[paths]\ncohort = c.csv\n", "paths.cohort and paths.manifest",
+     "only paths.cohort"),
 ])
 @pytest.mark.parametrize("command", ["pipeline", "simulate"])
 def test_bad_stage_value_fails_before_any_stage(tmp_path, capsys, text,
@@ -567,6 +573,41 @@ def test_seed7_tree_model_files_match_golden_hashes(tmp_path):
     found = {name: hashlib.sha256((tmp_path / "run" / name).read_bytes())
              .hexdigest() for name in GOLDEN_TREE_MODEL_SHA256}
     assert found == GOLDEN_TREE_MODEL_SHA256
+
+
+# sha256 of files whose writer formats its own cells no more, as
+# `atrisk evaluate --seed 7 --interval 9 --model-kind decision_tree` and the
+# stages before it write them with the default config; none depends on the
+# BLAS thread count
+GOLDEN_WRITER_SHA256 = {
+    "cohort.csv":
+        "19c45e963249706a0642a6393f10b5810de4b41efe0de26ec464e61abca9d42e",
+    "manifest.csv":
+        "a34c44648b89a56e0cad73a474bb139e482edc200c06aa4323aa57dc4f8545c5",
+    "train_w3_smote_provenance.csv":
+        "b099090df3f80322180c06c0ba09a2436109558f878ffa3443d6ab494bdbd613",
+    "train_w6_smote_provenance.csv":
+        "3f964d4b2659628aa15ca0b2bbdbdca45f4906d19291ec478b3fa5a8fd166ff2",
+    "train_w9_smote_provenance.csv":
+        "42652680196ab8e179e6adc84dc1aeee622175b7d6fde53496ca0141771b30d1",
+    "report_w9_decision_tree.json":
+        "6d62fbd166d5f2532b702d2a0034808680ba66650f529e7c9fe44b8d94260ddb",
+    "summary_w9_decision_tree.csv":
+        "1cd1cec4901a846e0b542e731f5410714dd5b22692cf82282a1f9fb08c4555d2",
+}
+
+
+def test_seed7_cohort_provenance_and_report_files_match_golden_hashes(
+        tmp_path):
+    out = str(tmp_path / "run")
+    for stage in ("simulate", "encode", "split", "resample"):
+        run_ok([stage, "--seed", "7", "--out", out])
+    for stage in ("train", "evaluate"):
+        run_ok([stage, "--seed", "7", "--interval", "9", "--model-kind",
+                "decision_tree", "--out", out])
+    found = {name: hashlib.sha256((tmp_path / "run" / name).read_bytes())
+             .hexdigest() for name in GOLDEN_WRITER_SHA256}
+    assert found == GOLDEN_WRITER_SHA256
 
 
 def test_tune_without_feasible_cell_fails(tmp_path, config_file, capsys):

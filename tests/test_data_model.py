@@ -2,20 +2,23 @@
 
 import re
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from atrisk import (LabeledDataset, ModelSpec, SplitSpec, StudentRecord,
                     TaskId, TaskManifest, default_manifest, encode, fit,
                     load_cohort, load_model, save_cohort, split)
 from atrisk.cli import main
 from atrisk.config import read_config
+from atrisk.data import write_csv, write_json
 from conftest import make_dataset
-from oracles import dataset_csv_oracle
+from oracles import csv_file_oracle, dataset_csv_oracle, json_file_oracle
 
 
 @pytest.fixture
@@ -592,3 +595,67 @@ def test_split_rejects_tiny_class():
 def test_split_spec_validation():
     with pytest.raises(ValueError, match="train_fraction"):
         SplitSpec(train_fraction=1.0, seed=0)
+
+
+# --- write_csv and write_json against the writers' old cell rules ---------
+
+@dataclass
+class _Pair:
+    first: object
+    second: object
+
+
+file_floats = st.one_of(
+    st.sampled_from((-0.0, 1e16, 5e-324, float("nan"), 0.1 + 0.2)),
+    st.floats())
+file_text = st.text(st.characters(exclude_categories=("Cs",)), max_size=4)
+file_scalars = st.one_of(st.none(), st.booleans(), st.integers(), file_floats,
+                         file_floats.map(np.float64), file_text)
+file_arrays = st.one_of(
+    arrays(np.float64, array_shapes(max_dims=2, max_side=3),
+           elements=file_floats),
+    arrays(np.int64, array_shapes(max_dims=2, max_side=3)),
+    arrays(np.bool_, array_shapes(max_dims=2, max_side=3)))
+json_docs = st.recursive(
+    file_scalars | file_arrays,
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(file_text, children, max_size=3),
+        st.builds(_Pair, children, children)),
+    max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=json_docs)
+def test_write_json_bytes_match_walked_document(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        write_json(path, doc)
+        assert path.read_bytes() == json_file_oracle(doc)
+
+
+@st.composite
+def csv_tables(draw):
+    width = draw(st.integers(1, 4))
+    header = draw(st.lists(file_text, min_size=width, max_size=width))
+    cells = st.one_of(st.booleans(), st.integers(), file_floats,
+                      file_floats.map(np.float64), file_text)
+    rows = draw(st.lists(st.lists(cells, min_size=width, max_size=width),
+                         max_size=5))
+    return header, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=csv_tables())
+def test_write_csv_bytes_match_caller_formatted_cells(table):
+    header, rows = table
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        write_csv(path, header, rows)
+        assert path.read_bytes() == csv_file_oracle(header, rows)
+
+
+def test_write_json_rejects_values_json_has_no_type_for(tmp_path):
+    with pytest.raises(TypeError, match="int64 is not JSON serializable"):
+        write_json(tmp_path / "doc.json", {"n": np.int64(3)})

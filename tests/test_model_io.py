@@ -116,8 +116,10 @@ def _drop_last_probs(doc):
     doc["state"]["tree"]["probs"].pop()
 
 
-def _set_gamma_null(doc):
-    doc["state"]["gamma"] = None
+def _set_state(name, value):
+    def edit(doc):
+        doc["state"][name] = value
+    return edit
 
 
 def _keep_two_rows(doc):
@@ -131,8 +133,22 @@ def _keep_two_rows(doc):
                  id="tree-feature-out-of-range"),
     pytest.param("decision_tree", _tree_edit("left", 0), id="tree-cycle"),
     pytest.param("decision_tree", _drop_last_probs, id="tree-short-list"),
-    pytest.param("svm_rbf", _set_gamma_null, id="svm_rbf-gamma-null"),
+    pytest.param("svm_rbf", _set_state("gamma", None),
+                 id="svm_rbf-gamma-null"),
     pytest.param("knn", _keep_two_rows, id="knn-fewer-rows-than-k"),
+    # values a load once converted: int(12.7) is 12, float("0.5") is 0.5
+    pytest.param("decision_tree", _tree_edit("feature", 12.7),
+                 id="tree-fractional-feature"),
+    pytest.param("decision_tree", _tree_edit("threshold", "0.5"),
+                 id="tree-string-threshold"),
+    pytest.param("naive_bayes", _set_state("log_prior", ["-0.1", "-2.0"]),
+                 id="naive_bayes-string-log_prior"),
+    pytest.param("naive_bayes", _set_state("log_prior", [True, False]),
+                 id="naive_bayes-bool-log_prior"),
+    pytest.param("logreg", _set_state("intercept", "0.5"),
+                 id="logreg-string-intercept"),
+    pytest.param("svm_rbf", _set_state("link_scale", True),
+                 id="svm_rbf-bool-link_scale"),
 ])
 def test_rejects_malformed_state(tmp_path, split_w3, kind, edit):
     train, _ = split_w3

@@ -1,5 +1,7 @@
 """PCA: orthonormality, reconstruction, oracle agreement, scatter export."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -117,3 +119,22 @@ def test_scatter_export_real_only_fit(tmp_path, split_w3):
     real_model = export_scatter(grown, "smote", tmp_path / "b.csv",
                                 fit_on_real_only=True)
     assert not np.allclose(union_model.mean, real_model.mean)
+
+
+@pytest.mark.parametrize("real_only", [False, True])
+def test_scatter_rows_read_back_exactly(tmp_path, split_w3, real_only):
+    train, _ = split_w3
+    grown = smote(train, ResampleConfig(seed=15)).dataset
+    path = tmp_path / "scatter.csv"
+    model = export_scatter(grown, "smote", path, fit_on_real_only=real_only)
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["pc1", "pc2", "label", "synthetic", "method"]
+    scores = transform(model, grown.features)
+    assert len(rows) == grown.n_rows
+    for row, (pc1, pc2), label, synthetic in zip(
+            rows, scores.tolist(), grown.labels.tolist(),
+            grown.synthetic_flags.tolist()):
+        assert (float(row[0]), float(row[1])) == (pc1, pc2)
+        assert row[2:] == [str(label).lower(), str(synthetic).lower(),
+                           "smote"]
