@@ -131,7 +131,6 @@ def cmd_train(cfg, args, store):
 
 
 def cmd_evaluate(cfg, args, store, summary=None):
-    kind = cfg.model.kind
     for flag in ("model_file", "test_file"):
         # getattr: pipeline's args have no --model-file or --test-file
         if getattr(args, flag, None) and len(cfg.intervals) > 1:
@@ -139,8 +138,10 @@ def cmd_evaluate(cfg, args, store, summary=None):
                            f"it needs a single --interval")
     rows = []
     for interval in cfg.intervals:
-        model = store.get(f"model_w{interval}_{kind}.json", load_model,
-                          "evaluate", getattr(args, "model_file", None))
+        model = store.get(f"model_w{interval}_{cfg.model.kind}.json",
+                          load_model, "evaluate",
+                          getattr(args, "model_file", None))
+        kind = model.spec.kind  # a --model-file may hold another kind
         test = store.get(f"test_w{interval}.csv", LabeledDataset.from_csv,
                          "evaluate", getattr(args, "test_file", None))
         # one scoring serves the report and the sweep; without a sweep the
@@ -184,10 +185,11 @@ def cmd_tune(cfg, args, store):
 def cmd_pca_export(cfg, args, store):
     method = cfg.pca_method or cfg.resample.method
     real_only = cfg.pca_fit_on == PCA_REAL_ONLY
+    suffix = "_real" if real_only else ""  # never overwrites a union export
     for interval in cfg.intervals:
         grown = store.get(f"train_w{interval}_{method}.csv",
                           LabeledDataset.from_csv, "pca-export")
-        name = f"scatter_w{interval}_{method}.csv"
+        name = f"scatter_w{interval}_{method}{suffix}.csv"
         store.put(name, None, lambda p: export_scatter(
             grown, method, p, fit_on_real_only=real_only))
         print(f"pca-export: interval {interval} {method} -> {name}")

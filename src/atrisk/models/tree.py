@@ -9,19 +9,20 @@ splits (needed for XOR-like layouts), so a fully grown tree reaches
 training accuracy 1.0 whenever no duplicate feature rows carry different
 labels.
 
-A tree is grown by a loop over an explicit stack of pending nodes, each
-the row indices that reach it: a split pushes its right child, then its
-left, so nodes are numbered, and the forest's feature draws made, in
-preorder.  A node's sorted block lives only during its own scan, and
-nothing refers back to the builder, so a forest tree's bootstrap rows are
-freed as soon as that tree is built instead of waiting for the cyclic
-garbage collector.
+A tree is five read-only arrays over its nodes in preorder: ``feature``,
+``threshold``, ``left``, ``right`` (-1 at a leaf) and ``probs``, one
+(p_false, p_true) row a node.  It grows from an explicit stack of pending
+nodes, each the row indices that reach it; a split pushes its right
+child, then its left, so a left child is its parent's next node and the
+forest's feature draws follow preorder.  Nothing refers back to the
+builder, so a forest tree's bootstrap rows are freed as soon as it is
+built.  Prediction walks all rows down at once, one level a pass.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,23 +32,15 @@ from .base import TrainedModel, fitted_array
 _NO_FEATURE = -1
 
 
-@dataclass
-class _TreeArrays:
-    """Flat preorder tree storage (JSON-friendly)."""
+@dataclass(frozen=True, eq=False)
+class _Tree:
+    """A fitted tree's nodes in preorder; made only by _fitted_tree."""
 
-    feature: list = field(default_factory=list)
-    threshold: list = field(default_factory=list)
-    left: list = field(default_factory=list)
-    right: list = field(default_factory=list)
-    probs: list = field(default_factory=list)  # per node: (p_false, p_true)
-
-    def add_node(self):
-        self.feature.append(_NO_FEATURE)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.probs.append((0.0, 0.0))
-        return len(self.feature) - 1
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    probs: np.ndarray  # (n_nodes, 2): per node (p_false, p_true)
 
 
 def _best_split(X, node_labels, rows, candidates):
@@ -65,28 +58,34 @@ def _best_split(X, node_labels, rows, candidates):
 
 def _build_tree(X, y, max_depth, min_samples_split, rng=None,
                 max_features=None):
-    """Grow a tree on y (bool); returns _TreeArrays.
+    """Grow a tree on y (bool); returns the dict of its node arrays.
 
     rng/max_features enable the forest's per-split feature subsampling; the
     candidate features are always scanned in ascending index order so the
     tie rule is independent of sampling order.
     """
-    tree = _TreeArrays()
-    d = X.shape[1]
-    # (rows, depth, parent, the parent's child list) of each node still to
-    # grow; a left child is pushed last so that it is grown first
-    pending = [(np.arange(X.shape[0], dtype=np.intp), 0, -1, None)]
+    n_rows, d = X.shape
+    # a split leaves rows on both sides, so n rows make at most 2n - 1 nodes
+    size = 2 * n_rows - 1
+    feature = np.full(size, _NO_FEATURE, dtype=np.intp)
+    threshold = np.zeros(size)
+    left = np.full(size, -1, dtype=np.intp)
+    right = left.copy()
+    probs = np.empty((size, 2))
+    # (rows, depth, the parent of a right child) of each node still to
+    # grow; a left child is pushed last so that it is grown next
+    pending = [(np.arange(n_rows, dtype=np.intp), 0, -1)]
+    node = -1
     while pending:
-        rows, depth, parent, children = pending.pop()
-        node = tree.add_node()
-        if children is not None:
-            children[parent] = node
+        rows, depth, parent = pending.pop()
+        node += 1
+        if parent >= 0:
+            right[parent] = node
         node_labels = y[rows]
         n = rows.size
         n_true = int(node_labels.sum())
-        tree.probs[node] = ((n - n_true) / n, n_true / n)
-        pure = n_true == 0 or n_true == n
-        if pure or n < min_samples_split or \
+        probs[node] = (n - n_true) / n, n_true / n
+        if n_true in (0, n) or n < min_samples_split or \
                 (max_depth is not None and depth >= max_depth):
             continue
         if max_features is not None and max_features < d:
@@ -97,54 +96,55 @@ def _build_tree(X, y, max_depth, min_samples_split, rng=None,
         split = _best_split(X, node_labels, rows, candidates)
         if split is None:
             continue  # all candidate features constant here
-        j, threshold = split
-        tree.feature[node] = j
-        tree.threshold[node] = threshold
-        go_left = X[rows, j] <= threshold
-        pending.append((rows[~go_left], depth + 1, node, tree.right))
-        pending.append((rows[go_left], depth + 1, node, tree.left))
-    return tree
+        j, t = split
+        feature[node], threshold[node], left[node] = j, t, node + 1
+        go_left = X[rows, j] <= t
+        pending.append((rows[~go_left], depth + 1, node))
+        pending.append((rows[go_left], depth + 1, -1))
+    return {name: array[:node + 1].copy() for name, array in (
+        ("feature", feature), ("threshold", threshold), ("left", left),
+        ("right", right), ("probs", probs))}
 
 
 def _tree_proba(tree, rows):
-    out = np.empty((rows.shape[0], 2))
-    feature = tree.feature
-    threshold = tree.threshold
-    left, right, probs = tree.left, tree.right, tree.probs
-    for i in range(rows.shape[0]):
-        node = 0
-        while feature[node] != _NO_FEATURE:
-            if rows[i, feature[node]] <= threshold[node]:
-                node = left[node]
-            else:
-                node = right[node]
-        out[i] = probs[node]
-    return out
+    """The probs row of the leaf each row reaches."""
+    leaf = np.zeros(rows.shape[0], dtype=np.intp)
+    active = np.arange(rows.shape[0])  # the rows still at an internal node
+    while active.size:
+        node = leaf[active]
+        j = tree.feature[node]
+        internal = j != _NO_FEATURE
+        active, node, j = active[internal], node[internal], j[internal]
+        leaf[active] = np.where(rows[active, j] <= tree.threshold[node],
+                                tree.left[node], tree.right[node])
+    return tree.probs[leaf]
 
 
 def _fitted_tree(tree, n_features):
-    """tree, or its saved dict, as _TreeArrays whose every path ends at a
-    leaf: an internal node tests a feature in [0, n_features), and both its
-    children follow it in preorder."""
-    if not isinstance(tree, _TreeArrays):
-        tree = _TreeArrays(*(tree[f.name] for f in fields(_TreeArrays)))
-    n_nodes = len(fitted_array(tree.feature, None, dtype=np.intp))
+    """tree, or its dict, as a _Tree whose every path ends at a leaf: an
+    internal node tests a feature in [0, n_features), and both its children
+    follow it in preorder."""
+    if isinstance(tree, _Tree):
+        return tree
+    feature = fitted_array(tree["feature"], None, dtype=np.intp)
+    n_nodes = len(feature)
     if n_nodes == 0:
         raise ValueError("a tree needs at least one node")
-    fitted_array(tree.threshold, n_nodes)
-    fitted_array(tree.left, n_nodes, dtype=np.intp)
-    fitted_array(tree.right, n_nodes, dtype=np.intp)
-    fitted_array(tree.probs, n_nodes, 2)
-    for node, j in enumerate(tree.feature):
-        if j == _NO_FEATURE:
-            continue
-        if not 0 <= j < n_features:
-            raise ValueError(f"tree node {node} tests feature {j}, outside "
-                             f"[0, {n_features})")
-        if not node < tree.left[node] < n_nodes \
-                or not node < tree.right[node] < n_nodes:
-            raise ValueError(f"tree node {node} has a child outside "
-                             f"({node}, {n_nodes})")
+    tree = _Tree(feature, fitted_array(tree["threshold"], n_nodes),
+                 fitted_array(tree["left"], n_nodes, dtype=np.intp),
+                 fitted_array(tree["right"], n_nodes, dtype=np.intp),
+                 fitted_array(tree["probs"], n_nodes, 2))
+    children = np.stack([tree.left, tree.right])
+    outside = (feature < 0) | (feature >= n_features)
+    bad = (feature != _NO_FEATURE) & (outside | (
+        (children <= np.arange(n_nodes)) | (children >= n_nodes)).any(axis=0))
+    if bad.any():
+        node = int(bad.argmax())
+        if outside[node]:
+            raise ValueError(f"tree node {node} tests feature "
+                             f"{feature[node]}, outside [0, {n_features})")
+        raise ValueError(f"tree node {node} has a child outside "
+                         f"({node}, {n_nodes})")
     return tree
 
 
@@ -170,7 +170,7 @@ class RandomForestModel(TrainedModel):
 
     def __init__(self, spec, n_features, non_converged=False, *, trees):
         super().__init__(spec, n_features, non_converged)
-        self.trees = [_fitted_tree(t, n_features) for t in trees]
+        self.trees = tuple(_fitted_tree(t, n_features) for t in trees)
         if not self.trees:
             raise ValueError("a forest needs at least one tree")
 

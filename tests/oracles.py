@@ -245,3 +245,22 @@ def csv_file_oracle(header, rows):
     writer.writerow(header)
     writer.writerows([cell(v) for v in row] for row in rows)
     return out.getvalue().encode("utf-8")
+
+
+def tree_proba_oracle(tree, rows):
+    """Leaf probabilities by walking one row at a time, node by node, down
+    a fitted tree (feature -1 marks a leaf; a row goes left when its value
+    is <= the node's threshold)."""
+    feature, threshold, left, right, probs = (
+        a.tolist() for a in
+        (tree.feature, tree.threshold, tree.left, tree.right, tree.probs))
+    out = np.empty((rows.shape[0], 2))
+    for i in range(rows.shape[0]):
+        node = 0
+        while feature[node] != -1:
+            if rows[i, feature[node]] <= threshold[node]:
+                node = left[node]
+            else:
+                node = right[node]
+        out[i] = probs[node]
+    return out

@@ -241,6 +241,41 @@ def test_evaluate_malformed_model_file_is_one_line_error(tmp_path,
     assert "model_w3_logreg.json: missing key 'params'" in err
 
 
+def test_evaluate_model_file_names_outputs_by_its_kind(tmp_path):
+    config = tmp_path / "plain.cfg"
+    config.write_text(BASE_CONFIG.replace("C = 1.0\n", ""))
+    out = tmp_path / "run"
+    common = ["--config", str(config), "--out", str(out)]
+    for stage in ("simulate", "encode", "split", "resample"):
+        run_ok([stage, *common])
+    run_ok(["train", *common, "--model-kind", "knn"])
+    # the configured kind is logreg; the file holds a knn model
+    run_ok(["evaluate", *common, "--interval", "3", "--model-file",
+            str(out / "model_w3_knn.json")])
+    for name in ("report_w3_knn.json", "sweep_w3_knn.csv",
+                 "summary_w3_knn.csv"):
+        assert (out / name).exists()
+    assert not list(out.glob("*_logreg.*"))
+    summary = (out / "summary_w3_knn.csv").read_text().splitlines()
+    assert summary[1].startswith("3,43,knn,")
+
+
+def test_real_only_scatter_leaves_union_scatter_alone(tmp_path,
+                                                      config_file):
+    for run in ("both", "union"):
+        common = ["--config", config_file, "--out", str(tmp_path / run)]
+        for stage in ("simulate", "encode", "split", "resample"):
+            run_ok([stage, *common])
+        run_ok(["pca-export", *common])
+    run_ok(["pca-export", "--config", config_file, "--out",
+            str(tmp_path / "both"), "--real-only"])
+    union, real = (tmp_path / "both" / "scatter_w3_smote.csv",
+                   tmp_path / "both" / "scatter_w3_smote_real.csv")
+    assert union.read_bytes() == \
+        (tmp_path / "union" / "scatter_w3_smote.csv").read_bytes()
+    assert real.read_bytes() != union.read_bytes()
+
+
 def test_tune_writes_ranked_grid(tmp_path, config_file):
     out = str(tmp_path / "run")
     for stage in ("simulate", "encode", "split"):
@@ -573,6 +608,29 @@ def test_seed7_tree_model_files_match_golden_hashes(tmp_path):
     found = {name: hashlib.sha256((tmp_path / "run" / name).read_bytes())
              .hexdigest() for name in GOLDEN_TREE_MODEL_SHA256}
     assert found == GOLDEN_TREE_MODEL_SHA256
+
+
+# the same for `atrisk train --seed 4242 --interval 9`, so the tree bytes
+# are pinned on a second cohort
+GOLDEN_TREE_MODEL_SHA256_SEED4242 = {
+    "model_w9_decision_tree.json":
+        "0a21bc1ea6f06429406993d5b4b5f54397df37521bb614beeb3837dc6ad44444",
+    "model_w9_random_forest.json":
+        "65b5ac0011c65b23def20cde62bae006c9315dac4bdd19eecfb45d1377811f14",
+}
+
+
+def test_seed4242_tree_model_files_match_golden_hashes(tmp_path):
+    out = str(tmp_path / "run")
+    run_ok(["simulate", "--seed", "4242", "--out", out])
+    for stage in ("encode", "split", "resample"):
+        run_ok([stage, "--seed", "4242", "--interval", "9", "--out", out])
+    for kind in ("decision_tree", "random_forest"):
+        run_ok(["train", "--seed", "4242", "--interval", "9",
+                "--model-kind", kind, "--out", out])
+    found = {name: hashlib.sha256((tmp_path / "run" / name).read_bytes())
+             .hexdigest() for name in GOLDEN_TREE_MODEL_SHA256_SEED4242}
+    assert found == GOLDEN_TREE_MODEL_SHA256_SEED4242
 
 
 # sha256 of files whose writer formats its own cells no more, as

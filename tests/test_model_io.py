@@ -132,6 +132,10 @@ def _keep_two_rows(doc):
     pytest.param("decision_tree", _tree_edit("feature", 500),
                  id="tree-feature-out-of-range"),
     pytest.param("decision_tree", _tree_edit("left", 0), id="tree-cycle"),
+    pytest.param("decision_tree", _tree_edit("right", 0),
+                 id="tree-right-cycle"),
+    pytest.param("decision_tree", _tree_edit("feature", -2),
+                 id="tree-negative-feature"),
     pytest.param("decision_tree", _drop_last_probs, id="tree-short-list"),
     pytest.param("svm_rbf", _set_state("gamma", None),
                  id="svm_rbf-gamma-null"),
@@ -141,6 +145,10 @@ def _keep_two_rows(doc):
                  id="tree-fractional-feature"),
     pytest.param("decision_tree", _tree_edit("threshold", "0.5"),
                  id="tree-string-threshold"),
+    pytest.param("decision_tree", _tree_edit("feature", True),
+                 id="tree-bool-feature"),
+    pytest.param("decision_tree", _tree_edit("probs", [0.5, "0.5"]),
+                 id="tree-string-in-probs-pair"),
     pytest.param("naive_bayes", _set_state("log_prior", ["-0.1", "-2.0"]),
                  id="naive_bayes-string-log_prior"),
     pytest.param("naive_bayes", _set_state("log_prior", [True, False]),

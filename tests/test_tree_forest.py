@@ -1,14 +1,16 @@
 """CART tree and random forest behaviour."""
 
+import dataclasses
 import gc
 
 import numpy as np
 import pytest
 
-from atrisk import LabeledDataset, ModelSpec, fit
+from atrisk import LabeledDataset, ModelSpec, fit, load_model
 from atrisk.cli import main
 from atrisk.models import MODEL_KINDS, DecisionTreeModel
 from conftest import make_dataset, random_binary_dataset
+from oracles import tree_proba_oracle
 
 
 def training_accuracy(model, ds):
@@ -136,11 +138,70 @@ def test_forest_explicit_max_features(split_w3):
 
 
 @pytest.fixture(scope="module")
-def smote_train_w9_seed7(tmp_path_factory):
+def seed7_run(tmp_path_factory):
     out = str(tmp_path_factory.mktemp("seed7"))
     for stage in ("simulate", "encode", "split", "resample"):
         assert main([stage, "--seed", "7", "--out", out]) == 0
-    return LabeledDataset.from_csv(f"{out}/train_w9_smote.csv")
+    return out
+
+
+@pytest.fixture(scope="module")
+def smote_train_w9_seed7(seed7_run):
+    return LabeledDataset.from_csv(f"{seed7_run}/train_w9_smote.csv")
+
+
+def rows_on_thresholds(tree, rows):
+    """Each row once for every internal node on its path, with the value
+    that node tests set exactly on its threshold."""
+    out = []
+    for row in rows:
+        node = 0
+        while tree.feature[node] != -1:
+            j, t = tree.feature[node], tree.threshold[node]
+            out.append(row.copy())
+            out[-1][j] = t
+            node = tree.left[node] if row[j] <= t else tree.right[node]
+    return np.array(out)
+
+
+@pytest.mark.parametrize("kind", ["decision_tree", "random_forest"])
+def test_array_walk_matches_reference_walk(kind, seed7_run,
+                                           smote_train_w9_seed7):
+    train = smote_train_w9_seed7
+    test = LabeledDataset.from_csv(f"{seed7_run}/test_w9.csv")
+    model = fit(ModelSpec(kind), train)
+    trees = [model.tree] if kind == "decision_tree" else model.trees
+    walked = []
+    for tree in trees:
+        member = DecisionTreeModel(ModelSpec("decision_tree"),
+                                   train.n_features, tree=tree)
+        on_threshold = rows_on_thresholds(tree, train.features[:50])
+        assert on_threshold.shape[0] > 0
+        for rows in (train.features, test.features, on_threshold):
+            assert np.array_equal(member.predict_proba(rows),
+                                  tree_proba_oracle(tree, rows))
+        walked.append(tree_proba_oracle(tree, test.features))
+    assert np.array_equal(model.predict_proba(test.features),
+                          np.stack(walked).mean(axis=0))
+
+
+@pytest.mark.parametrize("kind", ["decision_tree", "random_forest"])
+def test_fitted_and_loaded_tree_arrays_are_read_only(kind, tmp_path,
+                                                     split_w3):
+    train, _ = split_w3
+    model = fit(ModelSpec(kind, **({"n_trees": 3} if kind == "random_forest"
+                                   else {})), train)
+    model.save(tmp_path / "model.json")
+    for source in (model, load_model(tmp_path / "model.json")):
+        trees = getattr(source, "trees", None) or [source.tree]
+        for tree in trees:
+            for field in dataclasses.fields(tree):
+                array = getattr(tree, field.name)
+                assert not array.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = array[0]
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                tree.feature = tree.feature.copy()
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
