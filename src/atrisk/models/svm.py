@@ -30,6 +30,10 @@ def rbf_gamma(features):
     return 1.0 / (features.shape[1] * mean_var)
 
 
+def _kernel_kind(spec):
+    return "linear" if spec.kind == "svm_linear" else "rbf"
+
+
 def _kernel_matrix(kind, x, y, gamma):
     if kind == "linear":
         return x @ y.T
@@ -95,17 +99,13 @@ class SvmModel(TrainedModel):
         # alpha_i * y_i, one per support vector
         self.sv_coef = fitted_array(sv_coef, len(self.sv_features))
         self.intercept = float(fitted_array(intercept))
-        self.gamma = None if self._kernel_kind == "linear" \
+        self.gamma = None if _kernel_kind(spec) == "linear" \
             else float(fitted_array(gamma))
         self.link_scale = float(fitted_array(link_scale))
         self.link_offset = float(fitted_array(link_offset))
 
-    @property
-    def _kernel_kind(self):
-        return "linear" if self.spec.kind == "svm_linear" else "rbf"
-
     def decision_values(self, rows):
-        K = _kernel_matrix(self._kernel_kind, rows, self.sv_features,
+        K = _kernel_matrix(_kernel_kind(self.spec), rows, self.sv_features,
                            self.gamma)
         return K @ self.sv_coef + self.intercept
 
@@ -119,7 +119,7 @@ def fit_svm(spec, train):
     p = spec.params
     X = train.features
     y = np.where(train.labels, 1.0, -1.0)
-    kind = "linear" if spec.kind == "svm_linear" else "rbf"
+    kind = _kernel_kind(spec)
     gamma = None if kind == "linear" else (
         rbf_gamma(X) if p["gamma"] == "scale" else float(p["gamma"]))
     K = _kernel_matrix(kind, X, X, gamma)

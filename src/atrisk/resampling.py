@@ -4,8 +4,18 @@ Both grow the minority class to exactly the majority count ("auto"
 strategy) by interpolating between a minority row and one of its k nearest
 minority neighbours:  x_base + lambda * (x_neighbor - x_base), lambda
 uniform on [0, 1).  Synthetic rows keep fractional values; they are not
-re-binarised.  Every synthetic row is recorded in a provenance table
-(base row, neighbour row, lambda) so tests can audit containment.
+re-binarised.  The two differ only in the base row of each synthetic row:
+SMOTE cycles through the minority rows in dataset order, and ADASYN takes
+each minority row, in dataset order, as often as its allocation says.
+
+Draw order: one generator seeded with ``config.seed`` draws, for each
+synthetic row in base order, the neighbour's position among the base's k
+nearest minority rows (``integers(k)``) and then its lambda (``random()``).
+Every resampled dataset and provenance file depends on this order, so it
+stays as it is.
+
+The provenance holds each synthetic row's base row, neighbour row and
+lambda, from which ``_interpolate`` rebuilds the row bit for bit.
 """
 
 from __future__ import annotations
@@ -40,47 +50,32 @@ class ResampleConfig:
                 raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
-@dataclass(frozen=True)
-class SyntheticRow:
-    synthetic_row: int   # row index in the resampled dataset
-    base_row: int        # original-row index interpolated from
-    neighbor_row: int    # original-row index interpolated toward
-    lam: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Provenance:
-    rows: tuple
+    """Synthetic row n_real + i is _interpolate(base_row[i],
+    neighbor_row[i], lam[i]); the three arrays are read-only."""
+    n_real: int
+    base_row: np.ndarray      # original-row index interpolated from
+    neighbor_row: np.ndarray  # original-row index interpolated toward
+    lam: np.ndarray
     adasyn_fallback: bool = False
+
+    def __post_init__(self):
+        for arr in (self.base_row, self.neighbor_row, self.lam):
+            arr.setflags(write=False)
 
     def to_csv(self, path):
         write_csv(path, ("synthetic_row", "base_row", "neighbor_row",
                          "lambda"),
-                  ((r.synthetic_row, r.base_row, r.neighbor_row, r.lam)
-                   for r in self.rows))
+                  zip(range(self.n_real, self.n_real + self.lam.size),
+                      self.base_row.tolist(), self.neighbor_row.tolist(),
+                      self.lam.tolist()))
 
 
 @dataclass(frozen=True)
 class ResampleResult:
     dataset: LabeledDataset
     provenance: Provenance
-
-
-def _minority_split(train):
-    n_fail, n_pass = train.class_counts()
-    minority_label = n_pass < n_fail  # ties count the failing class as minority
-    minority_idx = np.flatnonzero(train.labels == minority_label)
-    majority_count = max(n_fail, n_pass)
-    return minority_label, minority_idx, majority_count
-
-
-def _neighbor_pools(train, minority_idx, k):
-    """k nearest minority-only neighbours of each minority row."""
-    if k >= minority_idx.size:
-        raise ValueError(
-            f"k_neighbors={k} needs at least {k + 1} minority rows, got "
-            f"{minority_idx.size}; use a smaller k_neighbors")
-    return knn_indices(train.features, k, subset=minority_idx)
 
 
 def _interpolate(base_row, neighbor_row, lam):
@@ -111,35 +106,46 @@ def allocate_by_share(share, gap):
     return alloc
 
 
-def _assemble(train, minority_label, synthetic, provenance_rows, fallback):
-    flags = np.concatenate([train.synthetic_flags,
-                            np.ones(len(synthetic), dtype=bool)])
-    features = np.vstack([train.features, synthetic])
-    labels = np.concatenate([train.labels,
-                             np.full(len(synthetic), minority_label)])
-    dataset = LabeledDataset(features, labels, train.feature_names, flags)
-    return ResampleResult(dataset=dataset,
-                          provenance=Provenance(rows=tuple(provenance_rows),
-                                                adasyn_fallback=fallback))
+def _round_robin(m, gap):
+    """Base positions cycling through the m minority rows in order."""
+    return np.arange(gap) % m
 
 
-def _draw_rows(train, minority_idx, pools, base_positions, rng):
-    """Interpolated rows for the given base positions, in draw order."""
-    n_orig = train.n_rows
-    synthetic = np.empty((len(base_positions), train.n_features),
-                         dtype=np.float64)
-    records = []
-    for t, pos in enumerate(base_positions):
-        base_row = int(minority_idx[pos])
-        neighbor_row = int(pools[pos][rng.integers(pools.shape[1])])
-        lam = float(rng.random())
-        synthetic[t] = _interpolate(train.features[base_row],
-                                    train.features[neighbor_row], lam)
-        records.append(SyntheticRow(synthetic_row=n_orig + t,
-                                    base_row=base_row,
-                                    neighbor_row=neighbor_row,
-                                    lam=lam))
-    return synthetic, records
+def _oversample(train, config, base_positions):
+    """Grow the minority class to the majority count.
+
+    ``base_positions(minority_label, minority_idx, gap)`` returns the
+    position among the minority rows of each synthetic row's base, and
+    whether ADASYN fell back to the round robin.
+    """
+    n_fail, n_pass = train.class_counts()
+    minority_label = n_pass < n_fail  # a tie makes failing the minority
+    minority_idx = np.flatnonzero(train.labels == minority_label)
+    m, k = minority_idx.size, config.k_neighbors
+    if k >= m:
+        advice = ("use a smaller k_neighbors" if m > 1 else
+                  "no k_neighbors can work with fewer than 2 minority rows")
+        raise ValueError(f"k_neighbors={k} needs at least {k + 1} minority "
+                         f"rows, got {m}; {advice}")
+    pools = knn_indices(train.features, k, subset=minority_idx)
+    positions, fallback = base_positions(minority_label, minority_idx,
+                                         max(n_fail, n_pass) - m)
+    rng = np.random.default_rng(config.seed)
+    neighbor_row = np.empty(positions.size, dtype=np.intp)
+    lam = np.empty(positions.size)
+    for t, pos in enumerate(positions.tolist()):
+        neighbor_row[t] = pools[pos, rng.integers(k)]
+        lam[t] = rng.random()
+    base_row = minority_idx[positions]
+    synthetic = _interpolate(train.features[base_row],
+                             train.features[neighbor_row], lam[:, None])
+    dataset = LabeledDataset(
+        np.vstack([train.features, synthetic]),
+        np.concatenate([train.labels, np.full(lam.size, minority_label)]),
+        train.feature_names,
+        np.concatenate([train.synthetic_flags, np.ones(lam.size, dtype=bool)]))
+    return ResampleResult(dataset, Provenance(train.n_rows, base_row,
+                                              neighbor_row, lam, fallback))
 
 
 def smote(train, config):
@@ -149,15 +155,8 @@ def smote(train, config):
     counts stay within one of each other; the neighbour and lambda are drawn
     fresh per synthetic row.  Deterministic given (train, config).
     """
-    minority_label, minority_idx, majority_count = _minority_split(train)
-    gap = majority_count - minority_idx.size
-    pools = _neighbor_pools(train, minority_idx, config.k_neighbors)
-    rng = np.random.default_rng(config.seed)
-    base_positions = [t % minority_idx.size for t in range(gap)]
-    synthetic, records = _draw_rows(train, minority_idx, pools,
-                                    base_positions, rng)
-    return _assemble(train, minority_label, synthetic, records,
-                     fallback=False)
+    return _oversample(train, config, lambda label, idx, gap:
+                       (_round_robin(idx.size, gap), False))
 
 
 def adasyn(train, config):
@@ -169,27 +168,19 @@ def adasyn(train, config):
     majority neighbour (sum r = 0) the allocation falls back to the uniform
     SMOTE scheme and the provenance records the fallback.
     """
-    minority_label, minority_idx, majority_count = _minority_split(train)
-    gap = majority_count - minority_idx.size
-    pools = _neighbor_pools(train, minority_idx, config.k_neighbors)
-    rng = np.random.default_rng(config.seed)
+    k = config.k_neighbors
 
-    mixed = knn_among(train.features[minority_idx], train.features,
-                      config.k_neighbors, own=minority_idx)
-    neighbor_labels = train.labels[mixed]
-    r = (neighbor_labels != minority_label).sum(axis=1) / config.k_neighbors
-
-    total = r.sum()
-    fallback = bool(total == 0.0)
-    if fallback:
-        base_positions = [t % minority_idx.size for t in range(gap)]
-    else:
+    def base_positions(minority_label, minority_idx, gap):
+        mixed = knn_among(train.features[minority_idx], train.features, k,
+                          own=minority_idx)
+        r = (train.labels[mixed] != minority_label).sum(axis=1) / k
+        total = r.sum()
+        if total == 0.0:
+            return _round_robin(minority_idx.size, gap), True
         alloc = allocate_by_share(r / total, gap)
-        base_positions = [pos for pos in range(minority_idx.size)
-                          for _ in range(alloc[pos])]
-    synthetic, records = _draw_rows(train, minority_idx, pools,
-                                    base_positions, rng)
-    return _assemble(train, minority_label, synthetic, records, fallback)
+        return np.repeat(np.arange(minority_idx.size), alloc), False
+
+    return _oversample(train, config, base_positions)
 
 
 def resample(train, config):

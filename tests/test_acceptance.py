@@ -84,14 +84,16 @@ def test_criterion_3_resampling_structure(sim_split):
                                               seed=seed))
             a, b = result.dataset.class_counts()
             assert a == b  # (a) exact balance
-            assert len(result.provenance.rows) == gap  # (c) allocation sum
-            feats = result.dataset.features
-            for entry in result.provenance.rows:  # (b) containment
-                base = train.features[entry.base_row]
-                neighbor = train.features[entry.neighbor_row]
-                synthetic = feats[entry.synthetic_row]
-                assert np.all(synthetic >= np.minimum(base, neighbor))
-                assert np.all(synthetic <= np.maximum(base, neighbor))
+            prov = result.provenance
+            assert prov.base_row.size == prov.neighbor_row.size == \
+                prov.lam.size == gap  # (c) allocation sum
+            # (b) containment
+            synthetic = result.dataset.features[prov.n_real:]
+            assert prov.n_real == train.n_rows and len(synthetic) == gap
+            base = train.features[prov.base_row]
+            neighbor = train.features[prov.neighbor_row]
+            assert np.all(synthetic >= np.minimum(base, neighbor))
+            assert np.all(synthetic <= np.maximum(base, neighbor))
     # (d) all-r-zero input falls back to the uniform scheme
     rng = np.random.default_rng(103)
     majority = np.ones((20, 5))

@@ -668,6 +668,52 @@ def test_seed7_cohort_provenance_and_report_files_match_golden_hashes(
     assert found == GOLDEN_WRITER_SHA256
 
 
+# sha256 of the ADASYN files that `atrisk resample --method adasyn` writes
+# after simulate, encode and split with the default config: the seed-7
+# provenance (its datasets are pinned above) and seed 4242 at interval 9;
+# any change to the draw order or the allocation changes these
+GOLDEN_ADASYN_SHA256 = {
+    "train_w3_adasyn_provenance.csv":
+        "fa8291dc9e03612ff1bdc3f024f20075e9ab98cf6dc2ac19232b75917dd25c3d",
+    "train_w6_adasyn_provenance.csv":
+        "de28baf85fa04e702a56fe991d51786d523d01ff93847574eff667c823d7dab9",
+    "train_w9_adasyn_provenance.csv":
+        "29dba3ba88f7b7ef7164173c8c61f03d916f62fcb1762efa906b379130e121e3",
+    "seed4242/train_w9_adasyn.csv":
+        "6446dc7e5a303dbdc4f905fede26dec1e72d0947bed08e2a089dd698319fb14c",
+    "seed4242/train_w9_adasyn_provenance.csv":
+        "9b175674f8a6166811ac48b2e3ebb9acd1d486446d950e716224a16828f2f9d9",
+}
+
+
+def test_adasyn_files_match_golden_hashes(tmp_path):
+    for seed, out, interval in (("7", tmp_path, []),
+                                ("4242", tmp_path / "seed4242",
+                                 ["--interval", "9"])):
+        run_ok(["simulate", "--seed", seed, "--out", str(out)])
+        for stage in ("encode", "split"):
+            run_ok([stage, "--seed", seed, *interval, "--out", str(out)])
+        run_ok(["resample", "--seed", seed, *interval, "--method", "adasyn",
+                "--out", str(out)])
+    found = {name: hashlib.sha256((tmp_path / name).read_bytes())
+             .hexdigest() for name in GOLDEN_ADASYN_SHA256}
+    assert found == GOLDEN_ADASYN_SHA256
+
+
+@pytest.mark.parametrize("seed, n_failing", [("13", 0), ("6", 1)])
+def test_too_few_failing_rows_for_any_k(tmp_path, capsys, seed, n_failing):
+    # 20 students split without stratification leave 0 or 1 failing
+    # training rows, too few for k_neighbors = 1, the smallest there is
+    config = tmp_path / "tiny.cfg"
+    config.write_text("[simulate]\nn_students = 20\n[split]\n"
+                      "stratified = false\n[resample]\nk_neighbors = 1\n")
+    err = _one_line_error(capsys, ["pipeline", "--seed", seed, "--config",
+                                   str(config), "--out", str(tmp_path)])
+    assert err == (f"atrisk pipeline: error: k_neighbors=1 needs at least 2 "
+                   f"minority rows, got {n_failing}; no k_neighbors can "
+                   f"work with fewer than 2 minority rows\n")
+
+
 def test_tune_without_feasible_cell_fails(tmp_path, config_file, capsys):
     out = tmp_path / "run"
     for stage in ("simulate", "encode", "split"):

@@ -12,6 +12,32 @@ from conftest import make_dataset
 from oracles import knn_oracle
 
 
+def assert_contained(result, real):
+    """Every synthetic row lies in the box of its base and neighbour rows,
+    and its lambda in [0, 1)."""
+    prov = result.provenance
+    assert prov.n_real == real.n_rows
+    assert prov.base_row.size == prov.neighbor_row.size == prov.lam.size
+    synthetic = result.dataset.features[prov.n_real:]
+    assert len(synthetic) == prov.lam.size
+    base = real.features[prov.base_row]
+    neighbor = real.features[prov.neighbor_row]
+    assert np.all(synthetic >= np.minimum(base, neighbor))
+    assert np.all(synthetic <= np.maximum(base, neighbor))
+    assert np.all((prov.lam >= 0.0) & (prov.lam < 1.0))
+
+
+def assert_rebuilds(result):
+    """Each synthetic row equals the per-row interpolation its provenance
+    names, bit for bit."""
+    prov = result.provenance
+    feats = result.dataset.features
+    for i in range(prov.lam.size):
+        rebuilt = _interpolate(feats[prov.base_row[i]],
+                               feats[prov.neighbor_row[i]], prov.lam[i])
+        assert np.array_equal(feats[prov.n_real + i], rebuilt)
+
+
 def clustered_dataset(n_minority=8, n_majority=30, separated=False, seed=0):
     rng = np.random.default_rng(seed)
     d = 6
@@ -44,14 +70,8 @@ def test_balance_and_containment_many_seeds(split_w3, method):
         result = resample(train, ResampleConfig(method=method, seed=seed))
         n_fail, n_pass = result.dataset.class_counts()
         assert n_fail == n_pass
-        feats = result.dataset.features
-        for entry in result.provenance.rows:
-            base = train.features[entry.base_row]
-            neighbor = train.features[entry.neighbor_row]
-            synthetic = feats[entry.synthetic_row]
-            assert np.all(synthetic >= np.minimum(base, neighbor))
-            assert np.all(synthetic <= np.maximum(base, neighbor))
-            assert 0.0 <= entry.lam < 1.0
+        assert_contained(result, train)
+        assert_rebuilds(result)
 
 
 def test_original_rows_untouched(split_w3):
@@ -75,8 +95,7 @@ def test_synthetic_values_within_unit_interval(split_w3):
 def test_smote_round_robin_base_counts(split_w3):
     train, _ = split_w3
     result = smote(train, ResampleConfig(seed=7))
-    bases = [r.base_row for r in result.provenance.rows]
-    counts = np.bincount(bases, minlength=train.n_rows)
+    counts = np.bincount(result.provenance.base_row, minlength=train.n_rows)
     minority = np.flatnonzero(~train.labels)
     per_base = counts[minority]
     assert per_base.max() - per_base.min() <= 1
@@ -100,15 +119,15 @@ def test_two_point_minority_segment_geometry():
     ds = make_dataset(features, labels)
     result = smote(ds, ResampleConfig(k_neighbors=1, seed=2))
     direction = q - p
-    for entry in result.provenance.rows:
-        synthetic = result.dataset.features[entry.synthetic_row]
-        lo = np.minimum(p, q)
-        hi = np.maximum(p, q)
-        assert np.all(synthetic >= lo) and np.all(synthetic <= hi)
-        # collinear with p and q within 1e-9
-        offset = synthetic - p
-        t = offset @ direction / (direction @ direction)
-        assert np.linalg.norm(offset - t * direction) < 1e-9
+    synthetic = result.dataset.features[result.provenance.n_real:]
+    assert len(synthetic) == 10
+    assert np.all(synthetic >= np.minimum(p, q))
+    assert np.all(synthetic <= np.maximum(p, q))
+    # collinear with p and q within 1e-9
+    offset = synthetic - p
+    t = offset @ direction / (direction @ direction)
+    assert np.all(np.linalg.norm(offset - t[:, None] * direction,
+                                 axis=1) < 1e-9)
 
 
 def test_determinism(split_w3):
@@ -117,7 +136,10 @@ def test_determinism(split_w3):
     a = adasyn(train, config)
     b = adasyn(train, config)
     assert np.array_equal(a.dataset.features, b.dataset.features)
-    assert a.provenance == b.provenance
+    pa, pb = a.provenance, b.provenance
+    assert (pa.n_real, pa.adasyn_fallback) == (pb.n_real, pb.adasyn_fallback)
+    for name in ("base_row", "neighbor_row", "lam"):
+        assert np.array_equal(getattr(pa, name), getattr(pb, name))
 
 
 def test_k_too_large_advises_smaller_k():
@@ -141,8 +163,7 @@ def test_adasyn_surrounded_row_gets_maximal_share():
     result = adasyn(ds, ResampleConfig(method="adasyn", k_neighbors=5,
                                        seed=4))
     assert not result.provenance.adasyn_fallback
-    bases = [r.base_row for r in result.provenance.rows]
-    counts = np.bincount(bases, minlength=ds.n_rows)
+    counts = np.bincount(result.provenance.base_row, minlength=ds.n_rows)
     assert counts[15] == counts.max()  # row 15 is the surrounded one
 
 
@@ -160,7 +181,9 @@ def test_adasyn_allocation_sums_to_gap(split_w3):
     for seed in range(5):
         result = adasyn(train, ResampleConfig(method="adasyn", seed=seed))
         n_fail, n_pass = train.class_counts()
-        assert len(result.provenance.rows) == n_pass - n_fail
+        prov = result.provenance
+        assert prov.base_row.size == prov.neighbor_row.size == \
+            prov.lam.size == n_pass - n_fail
 
 
 def test_allocation_exact_rounding():
@@ -197,10 +220,19 @@ def test_provenance_csv_format(tmp_path, split_w3):
     result.provenance.to_csv(path)
     lines = path.read_text().splitlines()
     assert lines[0] == "synthetic_row,base_row,neighbor_row,lambda"
-    assert len(lines) == 1 + len(result.provenance.rows)
-    first = result.provenance.rows[0]
-    assert lines[1] == f"{first.synthetic_row},{first.base_row}," \
-                       f"{first.neighbor_row},{first.lam!r}"
+    prov = result.provenance
+    assert len(lines) == 1 + prov.lam.size
+    for i, line in enumerate(lines[1:]):
+        assert line == f"{prov.n_real + i},{prov.base_row[i]}," \
+                       f"{prov.neighbor_row[i]},{float(prov.lam[i])!r}"
+
+
+def test_provenance_arrays_are_read_only(split_w3):
+    train, _ = split_w3
+    prov = smote(train, ResampleConfig(seed=8)).provenance
+    for name in ("base_row", "neighbor_row", "lam"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(prov, name)[0] = 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -222,16 +254,15 @@ def test_largest_k_with_duplicate_minority_rows(data, method, seed):
 
     gap = n_majority - len(minority)
     assert result.dataset.class_counts() == (n_majority, n_majority)
-    assert len(result.provenance.rows) == gap
+    prov = result.provenance
+    assert prov.lam.size == gap
+    assert_contained(result, ds)
+    assert_rebuilds(result)
     minority_rows = set(range(n_majority, ds.n_rows))
-    for entry in result.provenance.rows:
-        assert entry.base_row in minority_rows
-        assert entry.neighbor_row in minority_rows - {entry.base_row}
-        base = ds.features[entry.base_row]
-        neighbor = ds.features[entry.neighbor_row]
-        synthetic = result.dataset.features[entry.synthetic_row]
-        assert np.all(synthetic >= np.minimum(base, neighbor))
-        assert np.all(synthetic <= np.maximum(base, neighbor))
+    for base, neighbor in zip(prov.base_row.tolist(),
+                              prov.neighbor_row.tolist()):
+        assert base in minority_rows
+        assert neighbor in minority_rows - {base}
 
     if method == "adasyn":
         # majority counts among each minority row's k nearest over all rows
@@ -240,6 +271,5 @@ def test_largest_k_with_duplicate_minority_rows(data, method, seed):
         assert result.provenance.adasyn_fallback == (r.sum() == 0)
         if r.sum():
             alloc = allocate_by_share(r / r.sum(), gap)
-            bases = np.bincount([e.base_row for e in result.provenance.rows],
-                                minlength=ds.n_rows)[idx]
+            bases = np.bincount(prov.base_row, minlength=ds.n_rows)[idx]
             assert np.array_equal(bases, alloc) and alloc.sum() == gap
