@@ -23,13 +23,13 @@ thread counts).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import sys
 from pathlib import Path
 
 from . import __version__
-from .config import (PCA_REAL_ONLY, TRAIN_INPUTS, TRAIN_RAW, _OPTIONS,
-                     build_config)
+from .config import PCA_REAL_ONLY, _OPTIONS, build_config
 from .data import (LabeledDataset, TaskManifest, encode, load_cohort,
                    save_cohort, split, write_json)
 from .evaluation import (SELECTION_METRICS, evaluate, grid_search,
@@ -71,6 +71,15 @@ class _Store:
         return read(path)
 
 
+@contextlib.contextmanager
+def _naming(interval, path):
+    """A ValueError raised in the block names the interval and input file."""
+    try:
+        yield
+    except ValueError as exc:
+        raise CliError(f"interval {interval}, {path}: {exc}") from None
+
+
 def cmd_simulate(cfg, args, store):
     records, manifest = simulate(cfg.simulate)
     store.put("cohort.csv", records, lambda p: save_cohort(records, p))
@@ -104,9 +113,10 @@ def cmd_split(cfg, args, store):
 
 def cmd_resample(cfg, args, store):
     for interval in cfg.intervals:
-        train = store.get(f"train_w{interval}.csv", LabeledDataset.from_csv,
-                          "resample")
-        result = resample(train, cfg.resample)
+        source = f"train_w{interval}.csv"
+        train = store.get(source, LabeledDataset.from_csv, "resample")
+        with _naming(interval, store.out / source):
+            result = resample(train, cfg.resample)
         stem = f"train_w{interval}_{cfg.resample.method}"
         store.put(f"{stem}.csv", result.dataset, result.dataset.to_csv)
         store.put(f"{stem}_provenance.csv", result.provenance,
@@ -118,12 +128,11 @@ def cmd_resample(cfg, args, store):
 
 def cmd_train(cfg, args, store):
     spec = cfg.model
-    suffix = "" if cfg.train_input == TRAIN_RAW \
-        else f"_{cfg.resample.method}"
     for interval in cfg.intervals:
-        train = store.get(f"train_w{interval}{suffix}.csv",
-                          LabeledDataset.from_csv, "train")
-        model = fit(spec, train)
+        source = f"train_w{interval}_{cfg.resample.method}.csv"
+        train = store.get(source, LabeledDataset.from_csv, "train")
+        with _naming(interval, store.out / source):
+            model = fit(spec, train)
         name = f"model_w{interval}_{spec.kind}.json"
         store.put(name, model, model.save)
         flag = " (non-converged)" if model.non_converged else ""
@@ -263,8 +272,6 @@ def _parser():
                            choices=METHODS)
             p.add_argument("--k-neighbors", dest="resample.k_neighbors",
                            metavar="K_NEIGHBORS", type=int)
-        if name in ("train", "pipeline"):
-            p.add_argument("--train-input", choices=TRAIN_INPUTS)
         if name == "tune":
             p.add_argument("--metric", dest="tune.selection_metric",
                            choices=SELECTION_METRICS)

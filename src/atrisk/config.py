@@ -34,16 +34,8 @@ SEED_OFFSETS = {
 }
 
 
-# model.train_input: train on the split's real rows, or on those rows
-# after [resample]
-TRAIN_RAW, TRAIN_RESAMPLED = TRAIN_INPUTS = ("raw", "resampled")
 # pca.fit_on: fit PCA on every row, or on the real rows only
 PCA_UNION, PCA_REAL_ONLY = PCA_FIT_ON = ("union", "real")
-
-
-def _one_of(values):
-    """(check, rule) accepting exactly the given values."""
-    return (lambda v: v in values, " or ".join(map(repr, values)))
 
 
 def _parse_number(text):
@@ -71,7 +63,6 @@ class PipelineConfig:
     split: SplitSpec = SplitSpec()
     resample: ResampleConfig = ResampleConfig()
     model: ModelSpec = field(default_factory=lambda: ModelSpec("logreg"))
-    train_input: str = TRAIN_RESAMPLED
     # evaluate
     threshold: float = 0.5
     sweep_thresholds: tuple = ()  # optional grid; empty disables the sweep
@@ -85,9 +76,8 @@ class PipelineConfig:
         ok_method, methods = RESAMPLE_RULES["method"]
         for name, value, (ok, rule) in (
                 ("run.seed", self.seed, (lambda s: s >= 0, ">= 0")),
-                ("model.train_input", self.train_input,
-                 _one_of(TRAIN_INPUTS)),
-                ("pca.fit_on", self.pca_fit_on, _one_of(PCA_FIT_ON)),
+                ("pca.fit_on", self.pca_fit_on, (lambda f: f in PCA_FIT_ON,
+                 " or ".join(map(repr, PCA_FIT_ON)))),
                 ("pca.method", self.pca_method,
                  (lambda m: m == "" or ok_method(m), f"empty, {methods}")),
                 ("evaluate.threshold", self.threshold, THRESHOLD_RULE)):
@@ -139,7 +129,6 @@ _OPTIONS = {
     ("resample", "method"): ("resample.method", str),
     ("resample", "k_neighbors"): ("resample.k_neighbors", int),
     ("model", "kind"): ("model.kind", str),
-    ("model", "train_input"): ("train_input", str),
     ("evaluate", "threshold"): ("threshold", _real),
     ("evaluate", "thresholds"): ("sweep_thresholds", _list(_real)),
     ("tune", "methods"): ("tune.resample_methods", _list(str)),

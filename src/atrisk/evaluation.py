@@ -306,9 +306,9 @@ def grid_search(grid, train):
 
     Resampling is fit inside each fold on the training folds only, so no
     synthetic row can reach a validation fold; the audit counters in the
-    result record the check.  Ranking is by mean selection metric, ties
-    broken by higher failing recall, smaller C, lower threshold, then the
-    remaining cell key for full determinism.
+    result record the check; none fits on them as they are.  Ranking is by
+    mean selection metric, ties broken by higher failing recall, smaller C,
+    lower threshold, then the remaining cell key for full determinism.
 
     Inside a fold the logistic fits follow a regularization path
     (Friedman, Hastie & Tibshirani 2010), each started from a neighbouring
@@ -342,9 +342,16 @@ def grid_search(grid, train):
              "synthetic_rows_in_fit": 0}
     model_cells = _model_cells(grid)
     mean_fields = [f"mean_{name}" for name in METRICS]
+    # none is one pair, with k 0, placed last: it is not resampled, so it
+    # needs no ResampleConfig (whose k must be >= 1) and its index seeds
+    # nothing; where it is listed changes no other cell
+    pairs = list(itertools.product(
+        [m for m in grid.resample_methods if m != "none"],
+        grid.k_neighbors_grid))
+    if "none" in grid.resample_methods:
+        pairs.append(("none", 0))
     cells = []
-    for ri, (method, k) in enumerate(itertools.product(
-            grid.resample_methods, grid.k_neighbors_grid)):
+    for ri, (method, k) in enumerate(pairs):
         scores = []  # [fold][model cell][threshold][metric]
         for f, (fit_idx, val_idx, minority) in enumerate(folds):
             val_part = train.subset(val_idx)
@@ -355,16 +362,18 @@ def grid_search(grid, train):
                 cells += [GridCell(method, k, *cell, t, feasible=False)
                           for cell in model_cells for t in grid.thresholds]
                 break
-            seed = int(np.random.SeedSequence(
-                grid.seed, spawn_key=(ri, f)).generate_state(1)[0])
-            grown = resample(train.subset(fit_idx), ResampleConfig(
-                method=method, k_neighbors=k, seed=seed))
+            fit_part = train.subset(fit_idx)
+            if method != "none":
+                seed = int(np.random.SeedSequence(
+                    grid.seed, spawn_key=(ri, f)).generate_state(1)[0])
+                fit_part = resample(fit_part, ResampleConfig(
+                    method=method, k_neighbors=k, seed=seed)).dataset
             audit["synthetic_rows_in_fit"] += \
-                int(grown.dataset.synthetic_flags.sum())
+                int(fit_part.synthetic_flags.sum())
             scores.append([
                 [[getattr(r, name) for name in METRICS] for r in
                  sweep_thresholds(model, val_part, grid.thresholds)]
-                for model in _fit_path(model_cells, grown.dataset)])
+                for model in _fit_path(model_cells, fit_part)])
         else:
             # a contiguous last fold axis sums each mean pairwise, as over
             # one list; axis 0 sums in sequence: another last bit at 8+ folds

@@ -1,9 +1,11 @@
-"""SMOTE and ADASYN minority oversampling.
+"""Resampling of a training set: none, SMOTE or ADASYN.
 
-Both grow the minority class to exactly the majority count ("auto"
-strategy) by interpolating between a minority row and one of its k nearest
-minority neighbours:  x_base + lambda * (x_neighbor - x_base), lambda
-uniform on [0, 1).  Synthetic rows keep fractional values; they are not
+``none`` returns the training set as it is, with a provenance of no
+synthetic row: it draws nothing and reads no k_neighbors.  SMOTE and ADASYN
+grow the minority class to exactly the majority count ("auto" strategy) by
+interpolating between a minority row and one of its k nearest minority
+neighbours:  x_base + lambda * (x_neighbor - x_base), lambda uniform on
+[0, 1).  Synthetic rows keep fractional values; they are not
 re-binarised.  The two differ only in the base row of each synthetic row:
 SMOTE cycles through the minority rows in dataset order, and ADASYN takes
 each minority row, in dataset order, as often as its allocation says.
@@ -28,7 +30,7 @@ from .data import LabeledDataset, write_csv
 from .neighbors import knn_among, knn_indices
 
 
-METHODS = ("smote", "adasyn")  # the names resample() dispatches on
+METHODS = ("none", "smote", "adasyn")  # what resample() dispatches on
 
 # setting -> (check, rule); the tune grid checks its axes by the same rules
 RULES = {
@@ -184,7 +186,11 @@ def adasyn(train, config):
 
 
 def resample(train, config):
-    """Dispatch on config.method."""
+    """Dispatch on config.method; none adds no row."""
+    if config.method == "none":
+        no_rows = np.empty(0, dtype=np.intp)
+        return ResampleResult(train, Provenance(train.n_rows, no_rows,
+                                                no_rows, np.empty(0)))
     if config.method == "smote":
         return smote(train, config)
     return adasyn(train, config)

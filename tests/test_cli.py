@@ -8,9 +8,9 @@ import pytest
 
 from atrisk import cli
 from atrisk.cli import main
-from atrisk.config import SEED_OFFSETS
+from atrisk.config import SEED_OFFSETS, build_config
 from atrisk.data import LabeledDataset, TaskManifest
-from atrisk.models import MODEL_KINDS
+from atrisk.models import MODEL_KINDS, fit
 from atrisk.models.base import TrainedModel
 
 BASE_CONFIG = """\
@@ -126,7 +126,7 @@ def test_pipeline_rerun_is_byte_identical(tmp_path, config_file):
 
 @pytest.mark.parametrize("kind, extra, method", [
     *(pytest.param(kind, "", "smote", id=kind) for kind in MODEL_KINDS),
-    pytest.param("logreg", "train_input = raw\n", "smote", id="logreg-raw"),
+    pytest.param("logreg", "", "none", id="logreg-none"),
     pytest.param("logreg", "", "adasyn", id="logreg-adasyn"),
 ])
 def test_single_stage_rerun_matches_pipeline_slice(tmp_path, kind, extra,
@@ -289,13 +289,29 @@ def test_tune_writes_ranked_grid(tmp_path, config_file):
     assert best["method"] == "smote"
 
 
-def test_train_on_raw_input(tmp_path, config_file):
-    out = str(tmp_path / "run")
+def test_train_on_raw_input(tmp_path):
+    config = tmp_path / "none.cfg"
+    config.write_text(BASE_CONFIG.replace("method = smote", "method = none"))
+    out = tmp_path / "run"
+    for stage in ("simulate", "encode", "split", "resample", "train"):
+        run_ok([stage, "--config", str(config), "--out", str(out)])
+    # the model is the one fitted on the split's training rows as they are
+    fit(build_config(str(config)).model,
+        LabeledDataset.from_csv(out / "train_w3.csv")).save(tmp_path / "m")
+    assert (out / "model_w3_logreg.json").read_bytes() == \
+        (tmp_path / "m").read_bytes()
+
+
+def test_resample_none_writes_the_training_rows(tmp_path, config_file):
+    out = tmp_path / "run"
     for stage in ("simulate", "encode", "split"):
-        run_ok([stage, "--config", config_file, "--out", out])
-    run_ok(["train", "--config", config_file, "--out", out,
-            "--train-input", "raw"])
-    assert (tmp_path / "run" / "model_w3_logreg.json").exists()
+        run_ok([stage, "--config", config_file, "--out", str(out)])
+    run_ok(["resample", "--config", config_file, "--out", str(out),
+            "--method", "none"])
+    assert (out / "train_w3_none.csv").read_bytes() == \
+        (out / "train_w3.csv").read_bytes()
+    assert (out / "train_w3_none_provenance.csv").read_text() == \
+        "synthetic_row,base_row,neighbor_row,lambda\n"
 
 
 @pytest.mark.parametrize("model, seed", [
@@ -709,9 +725,22 @@ def test_too_few_failing_rows_for_any_k(tmp_path, capsys, seed, n_failing):
                       "stratified = false\n[resample]\nk_neighbors = 1\n")
     err = _one_line_error(capsys, ["pipeline", "--seed", seed, "--config",
                                    str(config), "--out", str(tmp_path)])
-    assert err == (f"atrisk pipeline: error: k_neighbors=1 needs at least 2 "
-                   f"minority rows, got {n_failing}; no k_neighbors can "
-                   f"work with fewer than 2 minority rows\n")
+    assert err == (f"atrisk pipeline: error: interval 3, "
+                   f"{tmp_path / 'train_w3.csv'}: k_neighbors=1 needs at "
+                   f"least 2 minority rows, got {n_failing}; no k_neighbors "
+                   f"can work with fewer than 2 minority rows\n")
+
+
+def test_fit_error_names_interval_and_training_file(tmp_path, capsys):
+    # the same cohort as above without resampling: the fit fails instead
+    config = tmp_path / "tiny.cfg"
+    config.write_text("[simulate]\nn_students = 20\n[split]\n"
+                      "stratified = false\n[resample]\nmethod = none\n")
+    err = _one_line_error(capsys, ["pipeline", "--seed", "6", "--config",
+                                   str(config), "--out", str(tmp_path)])
+    assert err == (f"atrisk pipeline: error: interval 3, "
+                   f"{tmp_path / 'train_w3_none.csv'}: logreg requires >= 2 "
+                   f"rows per class, got false=1, true=15\n")
 
 
 def test_tune_without_feasible_cell_fails(tmp_path, config_file, capsys):
@@ -727,3 +756,12 @@ def test_tune_without_feasible_cell_fails(tmp_path, config_file, capsys):
                                    "--out", str(out)])
     assert "no feasible grid cell" in err and "up to 50" in err
     assert not (out / "tune_w3_best.json").exists()
+    # no resampling needs no minority rows: the none cells are feasible
+    bad.write_text(bad.read_text().replace("methods = smote",
+                                           "methods = smote,none"))
+    run_ok(["tune", "--config", str(bad), "--out", str(out)])
+    best = json.loads((out / "tune_w3_best.json").read_text())
+    assert (best["method"], best["k_neighbors"]) == ("none", 0)
+    lines = (out / "tune_w3.csv").read_text().splitlines()[1:]
+    assert [line.split(",")[1:3] for line in lines] == \
+        [["none", "0"]] * 2 + [["smote", "20"]] * 2 + [["smote", "50"]] * 2

@@ -8,12 +8,11 @@ from pathlib import Path
 import pytest
 
 from atrisk import cli
-from atrisk.config import (_OPTIONS, PCA_FIT_ON, TRAIN_INPUTS,
-                           PipelineConfig, build_config)
+from atrisk.config import _OPTIONS, PCA_FIT_ON, PipelineConfig, build_config
 from atrisk.data import SplitSpec
 from atrisk.evaluation import GridSpec
 from atrisk.models import ModelSpec
-from atrisk.resampling import ResampleConfig
+from atrisk.resampling import METHODS, ResampleConfig
 from atrisk.simulate import SimConfig
 
 # every file key, each set to a value that differs from its default
@@ -42,12 +41,11 @@ train_fraction = 0.7
 stratified = false
 
 [resample]
-method = adasyn
+method = none
 k_neighbors = 3
 
 [model]
 kind = svm_rbf
-train_input = raw
 C = 2
 gamma = scale
 tolerance = 0.01
@@ -57,7 +55,7 @@ threshold = 0.4
 thresholds = 0.3,0.6
 
 [tune]
-methods = smote, adasyn
+methods = none, adasyn
 k_neighbors = 3,7
 penalties = l2
 c_values = 0.1,1
@@ -89,10 +87,10 @@ def test_every_file_key_reaches_its_field(tmp_path):
                            ability_spread=1.5, difficulty_spread=0.5,
                            labeling="stochastic", seed=11),
         split=SplitSpec(train_fraction=0.7, stratified=False, seed=12),
-        resample=ResampleConfig(method="adasyn", k_neighbors=3, seed=13),
+        resample=ResampleConfig(method="none", k_neighbors=3, seed=13),
         model=ModelSpec("svm_rbf", C=2, gamma="scale", tolerance=0.01),
-        train_input="raw", threshold=0.4, sweep_thresholds=(0.3, 0.6),
-        tune=GridSpec(resample_methods=("smote", "adasyn"),
+        threshold=0.4, sweep_thresholds=(0.3, 0.6),
+        tune=GridSpec(resample_methods=("none", "adasyn"),
                       k_neighbors_grid=(3, 7), penalties=("l2",),
                       c_grid=(0.1, 1.0), l1_ratios=(0.5,),
                       thresholds=(0.4, 0.5), folds=3,
@@ -115,12 +113,11 @@ FLAG_CASES = [
     (["--out", "runs/x"], "out_dir", "runs/x", ALL_COMMANDS),
     (["--interval", "6"], "intervals", (6,), ALL_COMMANDS),
     (["--threshold", "0.4"], "threshold", 0.4, ("evaluate",)),
-    (["--method", "adasyn"], "resample.method", "adasyn", ("resample",)),
+    (["--method", "none"], "resample.method", "none", ("resample",)),
     (["--method", "adasyn"], "pca_method", "adasyn", ("pca-export",)),
     (["--k-neighbors", "3"], "resample.k_neighbors", 3, ("resample",)),
     (["--model-kind", "knn"], "model.kind", "knn",
      ("evaluate", "train", "pipeline")),
-    (["--train-input", "raw"], "train_input", "raw", ("train", "pipeline")),
     (["--metric", "recall_false"], "tune.selection_metric", "recall_false",
      ("tune",)),
     (["--real-only"], "pca_fit_on", "real", ("pca-export",)),
@@ -163,18 +160,19 @@ def _subcommand_action(command, dest):
 def assert_validates_exactly(option, values):
     """build_config accepts each of values for option, and nothing else."""
     for value in values:
-        assert getattr(build_config(overrides={option: value}),
-                       option) == value
+        assert _setting(build_config(overrides={option: value}),
+                        option) == value
     rule = " or ".join(map(repr, values))
     with pytest.raises(ValueError, match=f"must be {rule}, got 'other'$"):
         build_config(overrides={option: "other"})
 
 
-def test_train_input_flag_offers_the_validated_values():
-    for command in ("train", "pipeline"):
-        action = _subcommand_action(command, "train_input")
-        assert tuple(action.choices) == TRAIN_INPUTS
-    assert_validates_exactly("train_input", TRAIN_INPUTS)
+def test_method_flags_offer_the_validated_methods():
+    assert _subcommand_action("resample", "resample.method").choices == \
+        _subcommand_action("pca-export", "pca_method").choices == METHODS
+    assert_validates_exactly("resample.method", METHODS)
+    assert build_config(overrides={"tune.resample_methods": ("none",)}) \
+        .tune.resample_methods == ("none",)
 
 
 def test_real_only_flag_sets_a_validated_value():

@@ -449,6 +449,60 @@ def test_grid_path_scores_match_cold_fits(split_w3, monkeypatch):
             assert a.mean_metric(name) == b.mean_metric(name), (a.key(), name)
 
 
+def cells_of(result, method):
+    """(key, feasible, fold-mean METRICS) of each cell of one method, in
+    rank order."""
+    return [(c.key(), c.feasible, [c.mean_metric(name) for name in METRICS])
+            for c in result.cells if c.method == method]
+
+
+@pytest.mark.parametrize("methods", [("none", "smote", "adasyn"),
+                                     ("smote", "none", "adasyn"),
+                                     ("smote", "adasyn", "none")])
+def test_none_leaves_the_resampled_cells_as_they_were(split_w3, methods):
+    # a none pair takes no resample-seed index, wherever it is listed
+    train, _ = split_w3
+    axes = dict(k_neighbors_grid=(3, 5), c_grid=(0.01, 1.0),
+                thresholds=(0.4, 0.5))
+    without = grid_search(tiny_grid(resample_methods=("smote", "adasyn"),
+                                    **axes), train)
+    with_none = grid_search(tiny_grid(resample_methods=methods, **axes),
+                            train)
+    for method in ("smote", "adasyn"):
+        assert cells_of(with_none, method) == cells_of(without, method)
+    assert len(cells_of(with_none, "none")) == 2 * 2  # one pair, not two
+
+
+def test_none_cells_ignore_the_k_neighbors_axis(split_w3):
+    train, _ = split_w3
+    results = [grid_search(tiny_grid(resample_methods=("none",),
+                                     k_neighbors_grid=ks,
+                                     thresholds=(0.4, 0.5)), train)
+               for ks in ((3, 5, 7), (5,))]
+    assert cells_of(results[0], "none") == cells_of(results[1], "none")
+    assert [c.k_neighbors for c in results[0].cells] == [0, 0]
+
+
+def test_none_cell_scores_each_fold_on_its_raw_rows(split_w3):
+    train, _ = split_w3
+    grid = tiny_grid(resample_methods=("none",))
+    result = grid_search(grid, train)
+    assert result.audit["synthetic_rows_in_fit"] == 0
+    assert result.audit["folds_checked"] == grid.folds
+    spec = ModelSpec("logreg", penalty="elasticnet", C=0.01, l1_ratio=0.5)
+    reports = []
+    for val_idx in stratified_fold_indices(train.labels, grid.folds,
+                                           grid.seed):
+        fit_idx = np.setdiff1d(np.arange(train.n_rows), val_idx)
+        model = fit(spec, train.subset(fit_idx))
+        reports.append(evaluate(model, train.subset(val_idx), 0.5))
+    (cell,) = result.cells
+    assert cell.key() == ("none", 0, "elasticnet", 0.01, 0.5, 0.5)
+    for name in METRICS:
+        expected = np.mean([getattr(r, name) for r in reports])
+        assert abs(cell.mean_metric(name) - expected) <= 1e-12, name
+
+
 def test_grid_search_rejects_more_folds_than_smaller_class(monkeypatch):
     def refuse(spec, train):
         raise AssertionError("fit before the folds check")

@@ -1,4 +1,5 @@
-"""SMOTE/ADASYN structure: balance, containment, provenance, determinism."""
+"""Resampling structure: balance, containment, provenance, determinism;
+none adds no row."""
 
 import numpy as np
 import pytest
@@ -225,6 +226,17 @@ def test_provenance_csv_format(tmp_path, split_w3):
     for i, line in enumerate(lines[1:]):
         assert line == f"{prov.n_real + i},{prov.base_row[i]}," \
                        f"{prov.neighbor_row[i]},{float(prov.lam[i])!r}"
+
+
+def test_none_returns_the_training_set_unchanged(split_w3):
+    train, _ = split_w3
+    # k_neighbors exceeds the minority count: none does not read it
+    result = resample(train, ResampleConfig(method="none", k_neighbors=999))
+    assert result.dataset is train
+    prov = result.provenance
+    assert prov.n_real == train.n_rows and not prov.adasyn_fallback
+    for arr in (prov.base_row, prov.neighbor_row, prov.lam):
+        assert arr.size == 0 and not arr.flags.writeable
 
 
 def test_provenance_arrays_are_read_only(split_w3):
