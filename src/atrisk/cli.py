@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import sys
 from pathlib import Path
 
@@ -205,6 +204,7 @@ def cmd_pca_export(cfg, args, store):
 
 
 def cmd_pipeline(cfg, args, store):
+    import hashlib  # loads OpenSSL, so only the command that hashes pays
     if cfg.cohort_path:  # ingest an existing cohort instead of simulating
         print(f"pipeline: ingesting {cfg.cohort_path}")
     else:

@@ -21,8 +21,7 @@ from .knn import KnnModel, fit_knn
 from .logistic import LogisticModel, fit_logistic
 from .naive_bayes import NaiveBayesModel, fit_naive_bayes
 from .svm import SvmModel, fit_svm
-from .tree import (DecisionTreeModel, RandomForestModel, fit_decision_tree,
-                   fit_random_forest)
+from .tree import TreeModel, fit_trees
 
 
 class _Kind(NamedTuple):
@@ -36,9 +35,9 @@ _KINDS = {
         "penalty": "l2", "C": 1.0, "l1_ratio": 0.0, "tolerance": 1e-8,
         "max_iterations": 10000}),
     "naive_bayes": _Kind(NaiveBayesModel, fit_naive_bayes, {}),
-    "decision_tree": _Kind(DecisionTreeModel, fit_decision_tree, {
+    "decision_tree": _Kind(TreeModel, fit_trees, {
         "max_depth": None, "min_samples_split": 2}),
-    "random_forest": _Kind(RandomForestModel, fit_random_forest, {
+    "random_forest": _Kind(TreeModel, fit_trees, {
         "n_trees": 100, "max_depth": None, "min_samples_split": 2,
         "max_features": "sqrt", "seed": 0}),
     "knn": _Kind(KnnModel, fit_knn, {"k": 5}),
@@ -203,6 +202,6 @@ def load_model(path):
 
 __all__ = [
     "MODEL_KINDS", "ModelSpec", "TrainedModel", "fit", "load_model",
-    "LogisticModel", "NaiveBayesModel", "DecisionTreeModel",
-    "RandomForestModel", "KnnModel", "SvmModel",
+    "LogisticModel", "NaiveBayesModel", "TreeModel", "KnnModel",
+    "SvmModel",
 ]

@@ -18,7 +18,7 @@ import numpy as np
 from ..data import write_json
 
 MODEL_FORMAT = "atrisk-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 
 # by dtype kind: a JSON string or bool is no number, and a fraction no index

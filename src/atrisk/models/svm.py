@@ -38,7 +38,8 @@ def _kernel_matrix(kind, x, y, gamma):
     if kind == "linear":
         return x @ y.T
     K = kernels.pairwise_sqdist(x, y)
-    K *= -gamma
+    with np.errstate(over="ignore"):  # a huge gamma: exp(-inf) = 0 is right
+        K *= -gamma
     return np.exp(K, out=K)
 
 

@@ -1,4 +1,4 @@
-"""CART decision tree (Gini impurity) and bagged random forest.
+"""CART decision tree (Gini impurity) and bagged random forest, one model.
 
 Splits are single-feature thresholds at midpoints between distinct sorted
 values, chosen to minimise the weighted child Gini.  Each node makes one
@@ -9,20 +9,24 @@ splits (needed for XOR-like layouts), so a fully grown tree reaches
 training accuracy 1.0 whenever no duplicate feature rows carry different
 labels.
 
-A tree is five read-only arrays over its nodes in preorder: ``feature``,
-``threshold``, ``left``, ``right`` (-1 at a leaf) and ``probs``, one
-(p_false, p_true) row a node.  It grows from an explicit stack of pending
-nodes, each the row indices that reach it; a split pushes its right
-child, then its left, so a left child is its parent's next node and the
-forest's feature draws follow preorder.  Nothing refers back to the
-builder, so a forest tree's bootstrap rows are freed as soon as it is
-built.  Prediction walks all rows down at once, one level a pass.
+A forest's probability is the mean of its trees' (Breiman 2001), so a
+decision tree is a forest of one, and both kinds are a ``TreeModel``
+saved as ``trees``.  A tree is four read-only arrays over its nodes in
+preorder: ``feature`` (-1 at a leaf), ``threshold``, ``right`` and
+``counts``, one (n_false, n_true) row a node; a left child is its
+parent's next node, and a leaf's probabilities are its counts over their
+sum.  A split pushes its right child, then its left, onto the stack of
+pending nodes (each the row indices that reach it), so the forest's
+feature draws follow preorder, and a forest tree's bootstrap rows are
+freed once it is built.  Prediction walks all rows down at once, one
+level a pass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -38,9 +42,8 @@ class _Tree:
 
     feature: np.ndarray
     threshold: np.ndarray
-    left: np.ndarray
     right: np.ndarray
-    probs: np.ndarray  # (n_nodes, 2): per node (p_false, p_true)
+    counts: np.ndarray  # (n_nodes, 2): per node (n_false, n_true)
 
 
 def _best_split(X, node_labels, rows, candidates):
@@ -69,9 +72,8 @@ def _build_tree(X, y, max_depth, min_samples_split, rng=None,
     size = 2 * n_rows - 1
     feature = np.full(size, _NO_FEATURE, dtype=np.intp)
     threshold = np.zeros(size)
-    left = np.full(size, -1, dtype=np.intp)
-    right = left.copy()
-    probs = np.empty((size, 2))
+    right = np.full(size, -1, dtype=np.intp)
+    counts = np.empty((size, 2), dtype=np.intp)
     # (rows, depth, the parent of a right child) of each node still to
     # grow; a left child is pushed last so that it is grown next
     pending = [(np.arange(n_rows, dtype=np.intp), 0, -1)]
@@ -84,7 +86,7 @@ def _build_tree(X, y, max_depth, min_samples_split, rng=None,
         node_labels = y[rows]
         n = rows.size
         n_true = int(node_labels.sum())
-        probs[node] = (n - n_true) / n, n_true / n
+        counts[node] = n - n_true, n_true
         if n_true in (0, n) or n < min_samples_split or \
                 (max_depth is not None and depth >= max_depth):
             continue
@@ -97,17 +99,18 @@ def _build_tree(X, y, max_depth, min_samples_split, rng=None,
         if split is None:
             continue  # all candidate features constant here
         j, t = split
-        feature[node], threshold[node], left[node] = j, t, node + 1
+        feature[node], threshold[node] = j, t
         go_left = X[rows, j] <= t
         pending.append((rows[~go_left], depth + 1, node))
         pending.append((rows[go_left], depth + 1, -1))
     return {name: array[:node + 1].copy() for name, array in (
-        ("feature", feature), ("threshold", threshold), ("left", left),
-        ("right", right), ("probs", probs))}
+        ("feature", feature), ("threshold", threshold), ("right", right),
+        ("counts", counts))}
 
 
 def _tree_proba(tree, rows):
-    """The probs row of the leaf each row reaches."""
+    """The (p_false, p_true) of the leaf each row reaches: its counts over
+    their sum."""
     leaf = np.zeros(rows.shape[0], dtype=np.intp)
     active = np.arange(rows.shape[0])  # the rows still at an internal node
     while active.size:
@@ -116,14 +119,15 @@ def _tree_proba(tree, rows):
         internal = j != _NO_FEATURE
         active, node, j = active[internal], node[internal], j[internal]
         leaf[active] = np.where(rows[active, j] <= tree.threshold[node],
-                                tree.left[node], tree.right[node])
-    return tree.probs[leaf]
+                                node + 1, tree.right[node])
+    counts = tree.counts[leaf]
+    return counts / counts.sum(axis=1, keepdims=True)
 
 
 def _fitted_tree(tree, n_features):
-    """tree, or its dict, as a _Tree whose every path ends at a leaf: an
-    internal node tests a feature in [0, n_features), and both its children
-    follow it in preorder."""
+    """tree, or its dict, as a _Tree whose every path ends at a leaf (an
+    internal node tests a feature in [0, n_features), and its right child
+    follows node + 1) and whose every node counts rows, none negative."""
     if isinstance(tree, _Tree):
         return tree
     feature = fitted_array(tree["feature"], None, dtype=np.intp)
@@ -131,65 +135,61 @@ def _fitted_tree(tree, n_features):
     if n_nodes == 0:
         raise ValueError("a tree needs at least one node")
     tree = _Tree(feature, fitted_array(tree["threshold"], n_nodes),
-                 fitted_array(tree["left"], n_nodes, dtype=np.intp),
                  fitted_array(tree["right"], n_nodes, dtype=np.intp),
-                 fitted_array(tree["probs"], n_nodes, 2))
-    children = np.stack([tree.left, tree.right])
+                 fitted_array(tree["counts"], n_nodes, 2, dtype=np.intp))
     outside = (feature < 0) | (feature >= n_features)
-    bad = (feature != _NO_FEATURE) & (outside | (
-        (children <= np.arange(n_nodes)) | (children >= n_nodes)).any(axis=0))
+    bad = (feature != _NO_FEATURE) & (
+        outside | (tree.right <= np.arange(1, n_nodes + 1))
+        | (tree.right >= n_nodes))
     if bad.any():
         node = int(bad.argmax())
         if outside[node]:
             raise ValueError(f"tree node {node} tests feature "
                              f"{feature[node]}, outside [0, {n_features})")
-        raise ValueError(f"tree node {node} has a child outside "
-                         f"({node}, {n_nodes})")
+        raise ValueError(f"tree node {node} has its right child "
+                         f"{tree.right[node]} outside ({node + 1}, "
+                         f"{n_nodes})")
+    bad = (tree.counts < 0).any(axis=1) | (tree.counts.sum(axis=1) <= 0)
+    if bad.any():
+        node = int(bad.argmax())
+        raise ValueError(f"tree node {node} has class counts "
+                         f"{tree.counts[node].tolist()}, not two counts "
+                         f">= 0 with a positive sum")
     return tree
 
 
-class DecisionTreeModel(TrainedModel):
-    state = ("tree",)
-    needs_both_classes = False
+class TreeModel(TrainedModel):
+    """The mean probability of one tree, or of a forest's n_trees."""
 
-    def __init__(self, spec, n_features, non_converged=False, *, tree):
-        super().__init__(spec, n_features, non_converged)
-        self.tree = _fitted_tree(tree, n_features)
-
-    def _proba(self, rows):
-        return _tree_proba(self.tree, rows)
-
-    @property
-    def n_nodes(self):
-        return len(self.tree.feature)
-
-
-class RandomForestModel(TrainedModel):
     state = ("trees",)
     needs_both_classes = False
 
     def __init__(self, spec, n_features, non_converged=False, *, trees):
         super().__init__(spec, n_features, non_converged)
         self.trees = tuple(_fitted_tree(t, n_features) for t in trees)
-        if not self.trees:
-            raise ValueError("a forest needs at least one tree")
+        want = spec.params.get("n_trees", 1)
+        if len(self.trees) != want:
+            raise ValueError(f"{spec.kind} needs {want} tree(s), got "
+                             f"{len(self.trees)}")
 
     def _proba(self, rows):
         stacked = np.stack([_tree_proba(t, rows) for t in self.trees])
         return stacked.mean(axis=0)
 
+    @property
+    def n_nodes(self):
+        return sum(len(t.feature) for t in self.trees)
 
-def fit_decision_tree(spec, train):
+
+def fit_trees(spec, train):
+    """One tree on the training rows, or a forest of n_trees, each on a
+    bootstrap draw and max_features candidate features a split."""
     p = spec.params
-    tree = _build_tree(train.features, train.labels,
-                       max_depth=p["max_depth"],
-                       min_samples_split=p["min_samples_split"])
-    return DecisionTreeModel(spec, train.n_features, tree=tree)
-
-
-def fit_random_forest(spec, train):
-    p = spec.params
+    grow = partial(_build_tree, max_depth=p["max_depth"],
+                   min_samples_split=p["min_samples_split"])
     d = train.n_features
+    if spec.kind == "decision_tree":
+        return TreeModel(spec, d, trees=[grow(train.features, train.labels)])
     if p["max_features"] == "sqrt":
         max_features = max(1, int(math.sqrt(d)))
     else:
@@ -199,9 +199,6 @@ def fit_random_forest(spec, train):
     for child in np.random.SeedSequence(p["seed"]).spawn(p["n_trees"]):
         rng = np.random.default_rng(child)
         bootstrap = rng.integers(0, n, size=n)
-        trees.append(_build_tree(train.features[bootstrap],
-                                 train.labels[bootstrap],
-                                 max_depth=p["max_depth"],
-                                 min_samples_split=p["min_samples_split"],
-                                 rng=rng, max_features=max_features))
-    return RandomForestModel(spec, d, trees=trees)
+        trees.append(grow(train.features[bootstrap], train.labels[bootstrap],
+                          rng=rng, max_features=max_features))
+    return TreeModel(spec, d, trees=trees)

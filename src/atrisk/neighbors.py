@@ -51,8 +51,9 @@ def knn_indices(points, k, subset=None):
             raise ValueError("candidate subset is empty")
         if pool.min() < 0 or pool.max() >= n:
             raise ValueError(f"subset indices out of range 0..{n - 1}")
-        if np.unique(pool).size != pool.size:
-            raise ValueError("subset indices must be unique")
         pool = np.sort(pool)
+        # np.unique would import numpy.ma; the sorted pool shows repeats
+        if (pool[1:] == pool[:-1]).any():
+            raise ValueError("subset indices must be unique")
     rows = points[pool]
     return pool[knn_among(rows, rows, k, own=np.arange(pool.size))]

@@ -11,7 +11,6 @@ a simulated cohort has real signal to amplify.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 
@@ -101,6 +100,7 @@ def simulate(config):
             threshold = np.sort(ability)[n_fail - 1]
             passed = ability > threshold
     else:
+        from statistics import NormalDist  # here: quantile runs never need it
         threshold = NormalDist(0.0, config.ability_spread).inv_cdf(
             config.fail_rate)
         passed = ability > threshold

@@ -179,7 +179,8 @@ def svm_kkt_oracle(X, y, alpha, C, kernel, gamma):
             K[s] = X @ X[s]
         else:
             delta = X - X[s]
-            K[s] = np.exp(-gamma * np.einsum("ij,ij->i", delta, delta))
+            with np.errstate(over="ignore"):  # exp(-inf) = 0, the limit
+                K[s] = np.exp(-gamma * np.einsum("ij,ij->i", delta, delta))
     m, M = -np.inf, np.inf
     for t in range(n):
         score = -y[t] * (y[t] * np.dot(K[t], alpha * y) - 1.0)
@@ -249,18 +250,20 @@ def csv_file_oracle(header, rows):
 
 def tree_proba_oracle(tree, rows):
     """Leaf probabilities by walking one row at a time, node by node, down
-    a fitted tree (feature -1 marks a leaf; a row goes left when its value
-    is <= the node's threshold)."""
-    feature, threshold, left, right, probs = (
+    a fitted tree (feature -1 marks a leaf; a row goes left, to the next
+    node, when its value is <= the node's threshold), each leaf's class
+    counts divided by their sum."""
+    feature, threshold, right, counts = (
         a.tolist() for a in
-        (tree.feature, tree.threshold, tree.left, tree.right, tree.probs))
+        (tree.feature, tree.threshold, tree.right, tree.counts))
     out = np.empty((rows.shape[0], 2))
     for i in range(rows.shape[0]):
         node = 0
         while feature[node] != -1:
             if rows[i, feature[node]] <= threshold[node]:
-                node = left[node]
+                node = node + 1
             else:
                 node = right[node]
-        out[i] = probs[node]
+        n_false, n_true = counts[node]
+        out[i] = n_false / (n_false + n_true), n_true / (n_false + n_true)
     return out

@@ -314,6 +314,19 @@ def test_resample_none_writes_the_training_rows(tmp_path, config_file):
         "synthetic_row,base_row,neighbor_row,lambda\n"
 
 
+def test_svm_rbf_with_a_huge_gamma_trains_and_evaluates(tmp_path):
+    # gamma * distance overflows to inf, and exp(-inf) = 0 is the kernel's
+    # limit; an overflow warning would fail the test
+    config = tmp_path / "svm.cfg"
+    config.write_text(BASE_CONFIG.replace(
+        "kind = logreg\nC = 1.0\n", "kind = svm_rbf\ngamma = 1e308\n"))
+    out = str(tmp_path / "run")
+    for stage in ("simulate", "encode", "split", "resample", "train",
+                  "evaluate"):
+        run_ok([stage, "--config", str(config), "--out", out])
+    assert (tmp_path / "run" / "report_w3_svm_rbf.json").exists()
+
+
 @pytest.mark.parametrize("model, seed", [
     ("", 5 + SEED_OFFSETS["train"]),  # BASE_CONFIG has run.seed = 5
     ("seed = 4\n", 4),
@@ -601,17 +614,17 @@ def test_seed7_dataset_csvs_match_golden_hashes(tmp_path):
 # changes these
 GOLDEN_TREE_MODEL_SHA256 = {
     "model_w3_decision_tree.json":
-        "e98a3bd1bd68ddb7fdabf8c8e69b31b74bc253bb27998719a27a141335de355d",
+        "2d3307bf2c19b595c326c2902ecc81072daeb357976183356774152eec17d029",
     "model_w6_decision_tree.json":
-        "81354fda759e5fe4cd4289b06171e38fabef8e0ab76ec119a58ec46d8286b884",
+        "9a3bfb4d4e67153c1c13509ec3a95d3c6ded6541064ad96dd773417422e3bb74",
     "model_w9_decision_tree.json":
-        "bd20456c403286fa19e39073babc35d81acb16e5aed640c6b9e20120618f5469",
+        "341bebf108105a0f02c6d25c855d4a8f5f77e09c2b54566fecf612f5e1700018",
     "model_w3_random_forest.json":
-        "bd254942978371004f3fbac660ba55ff590970488fa5be8551e2f11368cb9fdb",
+        "72f81f7c7f81d29ae879bc34db6360cc583ce813571196a1e9ef3dca08822878",
     "model_w6_random_forest.json":
-        "edd5cd20d2aaa5393a1a73037c03178e0a05031074f696b360d81d0c3a1fb8f9",
+        "2bad29e3574a06ebad4d3ad8e3a9507dfea13f387fd29675fb1b8d467c579012",
     "model_w9_random_forest.json":
-        "2c1dd0715311d41ed4b5bbeabedeac11ef6be05c4ff7a885a19d61b1b20060e1",
+        "c576e58a21c84a56fab42bea05ac0fffe4cfd8e6658f2c3a7398aba32f5d4bf5",
 }
 
 
@@ -630,9 +643,9 @@ def test_seed7_tree_model_files_match_golden_hashes(tmp_path):
 # are pinned on a second cohort
 GOLDEN_TREE_MODEL_SHA256_SEED4242 = {
     "model_w9_decision_tree.json":
-        "0a21bc1ea6f06429406993d5b4b5f54397df37521bb614beeb3837dc6ad44444",
+        "fd9dfd73221eb5113e6f3956a86db519e944a29f28c2f168782e927e87e213bd",
     "model_w9_random_forest.json":
-        "65b5ac0011c65b23def20cde62bae006c9315dac4bdd19eecfb45d1377811f14",
+        "45ab285e191ae641b458403507908e29251b2a4bcb2472f24d0ab59cb629a6d4",
 }
 
 

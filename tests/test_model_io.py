@@ -46,7 +46,7 @@ def test_document_structure(tmp_path, split_w3):
     model.save(path)
     doc = json.loads(path.read_text())
     assert doc["format"] == "atrisk-model"
-    assert doc["version"] == 1
+    assert doc["version"] == 2
     assert doc["kind"] == "logreg"
     assert doc["classes"] == [False, True]
     assert "state" in doc
@@ -80,6 +80,34 @@ def saved_document(tmp_path, train, kind="logreg"):
     return path, json.loads(path.read_text())
 
 
+def _as_version_1(doc):
+    """doc as format 1 saved it: a decision tree's state was one "tree",
+    and a tree also held "left" (-1 at a leaf) and per-node "probs"."""
+    doc["version"] = 1
+    if "trees" in doc["state"]:
+        trees = doc["state"].pop("trees")
+        for tree in trees:
+            tree["left"] = [-1 if j == -1 else i + 1
+                            for i, j in enumerate(tree["feature"])]
+            tree["probs"] = [[f / (f + t), t / (f + t)]
+                             for f, t in tree.pop("counts")]
+        if doc["kind"] == "decision_tree":
+            doc["state"]["tree"] = trees[0]
+        else:
+            doc["state"]["trees"] = trees
+    return doc
+
+
+@pytest.mark.parametrize("kind", ["decision_tree", "random_forest", "knn"])
+def test_rejects_version_1_file(tmp_path, split_w3, kind):
+    train, _ = split_w3
+    path, doc = saved_document(tmp_path, train, kind)
+    path.write_text(json.dumps(_as_version_1(doc)))
+    with pytest.raises(ValueError) as caught:
+        load_model(path)
+    assert str(caught.value) == f"{path}: unsupported model version 1"
+
+
 @pytest.mark.parametrize("kind, key", [
     *(pytest.param("logreg", key, id=key)
       for key in ("kind", "params", "n_features", "non_converged", "state")),
@@ -106,14 +134,35 @@ def _set_n_features(doc):
     doc["n_features"] = 10
 
 
-def _tree_edit(name, value):
+def _tree_edit(name, value, node=0):
     def edit(doc):
-        doc["state"]["tree"][name][0] = value
+        doc["state"]["trees"][0][name][node] = value
     return edit
 
 
-def _drop_last_probs(doc):
-    doc["state"]["tree"]["probs"].pop()
+def _drop_last_counts(doc):
+    doc["state"]["trees"][0]["counts"].pop()
+
+
+def _point_back_to_root(doc):
+    # the right child of the first internal node below the root is the root
+    tree = doc["state"]["trees"][0]
+    node = next(i for i, j in enumerate(tree["feature"]) if i and j != -1)
+    tree["right"][node] = 0
+
+
+def _right_past_end(doc):
+    tree = doc["state"]["trees"][0]
+    tree["right"][0] = len(tree["feature"])
+
+
+def _copy_first_tree(doc):
+    trees = doc["state"]["trees"]
+    trees.append(trees[0])
+
+
+def _drop_last_tree(doc):
+    doc["state"]["trees"].pop()
 
 
 def _set_state(name, value):
@@ -131,12 +180,22 @@ def _keep_two_rows(doc):
     pytest.param("logreg", _set_n_features, id="logreg-n_features"),
     pytest.param("decision_tree", _tree_edit("feature", 500),
                  id="tree-feature-out-of-range"),
-    pytest.param("decision_tree", _tree_edit("left", 0), id="tree-cycle"),
+    pytest.param("decision_tree", _point_back_to_root, id="tree-cycle"),
     pytest.param("decision_tree", _tree_edit("right", 0),
                  id="tree-right-cycle"),
+    pytest.param("decision_tree", _tree_edit("right", 1),
+                 id="tree-right-is-left-child"),
+    pytest.param("decision_tree", _right_past_end, id="tree-right-past-end"),
+    pytest.param("decision_tree", _tree_edit("counts", [-1, 5]),
+                 id="tree-negative-count"),
+    pytest.param("decision_tree", _tree_edit("counts", [0, 0], node=-1),
+                 id="tree-zero-count-leaf"),
+    pytest.param("decision_tree", _copy_first_tree, id="tree-two-trees"),
+    pytest.param("random_forest", _drop_last_tree,
+                 id="random_forest-one-tree-short"),
     pytest.param("decision_tree", _tree_edit("feature", -2),
                  id="tree-negative-feature"),
-    pytest.param("decision_tree", _drop_last_probs, id="tree-short-list"),
+    pytest.param("decision_tree", _drop_last_counts, id="tree-short-list"),
     pytest.param("svm_rbf", _set_state("gamma", None),
                  id="svm_rbf-gamma-null"),
     pytest.param("knn", _keep_two_rows, id="knn-fewer-rows-than-k"),
@@ -147,8 +206,8 @@ def _keep_two_rows(doc):
                  id="tree-string-threshold"),
     pytest.param("decision_tree", _tree_edit("feature", True),
                  id="tree-bool-feature"),
-    pytest.param("decision_tree", _tree_edit("probs", [0.5, "0.5"]),
-                 id="tree-string-in-probs-pair"),
+    pytest.param("decision_tree", _tree_edit("counts", [5, "5"]),
+                 id="tree-string-in-counts-pair"),
     pytest.param("naive_bayes", _set_state("log_prior", ["-0.1", "-2.0"]),
                  id="naive_bayes-string-log_prior"),
     pytest.param("naive_bayes", _set_state("log_prior", [True, False]),
@@ -163,8 +222,10 @@ def test_rejects_malformed_state(tmp_path, split_w3, kind, edit):
     path, doc = saved_document(tmp_path, train, kind)
     edit(doc)
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="model.json: malformed 'state'"):
+    with pytest.raises(ValueError, match="model.json: malformed 'state'") \
+            as caught:
         load_model(path)
+    assert "\n" not in str(caught.value)
 
 
 @pytest.mark.parametrize("key, value, message", [

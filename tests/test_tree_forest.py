@@ -8,7 +8,7 @@ import pytest
 
 from atrisk import LabeledDataset, ModelSpec, fit, load_model
 from atrisk.cli import main
-from atrisk.models import MODEL_KINDS, DecisionTreeModel
+from atrisk.models import MODEL_KINDS, TreeModel
 from conftest import make_dataset, random_binary_dataset
 from oracles import tree_proba_oracle
 
@@ -56,7 +56,7 @@ def test_tree_tie_breaks_to_lowest_feature_index():
     features = np.column_stack([base, base])
     ds = make_dataset(features, [False, False, True, True])
     model = fit(ModelSpec("decision_tree"), ds)
-    assert model.tree.feature[0] == 0
+    assert model.trees[0].feature[0] == 0
 
 
 def test_tree_tie_breaks_to_lowest_threshold():
@@ -65,7 +65,7 @@ def test_tree_tie_breaks_to_lowest_threshold():
     labels = [True, False, True]
     ds = make_dataset(features, labels)
     model = fit(ModelSpec("decision_tree"), ds)
-    assert model.tree.threshold[0] == pytest.approx(0.5)
+    assert model.trees[0].threshold[0] == pytest.approx(0.5)
 
 
 def test_tree_respects_max_depth():
@@ -104,9 +104,9 @@ def test_forest_probability_is_exact_mean_of_members(split_w3):
     train, test = split_w3
     model = fit(ModelSpec("random_forest", n_trees=12, seed=5), train)
     proba = model.predict_proba(test.features)
-    members = [DecisionTreeModel(ModelSpec("decision_tree"),
-                                 train.n_features, tree=tree)
-               .predict_proba(test.features) for tree in model.trees]
+    members = [TreeModel(ModelSpec("decision_tree"), train.n_features,
+                         trees=[tree]).predict_proba(test.features)
+               for tree in model.trees]
     assert np.array_equal(proba, np.stack(members).mean(axis=0))
 
 
@@ -160,7 +160,7 @@ def rows_on_thresholds(tree, rows):
             j, t = tree.feature[node], tree.threshold[node]
             out.append(row.copy())
             out[-1][j] = t
-            node = tree.left[node] if row[j] <= t else tree.right[node]
+            node = node + 1 if row[j] <= t else tree.right[node]
     return np.array(out)
 
 
@@ -170,11 +170,10 @@ def test_array_walk_matches_reference_walk(kind, seed7_run,
     train = smote_train_w9_seed7
     test = LabeledDataset.from_csv(f"{seed7_run}/test_w9.csv")
     model = fit(ModelSpec(kind), train)
-    trees = [model.tree] if kind == "decision_tree" else model.trees
     walked = []
-    for tree in trees:
-        member = DecisionTreeModel(ModelSpec("decision_tree"),
-                                   train.n_features, tree=tree)
+    for tree in model.trees:
+        member = TreeModel(ModelSpec("decision_tree"), train.n_features,
+                           trees=[tree])
         on_threshold = rows_on_thresholds(tree, train.features[:50])
         assert on_threshold.shape[0] > 0
         for rows in (train.features, test.features, on_threshold):
@@ -193,8 +192,7 @@ def test_fitted_and_loaded_tree_arrays_are_read_only(kind, tmp_path,
                                    else {})), train)
     model.save(tmp_path / "model.json")
     for source in (model, load_model(tmp_path / "model.json")):
-        trees = getattr(source, "trees", None) or [source.tree]
-        for tree in trees:
+        for tree in source.trees:
             for field in dataclasses.fields(tree):
                 array = getattr(tree, field.name)
                 assert not array.flags.writeable
