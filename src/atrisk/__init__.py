@@ -15,7 +15,7 @@ from .models import ModelSpec, TrainedModel, fit, load_model
 from .neighbors import knn_indices
 from .pca import PcaModel, export_scatter, fit_pca, reconstruct, transform
 from .resampling import (Provenance, ResampleConfig, ResampleResult, adasyn,
-                         resample, smote)
+                         load_resampled, resample, smote)
 from .simulate import SimConfig, build_manifest, default_manifest, simulate
 
 __version__ = "0.1.0"
@@ -28,8 +28,8 @@ __all__ = [
     "ModelSpec", "TrainedModel", "fit", "load_model",
     "knn_indices",
     "PcaModel", "export_scatter", "fit_pca", "reconstruct", "transform",
-    "Provenance", "ResampleConfig", "ResampleResult", "adasyn", "resample",
-    "smote",
+    "Provenance", "ResampleConfig", "ResampleResult", "adasyn",
+    "load_resampled", "resample", "smote",
     "SimConfig", "build_manifest", "default_manifest", "simulate",
     "__version__",
 ]

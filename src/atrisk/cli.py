@@ -12,12 +12,13 @@
 
 Stages communicate through conventionally named artifacts in the output
 directory (cohort.csv, dataset_w3.csv, train_w3.csv, ...), each written
-once.  A single-stage subcommand reads its inputs from that directory;
-``pipeline`` chains the stages across the configured intervals, hands each
-artifact to the next stage in memory, and writes a manifest of artifact
-hashes.  Rerunning with an identical config at the same BLAS thread count
-reproduces the same bytes (the ROADMAP's reproducibility contract covers
-thread counts).
+once; a resampled training set is stored as train_w3.csv plus its
+provenance file, train_w3_smote_provenance.csv.  A single-stage subcommand
+reads its inputs from that directory; ``pipeline`` chains the stages across
+the configured intervals, hands each artifact to the next stage in memory,
+and writes a manifest of artifact hashes.  Rerunning with an identical
+config at the same BLAS thread count reproduces the same bytes (the
+ROADMAP's reproducibility contract covers thread counts).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .evaluation import (SELECTION_METRICS, evaluate, grid_search,
                          sweep_thresholds, write_summary_csv)
 from .models import fit, load_model
 from .pca import export_scatter
-from .resampling import METHODS, resample
+from .resampling import METHODS, load_resampled, resample
 from .simulate import simulate
 
 
@@ -79,6 +80,18 @@ def _naming(interval, path):
         raise CliError(f"interval {interval}, {path}: {exc}") from None
 
 
+def _resampled(store, interval, method, stage):
+    """(provenance file name, resampled training set): the set resample
+    held, or else train_w{N}.csv grown by its provenance file."""
+    def read(path):
+        train = store.get(f"train_w{interval}.csv", LabeledDataset.from_csv,
+                          stage)
+        return load_resampled(path, train)
+
+    name = f"train_w{interval}_{method}_provenance.csv"
+    return name, store.get(name, read, stage)
+
+
 def cmd_simulate(cfg, args, store):
     records, manifest = simulate(cfg.simulate)
     store.put("cohort.csv", records, lambda p: save_cohort(records, p))
@@ -116,10 +129,9 @@ def cmd_resample(cfg, args, store):
         train = store.get(source, LabeledDataset.from_csv, "resample")
         with _naming(interval, store.out / source):
             result = resample(train, cfg.resample)
-        stem = f"train_w{interval}_{cfg.resample.method}"
-        store.put(f"{stem}.csv", result.dataset, result.dataset.to_csv)
-        store.put(f"{stem}_provenance.csv", result.provenance,
-                  result.provenance.to_csv)
+        # held as the set it grows, so train reads nothing back
+        store.put(f"train_w{interval}_{cfg.resample.method}_provenance.csv",
+                  result.dataset, result.provenance.to_csv)
         n_fail, n_pass = result.dataset.class_counts()
         print(f"resample: interval {interval} {cfg.resample.method} -> "
               f"{n_fail}/{n_pass} fail/pass")
@@ -128,8 +140,8 @@ def cmd_resample(cfg, args, store):
 def cmd_train(cfg, args, store):
     spec = cfg.model
     for interval in cfg.intervals:
-        source = f"train_w{interval}_{cfg.resample.method}.csv"
-        train = store.get(source, LabeledDataset.from_csv, "train")
+        source, train = _resampled(store, interval, cfg.resample.method,
+                                   "train")
         with _naming(interval, store.out / source):
             model = fit(spec, train)
         name = f"model_w{interval}_{spec.kind}.json"
@@ -195,8 +207,7 @@ def cmd_pca_export(cfg, args, store):
     real_only = cfg.pca_fit_on == PCA_REAL_ONLY
     suffix = "_real" if real_only else ""  # never overwrites a union export
     for interval in cfg.intervals:
-        grown = store.get(f"train_w{interval}_{method}.csv",
-                          LabeledDataset.from_csv, "pca-export")
+        _, grown = _resampled(store, interval, method, "pca-export")
         name = f"scatter_w{interval}_{method}{suffix}.csv"
         store.put(name, None, lambda p: export_scatter(
             grown, method, p, fit_on_real_only=real_only))

@@ -7,12 +7,13 @@ Cohort CSV:   header ``student_id,cohort,passed,right_answers,wrong_answers``;
               task names and may be empty.
 Manifest CSV: header ``task,week``, one row per task.
 Dataset CSV:  one column per feature (named), then ``label`` and
-              ``synthetic`` (``true``/``false``).  A value with no
-              fractional part is written as an integer (``0``, ``-3``,
-              ``10000000000000000``; ``-0.0`` as ``0``), any other value as
-              its Python ``repr``, the shortest text that reads back to the
-              same float.  Real rows hold only ``0`` and ``1``.  These bytes
-              are a contract that reruns and releases keep.
+              ``synthetic`` (``true``/``false``).  A real row holds only
+              ``0`` and ``1``; the writer writes real rows only, so its
+              ``synthetic`` cells read ``false``, and these bytes are a
+              contract that reruns and releases keep.  The reader also
+              takes a synthetic row of any finite floats.  A resampled set
+              is stored as its training CSV plus its provenance CSV (see
+              ``resampling``).
 Other CSVs:   a bool cell is ``true``/``false``, a float cell (numpy's too)
               ``repr(float(v))``, any other as the csv module writes it.
 JSON:         key-sorted, indented by two spaces, newline-terminated; an
@@ -311,30 +312,25 @@ class LabeledDataset:
         """Write the dataset in the dataset CSV format (module docstring).
 
         Real rows hold only 0/1, so the text of all of them comes from one
-        byte buffer, a slice per row; only synthetic rows are formatted
-        value by value.  Rows are streamed to the file, never joined.
+        byte buffer, a slice per row, streamed to the file.  A synthetic
+        row is refused: a resampled set is stored as its provenance.
         """
+        if self.synthetic_flags.any():
+            raise ValueError("a dataset CSV holds real rows only; store a "
+                             "resampled set as its provenance")
         header = io.StringIO()
         csv.writer(header, lineterminator="\n").writerow(
             (*self.feature_names, "label", "synthetic"))
-        # row i of digits is real row i's values as "d,d,...,d,"
+        # row i of digits is row i's values as "d,d,...,d,"
         digits = np.full((self.n_rows, 2 * self.n_features), ord(","),
                          dtype=np.uint8)
         digits[:, 0::2] = ord("0")
         digits[:, 0::2] += self.features == 1.0
         with open(path, "wb") as fh:
             fh.write(header.getvalue().encode("utf-8"))
-            for row, text, label, synthetic in zip(
-                    self.features, digits, self.labels.tolist(),
-                    self.synthetic_flags.tolist()):
-                if synthetic:
-                    values = "".join(
-                        str(int(v)) + "," if v.is_integer() else repr(v) + ","
-                        for v in row.tolist()).encode("ascii")
-                else:
-                    values = text.tobytes()
-                fh.write(b"".join((values, b"true," if label else b"false,",
-                                   b"true\n" if synthetic else b"false\n")))
+            for text, label in zip(digits, self.labels.tolist()):
+                fh.write(text.tobytes()
+                         + (b"true,false\n" if label else b"false,false\n"))
 
     @classmethod
     def from_csv(cls, path):

@@ -166,6 +166,9 @@ class TreeModel(TrainedModel):
 
     def __init__(self, spec, n_features, non_converged=False, *, trees):
         super().__init__(spec, n_features, non_converged)
+        if not isinstance(trees, list):
+            raise ValueError(f"'trees' must be a list of trees, got "
+                             f"{type(trees).__name__}")
         self.trees = tuple(_fitted_tree(t, n_features) for t in trees)
         want = spec.params.get("n_trees", 1)
         if len(self.trees) != want:

@@ -17,20 +17,25 @@ Every resampled dataset and provenance file depends on this order, so it
 stays as it is.
 
 The provenance holds each synthetic row's base row, neighbour row and
-lambda, from which ``_interpolate`` rebuilds the row bit for bit.
+lambda, and is the only stored form of a resampled set: ``grow`` builds
+the set from the training set and those three arrays, both when it is
+drawn and when ``load_resampled`` reads a provenance CSV back, so the two
+agree bit for bit.  A synthetic row takes its base row's label.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledDataset, write_csv
+from .data import LabeledDataset, read_rows, write_csv
 from .neighbors import knn_among, knn_indices
 
 
 METHODS = ("none", "smote", "adasyn")  # what resample() dispatches on
+PROVENANCE_COLUMNS = ("synthetic_row", "base_row", "neighbor_row", "lambda")
 
 # setting -> (check, rule); the tune grid checks its axes by the same rules
 RULES = {
@@ -54,8 +59,9 @@ class ResampleConfig:
 
 @dataclass(frozen=True, eq=False)
 class Provenance:
-    """Synthetic row n_real + i is _interpolate(base_row[i],
-    neighbor_row[i], lam[i]); the three arrays are read-only."""
+    """Synthetic row n_real + i interpolates from base_row[i] toward
+    neighbor_row[i] by lam[i] (see grow); the three arrays are
+    read-only."""
     n_real: int
     base_row: np.ndarray      # original-row index interpolated from
     neighbor_row: np.ndarray  # original-row index interpolated toward
@@ -67,8 +73,7 @@ class Provenance:
             arr.setflags(write=False)
 
     def to_csv(self, path):
-        write_csv(path, ("synthetic_row", "base_row", "neighbor_row",
-                         "lambda"),
+        write_csv(path, PROVENANCE_COLUMNS,
                   zip(range(self.n_real, self.n_real + self.lam.size),
                       self.base_row.tolist(), self.neighbor_row.tolist(),
                       self.lam.tolist()))
@@ -80,8 +85,56 @@ class ResampleResult:
     provenance: Provenance
 
 
-def _interpolate(base_row, neighbor_row, lam):
-    return base_row + lam * (neighbor_row - base_row)
+def grow(train, base_row, neighbor_row, lam):
+    """train with synthetic row i, base + lam[i] * (neighbor - base) over
+    training rows base_row[i] and neighbor_row[i], appended in order; a
+    synthetic row takes its base row's label."""
+    base = train.features[base_row]
+    synthetic = base + lam[:, None] * (train.features[neighbor_row] - base)
+    return LabeledDataset(
+        np.vstack([train.features, synthetic]),
+        np.concatenate([train.labels, train.labels[base_row]]),
+        train.feature_names,
+        np.concatenate([train.synthetic_flags, np.ones(lam.size, dtype=bool)]))
+
+
+def load_resampled(path, train):
+    """The resampled set that the provenance CSV at path grows from train.
+
+    Rows must number the synthetic rows from train.n_rows up, name a base
+    and a neighbour row of train with the same label, and hold a finite
+    lambda in [0, 1); a row that does not fails with ``path:line``.
+    """
+    n = train.n_rows
+
+    def parse(row, synthetic_row):
+        found, base, neighbor = (int(v) for v in row[:3])
+        lam = float(row[3])
+        if found != synthetic_row:
+            raise ValueError(f"synthetic_row must be {synthetic_row}, "
+                             f"got {found}")
+        for name, index in (("base_row", base), ("neighbor_row", neighbor)):
+            if not 0 <= index < n:
+                raise ValueError(f"{name} {index} is outside the {n} "
+                                 f"training rows")
+        if train.labels[base] != train.labels[neighbor]:
+            raise ValueError(f"base_row {base} and neighbor_row {neighbor} "
+                             f"have different labels")
+        if not 0.0 <= lam < 1.0:  # false for nan too
+            raise ValueError(f"lambda must be finite and in [0, 1), "
+                             f"got {row[3]!r}")
+        return base, neighbor, lam
+
+    def build(header, rows):
+        parsed = np.array([parse(row, n + i) for i, row in enumerate(rows)],
+                          dtype=np.float64).reshape(-1, 3)
+        index = parsed[:, :2].astype(np.intp)  # exact: small integers
+        return grow(train, index[:, 0], index[:, 1], parsed[:, 2])
+
+    # check runs over the rows in order, once, to find the first bad one
+    positions = itertools.count(n)
+    return read_rows(path, PROVENANCE_COLUMNS,
+                     lambda row: parse(row, next(positions)), build)
 
 
 def allocate_by_share(share, gap):
@@ -139,15 +192,9 @@ def _oversample(train, config, base_positions):
         neighbor_row[t] = pools[pos, rng.integers(k)]
         lam[t] = rng.random()
     base_row = minority_idx[positions]
-    synthetic = _interpolate(train.features[base_row],
-                             train.features[neighbor_row], lam[:, None])
-    dataset = LabeledDataset(
-        np.vstack([train.features, synthetic]),
-        np.concatenate([train.labels, np.full(lam.size, minority_label)]),
-        train.feature_names,
-        np.concatenate([train.synthetic_flags, np.ones(lam.size, dtype=bool)]))
-    return ResampleResult(dataset, Provenance(train.n_rows, base_row,
-                                              neighbor_row, lam, fallback))
+    return ResampleResult(grow(train, base_row, neighbor_row, lam),
+                          Provenance(train.n_rows, base_row, neighbor_row,
+                                     lam, fallback))
 
 
 def smote(train, config):

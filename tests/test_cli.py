@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from atrisk.config import SEED_OFFSETS, build_config
 from atrisk.data import LabeledDataset, TaskManifest
 from atrisk.models import MODEL_KINDS, fit
 from atrisk.models.base import TrainedModel
+from atrisk.resampling import load_resampled
+from oracles import dataset_csv_oracle
 
 BASE_CONFIG = """\
 [run]
@@ -68,8 +71,8 @@ def test_stage_chain(tmp_path, config_file):
     assert header.count(",") == 44  # 43 features + label + synthetic
     run_ok(["split", "--config", config_file, "--out", out])
     run_ok(["resample", "--config", config_file, "--out", out])
-    assert (tmp_path / "run" / "train_w3_smote.csv").exists()
     assert (tmp_path / "run" / "train_w3_smote_provenance.csv").exists()
+    assert not (tmp_path / "run" / "train_w3_smote.csv").exists()
     run_ok(["train", "--config", config_file, "--out", out])
     assert (tmp_path / "run" / "model_w3_logreg.json").exists()
     run_ok(["evaluate", "--config", config_file, "--out", out])
@@ -108,6 +111,7 @@ def test_pipeline_reads_back_no_artifact(tmp_path, config_file,
 
     monkeypatch.setattr(cli, "load_cohort", refuse)
     monkeypatch.setattr(cli, "load_model", refuse)
+    monkeypatch.setattr(cli, "load_resampled", refuse)
     monkeypatch.setattr(LabeledDataset, "from_csv", refuse)
     monkeypatch.setattr(TaskManifest, "from_csv", refuse)
     run_ok(["pipeline", "--config", config_file,
@@ -195,8 +199,8 @@ def test_evaluate_refuses_synthetic_test_file(tmp_path, config_file,
     out = str(tmp_path / "run")
     for stage in ("simulate", "encode", "split", "resample", "train"):
         run_ok([stage, "--config", config_file, "--out", out])
-    code = main(["evaluate", "--config", config_file, "--out", out,
-                 "--test-file", str(tmp_path / "run" / "train_w3_smote.csv")])
+    _set_field(2, -1, "true")(tmp_path / "run" / "test_w3.csv")
+    code = main(["evaluate", "--config", config_file, "--out", out])
     assert code == 1
     assert "test purity" in capsys.readouterr().err
 
@@ -308,8 +312,8 @@ def test_resample_none_writes_the_training_rows(tmp_path, config_file):
         run_ok([stage, "--config", config_file, "--out", str(out)])
     run_ok(["resample", "--config", config_file, "--out", str(out),
             "--method", "none"])
-    assert (out / "train_w3_none.csv").read_bytes() == \
-        (out / "train_w3.csv").read_bytes()
+    # the training rows are train_w3.csv itself: no copy is written
+    assert not (out / "train_w3_none.csv").exists()
     assert (out / "train_w3_none_provenance.csv").read_text() == \
         "synthetic_row,base_row,neighbor_row,lambda\n"
 
@@ -405,7 +409,7 @@ def test_malformed_config_file_names_file_and_line(tmp_path, capsys, text,
     assert str(bad) in err and line in err
 
 
-@pytest.mark.parametrize("model, flags, expected", [
+BAD_MODELS = (
     ("", ["--model-kind", "foo"], "unknown model kind 'foo'"),
     ("kind = foo\n", [], "unknown model kind 'foo'"),
     ("C = abc\n", [], "logreg hyperparameter 'C' must be a number"),
@@ -425,12 +429,18 @@ def test_malformed_config_file_names_file_and_line(tmp_path, capsys, text,
      "logreg hyperparameter 'tolerance' must be a finite number, got inf"),
     ("self = 1\n", [], "unknown hyperparameter(s) for logreg: ['self']"),
     ("a.b = 1\n", [], "unknown hyperparameter(s) for logreg: ['a.b']"),
-])
-@pytest.mark.parametrize("command", tuple(cli._COMMANDS))
-def test_bad_model_fails_before_any_stage(tmp_path, capsys, model, flags,
-                                          expected, command):
-    if flags and command not in ("train", "evaluate", "pipeline"):
-        pytest.skip(f"{command} takes no --model-kind")
+)
+
+
+@pytest.mark.parametrize("command, model, flags, expected", [
+    pytest.param(command, model, flags, expected,
+                 id=f"{command}-{model}-flags{i}-{expected}")
+    for command in cli._COMMANDS
+    for i, (model, flags, expected) in enumerate(BAD_MODELS)
+    # only train, evaluate and pipeline take --model-kind
+    if not flags or command in ("train", "evaluate", "pipeline")])
+def test_bad_model_fails_before_any_stage(tmp_path, capsys, command, model,
+                                          flags, expected):
     bad = tmp_path / "bad.cfg"
     bad.write_text(BASE_CONFIG.replace("[model]\nkind = logreg\nC = 1.0\n",
                                        "[model]\n" + model))
@@ -520,6 +530,11 @@ def _repeat_line(line):
     pytest.param("manifest.csv", ("simulate",), "encode", _repeat_line(2),
                  "duplicate task 'w01_t01' (first seen on line 2)",
                  id="duplicate-task"),
+    pytest.param("train_w3_smote_provenance.csv",
+                 ("simulate", "encode", "split", "resample"), "train",
+                 _set_field(3, 3, "1.5"),
+                 "lambda must be finite and in [0, 1), got '1.5'",
+                 id="provenance-lambda"),
 ])
 def test_loader_error_names_file_and_line(tmp_path, config_file, capsys,
                                           name, stages, command, edit,
@@ -561,9 +576,24 @@ def test_evaluate_scores_once_per_interval_with_a_sweep(tmp_path,
         assert float(row[5]) == report["f1_false"]
 
 
-# sha256 of the dataset CSVs that `atrisk pipeline --seed 7` and
-# `atrisk resample --seed 7 --method adasyn` write with the default config;
-# any change to the bytes the dataset writer produces changes these
+def artifact_bytes(out, name):
+    """The bytes of file name in out; for a resampled set
+    train_w{N}_{method}.csv, which is stored as its provenance file, the
+    dataset CSV of the set load_resampled rebuilds from train_w{N}.csv."""
+    resampled = re.fullmatch(r"(.*train_w\d+)(_smote|_adasyn)\.csv", name)
+    if resampled is None:
+        return (out / name).read_bytes()
+    stem, method = resampled.groups()
+    assert not (out / name).exists()
+    train = LabeledDataset.from_csv(out / f"{stem}.csv")
+    return dataset_csv_oracle(
+        load_resampled(out / f"{stem}{method}_provenance.csv", train))
+
+
+# sha256 of the dataset CSVs that `atrisk pipeline --seed 7` writes with the
+# default config, and of the SMOTE and ADASYN sets (`atrisk resample --seed
+# 7 --method adasyn`) by artifact_bytes; any change to the bytes the dataset
+# writer produces, or to the rows a resampled set rebuilds, changes these
 GOLDEN_DATASET_SHA256 = {
     "dataset_w3.csv":
         "2979b24c5d099662568b9b551670948377a8621dcf510b87be0e7b5b62e737bb",
@@ -603,7 +633,7 @@ def test_seed7_dataset_csvs_match_golden_hashes(tmp_path):
     for stage in ("simulate", "encode", "split", "resample"):
         run_ok([stage, "--seed", "7", "--out", out])
     run_ok(["resample", "--seed", "7", "--method", "adasyn", "--out", out])
-    found = {name: hashlib.sha256((tmp_path / "run" / name).read_bytes())
+    found = {name: hashlib.sha256(artifact_bytes(tmp_path / "run", name))
              .hexdigest() for name in GOLDEN_DATASET_SHA256}
     assert found == GOLDEN_DATASET_SHA256
 
@@ -698,9 +728,10 @@ def test_seed7_cohort_provenance_and_report_files_match_golden_hashes(
 
 
 # sha256 of the ADASYN files that `atrisk resample --method adasyn` writes
-# after simulate, encode and split with the default config: the seed-7
-# provenance (its datasets are pinned above) and seed 4242 at interval 9;
-# any change to the draw order or the allocation changes these
+# after simulate, encode and split with the default config, the set by
+# artifact_bytes: the seed-7 provenance (its sets are pinned above) and
+# seed 4242 at interval 9; any change to the draw order or the allocation
+# changes these
 GOLDEN_ADASYN_SHA256 = {
     "train_w3_adasyn_provenance.csv":
         "fa8291dc9e03612ff1bdc3f024f20075e9ab98cf6dc2ac19232b75917dd25c3d",
@@ -724,7 +755,7 @@ def test_adasyn_files_match_golden_hashes(tmp_path):
             run_ok([stage, "--seed", seed, *interval, "--out", str(out)])
         run_ok(["resample", "--seed", seed, *interval, "--method", "adasyn",
                 "--out", str(out)])
-    found = {name: hashlib.sha256((tmp_path / name).read_bytes())
+    found = {name: hashlib.sha256(artifact_bytes(tmp_path, name))
              .hexdigest() for name in GOLDEN_ADASYN_SHA256}
     assert found == GOLDEN_ADASYN_SHA256
 
@@ -752,8 +783,8 @@ def test_fit_error_names_interval_and_training_file(tmp_path, capsys):
     err = _one_line_error(capsys, ["pipeline", "--seed", "6", "--config",
                                    str(config), "--out", str(tmp_path)])
     assert err == (f"atrisk pipeline: error: interval 3, "
-                   f"{tmp_path / 'train_w3_none.csv'}: logreg requires >= 2 "
-                   f"rows per class, got false=1, true=15\n")
+                   f"{tmp_path / 'train_w3_none_provenance.csv'}: logreg "
+                   f"requires >= 2 rows per class, got false=1, true=15\n")
 
 
 def test_tune_without_feasible_cell_fails(tmp_path, config_file, capsys):

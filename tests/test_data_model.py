@@ -242,15 +242,24 @@ def test_dataset_shape_validation():
         LabeledDataset(np.zeros((2, 2)), [True, False], ("a",))
 
 
-def test_dataset_csv_round_trip(tmp_path, smote_train_w3):
+def test_dataset_csv_round_trip(tmp_path, split_w3):
+    train, _ = split_w3
     path = tmp_path / "dataset.csv"
-    smote_train_w3.to_csv(path)
+    train.to_csv(path)
     again = LabeledDataset.from_csv(path)
-    assert np.array_equal(again.features, smote_train_w3.features)
-    assert np.array_equal(again.labels, smote_train_w3.labels)
-    assert np.array_equal(again.synthetic_flags,
-                          smote_train_w3.synthetic_flags)
-    assert again.feature_names == smote_train_w3.feature_names
+    assert np.array_equal(again.features, train.features)
+    assert np.array_equal(again.labels, train.labels)
+    assert np.array_equal(again.synthetic_flags, train.synthetic_flags)
+    assert again.feature_names == train.feature_names
+
+
+def test_dataset_csv_refuses_a_synthetic_row(tmp_path, smote_train_w3):
+    path = tmp_path / "dataset.csv"
+    with pytest.raises(ValueError) as info:
+        smote_train_w3.to_csv(path)
+    assert str(info.value) == ("a dataset CSV holds real rows only; store a "
+                               "resampled set as its provenance")
+    assert not path.exists()
 
 
 def test_dataset_csv_rejects_missing_trailer(tmp_path):
@@ -268,12 +277,16 @@ AWKWARD_VALUES = (-0.0, 2.0, -3.0, 1e16, 5e-324, 0.1 + 0.2)
 
 
 def assert_csv_contract(dataset):
-    """to_csv writes the oracle's bytes, and from_csv reads them back
-    bitwise (-0.0 is written as 0, so it reads back as 0.0)."""
+    """to_csv writes the oracle's bytes for a set of real rows, and
+    from_csv reads the oracle's bytes back bitwise, synthetic rows too
+    (-0.0 is written as 0, so it reads back as 0.0)."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "dataset.csv"
-        dataset.to_csv(path)
-        assert path.read_bytes() == dataset_csv_oracle(dataset)
+        if dataset.synthetic_flags.any():  # to_csv refuses them
+            path.write_bytes(dataset_csv_oracle(dataset))
+        else:
+            dataset.to_csv(path)
+            assert path.read_bytes() == dataset_csv_oracle(dataset)
         again = LabeledDataset.from_csv(path)
     assert again.features.shape == dataset.features.shape
     assert np.array_equal(again.features.view(np.uint64),
@@ -382,7 +395,7 @@ def test_corrupted_dataset_csv_names_file_and_line(corruption, data,
     row = data.draw(st.sampled_from(rows))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "dataset.csv"
-        FUZZ_BASE.to_csv(path)
+        path.write_bytes(dataset_csv_oracle(FUZZ_BASE))
         lines = path.read_text().splitlines()
         cells = lines[row + 1].split(",")
         if isinstance(value, int):
@@ -495,7 +508,8 @@ def test_loaders_name_file_and_line_of_non_utf8_byte(tmp_path, loader,
                                               "s2,2023,false,w01_t01,"]),
                    lambda p: load_cohort(p, small_manifest)),
         "manifest": (small_manifest.to_csv, TaskManifest.from_csv),
-        "dataset": (FUZZ_BASE.to_csv, LabeledDataset.from_csv),
+        "dataset": (lambda p: p.write_bytes(dataset_csv_oracle(FUZZ_BASE)),
+                    LabeledDataset.from_csv),
         "model": (fit(ModelSpec("naive_bayes"), FUZZ_BASE).save, load_model),
         "config": (lambda p: p.write_text("[run]\nseed = 1\n[tune]\n"
                                           "folds = 3\n"), read_config),

@@ -228,6 +228,25 @@ def test_rejects_malformed_state(tmp_path, split_w3, kind, edit):
     assert "\n" not in str(caught.value)
 
 
+def _one_tree_object(doc):
+    doc["state"]["trees"] = doc["state"]["trees"][0]
+
+
+@pytest.mark.parametrize("edit, got", [
+    pytest.param(_one_tree_object, "dict", id="one-tree-object"),
+    pytest.param(_set_state("trees", 5), "int", id="number"),
+])
+def test_rejects_trees_that_are_not_a_list(tmp_path, split_w3, edit, got):
+    train, _ = split_w3
+    path, doc = saved_document(tmp_path, train, "decision_tree")
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as caught:
+        load_model(path)
+    assert str(caught.value) == (f"{path}: malformed 'state' ('trees' must "
+                                 f"be a list of trees, got {got})")
+
+
 @pytest.mark.parametrize("key, value, message", [
     ("n_features", "3", "'n_features' must be a JSON int"),
     ("state", [], "'state' must be a JSON dict"),

@@ -1,5 +1,9 @@
 """Resampling structure: balance, containment, provenance, determinism;
-none adds no row."""
+none adds no row; a provenance file rebuilds its set or names its bad
+line."""
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from atrisk import ResampleConfig, adasyn, resample, smote
-from atrisk.resampling import _interpolate, allocate_by_share
+from atrisk import ResampleConfig, adasyn, load_resampled, resample, smote
+from atrisk.resampling import allocate_by_share, grow
 from conftest import make_dataset
 from oracles import knn_oracle
 
@@ -34,8 +38,8 @@ def assert_rebuilds(result):
     prov = result.provenance
     feats = result.dataset.features
     for i in range(prov.lam.size):
-        rebuilt = _interpolate(feats[prov.base_row[i]],
-                               feats[prov.neighbor_row[i]], prov.lam[i])
+        base, lam = feats[prov.base_row[i]], prov.lam[i]
+        rebuilt = base + lam * (feats[prov.neighbor_row[i]] - base)
         assert np.array_equal(feats[prov.n_real + i], rebuilt)
 
 
@@ -104,10 +108,10 @@ def test_smote_round_robin_base_counts(split_w3):
 
 
 def test_interpolation_endpoints():
-    base = np.array([0.0, 1.0, 0.0])
-    neighbor = np.array([1.0, 0.0, 0.0])
-    assert np.array_equal(_interpolate(base, neighbor, 0.0), base)
-    assert np.array_equal(_interpolate(base, neighbor, 1.0), neighbor)
+    ds = make_dataset([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]], [False, False])
+    grown = grow(ds, np.array([0, 0]), np.array([1, 1]), np.array([0.0, 1.0]))
+    assert np.array_equal(grown.features[2:], ds.features)
+    assert grown.synthetic_flags.tolist() == [False, False, True, True]
 
 
 def test_two_point_minority_segment_geometry():
@@ -285,3 +289,135 @@ def test_largest_k_with_duplicate_minority_rows(data, method, seed):
             alloc = allocate_by_share(r / r.sum(), gap)
             bases = np.bincount(prov.base_row, minlength=ds.n_rows)[idx]
             assert np.array_equal(bases, alloc) and alloc.sum() == gap
+
+
+# --- the provenance file as the stored form of a resampled set --------------
+
+def assert_same_dataset(a, b):
+    assert np.array_equal(a.features.view(np.uint64),
+                          b.features.view(np.uint64))
+    assert np.array_equal(a.labels, b.labels)
+    assert np.array_equal(a.synthetic_flags, b.synthetic_flags)
+    assert a.feature_names == b.feature_names
+
+
+@st.composite
+def oversampling_inputs(draw):
+    """A small 0/1 training set in a drawn row order, its minority either
+    label, and a k_neighbors its minority rows allow."""
+    d = draw(st.integers(1, 5))
+    n_minority = draw(st.integers(2, 8))
+    n_majority = draw(st.integers(n_minority, 25))
+    n = n_minority + n_majority
+    bits = st.sampled_from([0.0, 1.0])
+    features = draw(arrays(np.float64, (n, d), elements=bits))
+    minority_label = draw(st.booleans())
+    labels = np.array([minority_label] * n_minority
+                      + [not minority_label] * n_majority)
+    order = draw(st.permutations(range(n)))
+    k = draw(st.integers(1, n_minority - 1))
+    return make_dataset(features[order], labels[order]), k
+
+
+@settings(max_examples=80, deadline=None)
+@given(inputs=oversampling_inputs(),
+       method=st.sampled_from(["smote", "adasyn"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_provenance_file_rebuilds_the_resampled_set(inputs, method, seed):
+    train, k = inputs
+    result = resample(train, ResampleConfig(method=method, k_neighbors=k,
+                                            seed=seed))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "provenance.csv"
+        result.provenance.to_csv(path)
+        rebuilt = load_resampled(path, train)
+    assert_same_dataset(rebuilt, result.dataset)
+
+
+PROVENANCE_BASE = clustered_dataset(n_minority=6, n_majority=14)
+PROVENANCE_ROWS = smote(PROVENANCE_BASE,
+                        ResampleConfig(k_neighbors=3, seed=2)).provenance
+
+
+def _renumber(data, cells):
+    row = int(cells[0])
+    cells[0] = str(row + data.draw(st.sampled_from((-1, 1, 1000))))
+    return f"synthetic_row must be {row}, got {cells[0]}"
+
+
+def _index_outside(data, cells):
+    column = data.draw(st.sampled_from((1, 2)))
+    n = PROVENANCE_BASE.n_rows
+    cells[column] = str(data.draw(st.sampled_from((-1, n, 10**6))))
+    name = ("base_row", "neighbor_row")[column - 1]
+    return f"{name} {cells[column]} is outside the {n} training rows"
+
+
+def _other_label(data, cells):
+    labels = PROVENANCE_BASE.labels
+    base = int(cells[1])
+    other = np.flatnonzero(labels != labels[base]).tolist()
+    cells[2] = str(data.draw(st.sampled_from(other)))
+    return (f"base_row {base} and neighbor_row {cells[2]} have different "
+            f"labels")
+
+
+def _bad_lambda(data, cells):
+    cells[3] = data.draw(st.sampled_from(
+        ("1.0", "1", "-0.25", "-1e-300", "1e308", "nan", "inf", "-inf")))
+    return f"lambda must be finite and in [0, 1), got {cells[3]!r}"
+
+
+def _not_a_number(data, cells):
+    column = data.draw(st.integers(0, 3))
+    if column == 3:
+        cells[3] = data.draw(st.sampled_from(("abc", "", "0x1", "1__0")))
+        return "could not convert string to float"
+    cells[column] = data.draw(st.sampled_from(("abc", "", "1.5", "0x1")))
+    return "invalid literal for int()"
+
+
+def _stray_quote(data, cells):
+    column = data.draw(st.integers(0, 3))
+    cells[column] = '"' + cells[column]
+    return "malformed CSV: "
+
+
+def _drop_field(data, cells):
+    del cells[data.draw(st.integers(0, 3))]
+    return "expected 4 fields, got 3"
+
+
+@settings(max_examples=150, deadline=None)
+@given(corrupt=st.sampled_from((_renumber, _index_outside, _other_label,
+                                _bad_lambda, _not_a_number, _stray_quote,
+                                _drop_field)),
+       data=st.data(), blank_lines=st.integers(0, 2))
+def test_corrupted_provenance_names_file_and_line(corrupt, data,
+                                                  blank_lines):
+    row = data.draw(st.integers(0, PROVENANCE_ROWS.lam.size - 1))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "provenance.csv"
+        PROVENANCE_ROWS.to_csv(path)
+        lines = path.read_text().splitlines()
+        cells = lines[row + 1].split(",")
+        reason = corrupt(data, cells)
+        lines[row + 1:row + 2] = [""] * blank_lines + [",".join(cells)]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as info:
+            load_resampled(path, PROVENANCE_BASE)
+    message = str(info.value)
+    assert type(info.value) is ValueError and "\n" not in message
+    assert message.startswith(f"{path}:{row + 2 + blank_lines}: {reason}")
+
+
+def test_provenance_for_another_training_set_fails_on_its_first_row(
+        tmp_path, split_w3):
+    train, _ = split_w3
+    path = tmp_path / "provenance.csv"
+    PROVENANCE_ROWS.to_csv(path)
+    with pytest.raises(ValueError) as info:
+        load_resampled(path, train)
+    assert str(info.value) == (f"{path}:2: synthetic_row must be "
+                               f"{train.n_rows}, got "
+                               f"{PROVENANCE_BASE.n_rows}")

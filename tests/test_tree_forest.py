@@ -6,7 +6,8 @@ import gc
 import numpy as np
 import pytest
 
-from atrisk import LabeledDataset, ModelSpec, fit, load_model
+from atrisk import (LabeledDataset, ModelSpec, fit, load_model,
+                    load_resampled)
 from atrisk.cli import main
 from atrisk.models import MODEL_KINDS, TreeModel
 from conftest import make_dataset, random_binary_dataset
@@ -147,7 +148,9 @@ def seed7_run(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def smote_train_w9_seed7(seed7_run):
-    return LabeledDataset.from_csv(f"{seed7_run}/train_w9_smote.csv")
+    train = LabeledDataset.from_csv(f"{seed7_run}/train_w9.csv")
+    return load_resampled(f"{seed7_run}/train_w9_smote_provenance.csv",
+                          train)
 
 
 def rows_on_thresholds(tree, rows):
