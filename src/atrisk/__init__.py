@@ -7,8 +7,8 @@ Everything is seeded and deterministic; see the `atrisk` CLI for the
 end-to-end workflow.
 """
 
-from .data import (LabeledDataset, SplitSpec, StudentRecord, TaskId,
-                   TaskManifest, encode, load_cohort, save_cohort, split)
+from .data import (Cohort, LabeledDataset, SplitSpec, TaskId, TaskManifest,
+                   encode, load_cohort, save_cohort, split)
 from .evaluation import (EvalReport, GridSpec, evaluate, grid_search,
                          mann_whitney_auc, sweep_thresholds)
 from .models import ModelSpec, TrainedModel, fit, load_model
@@ -21,7 +21,7 @@ from .simulate import SimConfig, build_manifest, default_manifest, simulate
 __version__ = "0.1.0"
 
 __all__ = [
-    "LabeledDataset", "SplitSpec", "StudentRecord", "TaskId", "TaskManifest",
+    "Cohort", "LabeledDataset", "SplitSpec", "TaskId", "TaskManifest",
     "encode", "load_cohort", "save_cohort", "split",
     "EvalReport", "GridSpec", "evaluate", "grid_search", "mann_whitney_auc",
     "sweep_thresholds",

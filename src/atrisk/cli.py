@@ -93,20 +93,20 @@ def _resampled(store, interval, method, stage):
 
 
 def cmd_simulate(cfg, args, store):
-    records, manifest = simulate(cfg.simulate)
-    store.put("cohort.csv", records, lambda p: save_cohort(records, p))
+    cohort, manifest = simulate(cfg.simulate)
+    store.put("cohort.csv", cohort, lambda p: save_cohort(cohort, p))
     store.put("manifest.csv", manifest, manifest.to_csv)
-    print(f"simulate: wrote {len(records)} records -> "
+    print(f"simulate: wrote {len(cohort)} records -> "
           f"{store.out / 'cohort.csv'}")
 
 
 def cmd_encode(cfg, args, store):
     manifest = store.get("manifest.csv", TaskManifest.from_csv, "encode",
                          cfg.manifest_path)
-    records = store.get("cohort.csv", lambda p: load_cohort(p, manifest),
-                        "encode", cfg.cohort_path)
+    cohort = store.get("cohort.csv", lambda p: load_cohort(p, manifest),
+                       "encode", cfg.cohort_path)
     for interval in cfg.intervals:
-        dataset = encode(records, manifest, interval)
+        dataset = encode(cohort, interval)
         store.put(f"dataset_w{interval}.csv", dataset, dataset.to_csv)
         print(f"encode: interval {interval} -> {dataset.n_rows} rows x "
               f"{dataset.n_features} features")
@@ -215,7 +215,9 @@ def cmd_pca_export(cfg, args, store):
 
 
 def cmd_pipeline(cfg, args, store):
-    import hashlib  # loads OpenSSL, so only the command that hashes pays
+    # a default_rng call loads OpenSSL anyway (numpy.random -> secrets ->
+    # hmac), so importing it here spares only commands that draw no numbers
+    import hashlib
     if cfg.cohort_path:  # ingest an existing cohort instead of simulating
         print(f"pipeline: ingesting {cfg.cohort_path}")
     else:

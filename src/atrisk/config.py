@@ -40,14 +40,12 @@ PCA_UNION, PCA_REAL_ONLY = PCA_FIT_ON = ("union", "real")
 
 def _parse_number(text):
     """int when it looks integral, float otherwise, str as fallback."""
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
+    for parse in (int, float):
+        try:
+            return parse(text)
+        except ValueError:
+            pass
+    return text
 
 
 @dataclass

@@ -1,10 +1,17 @@
-"""Cohort records, one-hot task encoding, and seeded train/test splits.
+"""Cohorts, one-hot task encoding, and seeded train/test splits.
+
+A :class:`Cohort` is one outcome matrix over its manifest's tasks.  Every
+week N's dataset, ``encode(cohort, N)``, holds the same students in the
+same row order, and the manifest's tasks of week <= N in manifest order; a
+:class:`SplitSpec` reads only the labels, so it picks the same rows at
+every week.
 
 File formats
 ------------
 Cohort CSV:   header ``student_id,cohort,passed,right_answers,wrong_answers``;
               ``passed`` is a bool; the two list fields hold pipe-separated
-              task names and may be empty.
+              task names in manifest order, each task at most once a row,
+              and may be empty; a task in neither was not attempted.
 Manifest CSV: header ``task,week``, one row per task.
 Dataset CSV:  one column per feature (named), then ``label`` and
               ``synthetic`` (``true``/``false``).  A real row holds only
@@ -32,6 +39,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, fields, is_dataclass
+from itertools import chain, compress, repeat
 
 import numpy as np
 
@@ -44,15 +52,24 @@ def _cell(value):
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(float(value))
-    return value
+    return "" if value is None else str(value)  # as the csv module does
 
 
 def write_csv(path, header, rows):
-    """Header, then a line per row, LF-terminated; cells by the module rule."""
+    """Header, then a line per row, LF-terminated; cells by the module rule.
+    A row with no comma, quote or line break in a cell is joined directly:
+    the csv module's bytes, without its per-character scan."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(map(_cell, row) for row in rows)
+        for row in rows:
+            cells = [*map(_cell, row)]
+            line = ",".join(cells)
+            if line and line.count(",") == len(cells) - 1 \
+                    and not any(c in line for c in '"\r\n'):
+                fh.write(line + "\n")
+            else:
+                writer.writerow(cells)
 
 
 def _json_default(value):
@@ -149,11 +166,9 @@ def _first_bad_row(path, lines, rows, check):
 
 
 def _parse_bool(text):
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    raise ValueError(f"expected 'true' or 'false', got {text!r}")
+    if text not in ("true", "false"):
+        raise ValueError(f"expected 'true' or 'false', got {text!r}")
+    return text == "true"
 
 
 def _check_values(features, synthetic_flags):
@@ -191,25 +206,13 @@ class TaskManifest:
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise ValueError(f"duplicate task names in manifest: {dupes}")
-        self._tasks = ordered
-        self._by_name = {t.name: t for t in ordered}
-
-    @property
-    def tasks(self):
-        return self._tasks
+        self.tasks = ordered
 
     def __len__(self):
-        return len(self._tasks)
-
-    def __contains__(self, name):
-        return name in self._by_name
+        return len(self.tasks)
 
     def names(self):
-        return tuple(t.name for t in self._tasks)
-
-    def through_week(self, max_week):
-        """Tasks with week <= max_week, in manifest order."""
-        return tuple(t for t in self._tasks if t.week <= max_week)
+        return tuple(t.name for t in self.tasks)
 
     @classmethod
     def from_csv(cls, path):
@@ -226,31 +229,39 @@ class TaskManifest:
 
     def to_csv(self, path):
         write_csv(path, ("task", "week"),
-                  ((task.name, task.week) for task in self._tasks))
+                  ((task.name, task.week) for task in self.tasks))
 
 
-@dataclass(frozen=True)
-class StudentRecord:
-    """One student's task outcomes plus the summative pass/fail label."""
+@dataclass(frozen=True, eq=False)
+class Cohort:
+    """Students' task outcomes plus the summative pass/fail label.
 
-    student_id: str
-    cohort: str
-    right_answers: tuple
-    wrong_answers: tuple
-    passed: bool
+    Row i is the student ``student_ids[i]`` of cohort ``cohorts[i]``;
+    ``passed[i]`` is the label, and ``outcomes[i, j]`` the outcome of the
+    manifest's task j: 1 right, 0 wrong, -1 not attempted.  The two arrays
+    are read-only.
+    """
 
-    def validate_against(self, manifest):
-        overlap = set(self.right_answers) & set(self.wrong_answers)
-        if overlap:
-            raise ValueError(
-                f"student {self.student_id!r}: task(s) listed as both right "
-                f"and wrong: {sorted(overlap)}")
-        unknown = [n for n in (*self.right_answers, *self.wrong_answers)
-                   if n not in manifest]
-        if unknown:
-            raise ValueError(
-                f"student {self.student_id!r}: unknown task name(s): "
-                f"{sorted(set(unknown))}")
+    manifest: TaskManifest
+    student_ids: tuple
+    cohorts: tuple
+    passed: np.ndarray
+    outcomes: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in (("passed", bool), ("outcomes", np.int8)):
+            value = np.array(getattr(self, name), dtype=dtype)
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        n, m = len(self.student_ids), len(self.manifest)
+        shapes = (len(self.cohorts), *self.passed.shape, *self.outcomes.shape)
+        if shapes != (n, n, n, m) or not np.isin(self.outcomes,
+                                                 (-1, 0, 1)).all():
+            raise ValueError(f"{n} students need {n} cohort labels, labels "
+                             f"and rows of {m} outcomes of 1, 0 or -1")
+
+    def __len__(self):
+        return len(self.student_ids)
 
 
 class LabeledDataset:
@@ -366,54 +377,66 @@ class SplitSpec:
 
 
 def load_cohort(path, manifest):
-    """Read and validate a cohort CSV against a manifest.
+    """Read a cohort CSV over a manifest's tasks, students in file order.
 
-    Order is preserved from the file.  Unknown task names, duplicated
-    student ids, overlapping right/wrong lists, and malformed fields are all
-    rejected with the offending line identified.
+    Duplicated student ids, a task listed twice or in both lists, unknown
+    task names, and malformed fields are rejected with the line they are on.
     """
-    def parse(row):
-        student_id, cohort, passed, right, wrong = row
-        record = StudentRecord(
-            student_id=student_id,
-            cohort=cohort,
-            right_answers=tuple(n for n in right.split("|") if n),
-            wrong_answers=tuple(n for n in wrong.split("|") if n),
-            passed=_parse_bool(passed),
-        )
-        record.validate_against(manifest)
-        return record
+    column = {name: j for j, name in enumerate(manifest.names())}
 
-    return read_rows(path, COHORT_COLUMNS, parse,
-                     lambda _, rows: list(map(parse, rows)), unique=0)
+    def check(row):
+        student_id, _, passed, *lists = row
+        _parse_bool(passed)
+        right, wrong = ([n for n in names.split("|") if n] for names in lists)
+        for problem, tasks in (
+                ("task(s) listed as both right and wrong",
+                 set(right) & set(wrong)),
+                ("unknown task name(s)", set(right + wrong) - column.keys()),
+                ("task(s) listed twice", {n for names in (right, wrong)
+                                          for n in names
+                                          if names.count(n) > 1})):
+            if tasks:
+                raise ValueError(f"student {student_id!r}: {problem}: "
+                                 f"{sorted(tasks)}")
+
+    def build(_, rows):
+        # one column past the manifest's takes the unknown names
+        outcomes = np.full((len(rows), len(manifest) + 1), -1, dtype=np.int8)
+        listed = 0
+        for field, outcome in ((3, 1), (4, 0)):
+            lists = [[*filter(None, row[field].split("|"))] for row in rows]
+            tasks = [*map(column.get, chain(*lists), repeat(len(manifest)))]
+            students = np.repeat(np.arange(len(rows)), [*map(len, lists)])
+            outcomes[students, tasks] = outcome
+            listed += len(tasks)
+        if listed != (outcomes[:, :-1] >= 0).sum():
+            raise ValueError("a task is unknown or listed twice")
+        return Cohort(manifest, tuple(r[0] for r in rows),
+                      tuple(r[1] for r in rows),
+                      [_parse_bool(r[2]) for r in rows], outcomes[:, :-1])
+
+    return read_rows(path, COHORT_COLUMNS, check, build, unique=0)
 
 
-def save_cohort(records, path):
-    """Write records back out in the cohort CSV format."""
-    write_csv(path, COHORT_COLUMNS,
-              ((r.student_id, r.cohort, r.passed, "|".join(r.right_answers),
-                "|".join(r.wrong_answers))
-               for r in records))
+def save_cohort(cohort, path):
+    """Write a cohort in the cohort CSV format, lists in manifest order."""
+    names = cohort.manifest.names()
+    right, wrong = (["|".join(compress(names, row))
+                     for row in (cohort.outcomes == outcome).tolist()]
+                    for outcome in (1, 0))
+    write_csv(path, COHORT_COLUMNS, zip(cohort.student_ids, cohort.cohorts,
+                                        cohort.passed.tolist(), right, wrong))
 
 
-def encode(records, manifest, max_week):
-    """One-hot encode records over the manifest tasks with week <= max_week.
-
-    A cell is 1 exactly when the task appears in the student's right_answers;
-    unattempted and wrong tasks both encode to 0.
-    """
-    if max_week < 1:
-        raise ValueError(f"max_week must be >= 1, got {max_week}")
-    columns = manifest.through_week(max_week)
-    if not columns:
+def encode(cohort, max_week):
+    """One-hot encode a cohort over its manifest's tasks of week <=
+    max_week, in manifest order: a cell is 1 exactly when the student got
+    the task right, so unattempted and wrong tasks both encode to 0."""
+    keep = [t.week <= max_week for t in cohort.manifest.tasks]
+    if not any(keep):
         raise ValueError(f"no manifest tasks fall within weeks 1..{max_week}")
-    column = {t.name: j for j, t in enumerate(columns)}
-    matrix = np.zeros((len(records), len(columns)), dtype=np.float64)
-    for i, record in enumerate(records):
-        matrix[i, [column[n] for n in record.right_answers
-                   if n in column]] = 1.0
-    labels = np.array([r.passed for r in records], dtype=bool)
-    return LabeledDataset(matrix, labels, tuple(column))
+    return LabeledDataset(cohort.outcomes[:, keep] == 1, cohort.passed,
+                          compress(cohort.manifest.names(), keep))
 
 
 def _stratified_train_counts(class_sizes, train_fraction, n_train_total):
@@ -427,11 +450,8 @@ def _stratified_train_counts(class_sizes, train_fraction, n_train_total):
     # deterministic: biggest remainder first, then bigger class, then label
     order = sorted(class_sizes,
                    key=lambda c: (-remainders[c], -class_sizes[c], c))
-    i = 0
-    while short > 0:
+    for i in range(short):
         base[order[i % len(order)]] += 1
-        short -= 1
-        i += 1
     return base
 
 
@@ -447,6 +467,7 @@ def split(data, spec):
         raise ValueError("need at least 2 rows to split")
     rng = np.random.default_rng(spec.seed)
     n_train = int(np.floor(spec.train_fraction * n))
+    train_mask = np.zeros(n, dtype=bool)
     if spec.stratified:
         class_sizes = {}
         for label in (False, True):
@@ -458,17 +479,11 @@ def split(data, spec):
                     f"got {class_sizes[label]}")
         counts = _stratified_train_counts(class_sizes, spec.train_fraction,
                                           n_train)
-        train_idx = []
         for label in (False, True):
             members = np.flatnonzero(data.labels == label)
-            picked = rng.permutation(len(members))[:counts[label]]
-            train_idx.append(members[picked])
-        train_mask = np.zeros(n, dtype=bool)
-        train_mask[np.concatenate(train_idx)] = True
+            train_mask[members[rng.permutation(len(members))
+                               [:counts[label]]]] = True
     else:
-        picked = rng.permutation(n)[:n_train]
-        train_mask = np.zeros(n, dtype=bool)
-        train_mask[picked] = True
-    train_rows = np.flatnonzero(train_mask)
-    test_rows = np.flatnonzero(~train_mask)
-    return data.subset(train_rows), data.subset(test_rows)
+        train_mask[rng.permutation(n)[:n_train]] = True
+    return (data.subset(np.flatnonzero(train_mask)),
+            data.subset(np.flatnonzero(~train_mask)))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import StudentRecord, TaskId, TaskManifest
+from .data import Cohort, TaskId, TaskManifest
 from .models.logistic import sigmoid
 
 # per-week difficulty drift, standardised units
@@ -63,11 +63,9 @@ class SimConfig:
 def build_manifest(tasks_per_week):
     """Manifest with zero-padded names (w03_t07, ...) so lexicographic order
     groups tasks by week and interval columns are prefixes of each other."""
-    tasks = []
-    for week, count in enumerate(tasks_per_week, start=1):
-        for t in range(1, count + 1):
-            tasks.append(TaskId(name=f"w{week:02d}_t{t:02d}", week=week))
-    return TaskManifest(tasks)
+    return TaskManifest(TaskId(name=f"w{week:02d}_t{t:02d}", week=week)
+                        for week, count in enumerate(tasks_per_week, start=1)
+                        for t in range(1, count + 1))
 
 
 def default_manifest():
@@ -76,7 +74,7 @@ def default_manifest():
 
 
 def simulate(config):
-    """Generate a cohort; returns (records, manifest), deterministic per seed."""
+    """A cohort drawn from config.seed, and its manifest."""
     manifest = build_manifest(config.tasks_per_week)
     tasks = manifest.tasks
     rng = np.random.default_rng(config.seed)
@@ -94,27 +92,13 @@ def simulate(config):
 
     if config.labeling == "quantile":
         n_fail = int(round(config.fail_rate * config.n_students))
-        if n_fail == 0:
-            passed = np.ones(config.n_students, dtype=bool)
-        else:
-            threshold = np.sort(ability)[n_fail - 1]
-            passed = ability > threshold
+        threshold = np.sort(ability)[n_fail - 1] if n_fail else -np.inf
     else:
         from statistics import NormalDist  # here: quantile runs never need it
         threshold = NormalDist(0.0, config.ability_spread).inv_cdf(
             config.fail_rate)
-        passed = ability > threshold
+    passed = ability > threshold
 
-    names = manifest.names()
-    records = []
-    for i in range(config.n_students):
-        right = tuple(names[j] for j in np.flatnonzero(correct[i]))
-        wrong = tuple(names[j] for j in np.flatnonzero(~correct[i]))
-        records.append(StudentRecord(
-            student_id=f"s{i:04d}",
-            cohort="sim",
-            right_answers=right,
-            wrong_answers=wrong,
-            passed=bool(passed[i]),
-        ))
-    return records, manifest
+    n = config.n_students
+    return Cohort(manifest, tuple(f"s{i:04d}" for i in range(n)),
+                  ("sim",) * n, passed, correct.astype(np.int8)), manifest

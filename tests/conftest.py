@@ -69,20 +69,20 @@ def certify_svm_fits(monkeypatch):
 @pytest.fixture(scope="session")
 def default_cohort():
     """One default simulated cohort, shared across the suite."""
-    records, manifest = simulate(SimConfig(seed=0))
-    return records, manifest
+    cohort, manifest = simulate(SimConfig(seed=0))
+    return cohort, manifest
 
 
 @pytest.fixture(scope="session")
 def dataset_w3(default_cohort):
-    records, manifest = default_cohort
-    return encode(records, manifest, 3)
+    cohort, _ = default_cohort
+    return encode(cohort, 3)
 
 
 @pytest.fixture(scope="session")
 def dataset_w9(default_cohort):
-    records, manifest = default_cohort
-    return encode(records, manifest, 9)
+    cohort, _ = default_cohort
+    return encode(cohort, 9)
 
 
 @pytest.fixture(scope="session")

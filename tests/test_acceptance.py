@@ -23,8 +23,8 @@ from test_evaluation import FixedModel, dataset_for
 
 @pytest.fixture(scope="module")
 def sim_split():
-    records, manifest = simulate(SimConfig(seed=0))
-    dataset = encode(records, manifest, 9)
+    cohort, _ = simulate(SimConfig(seed=0))
+    dataset = encode(cohort, 9)
     return split(dataset, SplitSpec(train_fraction=0.8, seed=1))
 
 
@@ -159,8 +159,8 @@ def test_criterion_5_directional_reproduction():
     wins = 0
     improvements = []
     for seed in range(20):
-        records, manifest = simulate(SimConfig(seed=seed))
-        dataset = encode(records, manifest, 3)
+        cohort, _ = simulate(SimConfig(seed=seed))
+        dataset = encode(cohort, 3)
         train, test = split(dataset, SplitSpec(train_fraction=0.8,
                                                seed=seed))
         baseline = fit(ModelSpec("logreg"), train)

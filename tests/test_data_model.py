@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from atrisk import (LabeledDataset, ModelSpec, SplitSpec, StudentRecord,
+from atrisk import (Cohort, LabeledDataset, ModelSpec, SimConfig, SplitSpec,
                     TaskId, TaskManifest, default_manifest, encode, fit,
-                    load_cohort, load_model, save_cohort, split)
+                    load_cohort, load_model, save_cohort, simulate, split)
 from atrisk.cli import main
 from atrisk.config import read_config
 from atrisk.data import write_csv, write_json
@@ -30,6 +30,13 @@ def small_manifest():
 def write_cohort(path, rows):
     header = "student_id,cohort,passed,right_answers,wrong_answers"
     path.write_text("\n".join([header, *rows]) + "\n")
+
+
+def one_student(manifest, right=(), wrong=(), passed=True):
+    """A cohort of one student, s1, with tasks right and wrong by name."""
+    names = manifest.names()
+    outcomes = [1 if n in right else 0 if n in wrong else -1 for n in names]
+    return Cohort(manifest, ("s1",), ("c",), [passed], [outcomes])
 
 
 # --- manifest ---------------------------------------------------------------
@@ -55,17 +62,16 @@ def test_task_id_validation():
 
 
 def test_reference_manifest_interval_counts():
-    manifest = default_manifest()
-    assert len(manifest.through_week(3)) == 43
-    assert len(manifest.through_week(6)) == 106
-    assert len(manifest.through_week(9)) == 150
+    weeks = [t.week for t in default_manifest().tasks]
+    assert sum(w <= 3 for w in weeks) == 43
+    assert sum(w <= 6 for w in weeks) == 106
+    assert sum(w <= 9 for w in weeks) == 150
 
 
 def test_interval_columns_are_prefixes():
-    manifest = default_manifest()
-    names3 = [t.name for t in manifest.through_week(3)]
-    names6 = [t.name for t in manifest.through_week(6)]
-    names9 = [t.name for t in manifest.through_week(9)]
+    tasks = default_manifest().tasks
+    names3, names6, names9 = ([t.name for t in tasks if t.week <= week]
+                              for week in (3, 6, 9))
     assert names6[:len(names3)] == names3
     assert names9[:len(names6)] == names6
 
@@ -102,20 +108,26 @@ def test_load_cohort_happy_path(tmp_path, small_manifest):
         "s2,2023,false,,w01_t01|w01_t02",
         "s3,2024,true,,",
     ])
-    records = load_cohort(path, small_manifest)
-    assert [r.student_id for r in records] == ["s1", "s2", "s3"]
-    assert records[0].right_answers == ("w01_t01", "w02_t01")
-    assert records[1].passed is False
-    assert records[2].right_answers == ()
+    cohort = load_cohort(path, small_manifest)
+    assert cohort.student_ids == ("s1", "s2", "s3")
+    assert cohort.cohorts == ("2023", "2023", "2024")
+    # tasks w01_t01, w01_t02, w02_t01, w03_t01: s1 has w01_t01 and w02_t01
+    # right, w01_t02 wrong and w03_t01 unattempted
+    assert cohort.outcomes.tolist() == [[1, 0, 1, -1], [0, 0, -1, -1],
+                                        [-1, -1, -1, -1]]
+    assert cohort.passed.tolist() == [True, False, True]
 
 
 def test_load_cohort_379_simulated_rows(tmp_path, default_cohort):
-    records, manifest = default_cohort
+    cohort, manifest = default_cohort
     path = tmp_path / "cohort.csv"
-    save_cohort(records, path)
+    save_cohort(cohort, path)
     loaded = load_cohort(path, manifest)
     assert len(loaded) == 379
-    assert loaded == records
+    assert loaded.student_ids == cohort.student_ids
+    assert loaded.cohorts == cohort.cohorts
+    assert np.array_equal(loaded.passed, cohort.passed)
+    assert np.array_equal(loaded.outcomes, cohort.outcomes)
 
 
 def test_load_cohort_rejects_task_in_both_lists(tmp_path, small_manifest):
@@ -129,6 +141,23 @@ def test_load_cohort_rejects_overlap_naming_task(tmp_path, small_manifest):
     path = tmp_path / "cohort.csv"
     write_cohort(path, ["s1,2023,false,w01_t01,w01_t01|w01_t02"])
     with pytest.raises(ValueError, match="both right and wrong.*w01_t01"):
+        load_cohort(path, small_manifest)
+
+
+def test_load_cohort_rejects_task_listed_twice(tmp_path, small_manifest):
+    path = tmp_path / "cohort.csv"
+    write_cohort(path, ["s0,2023,true,,", "s1,2023,false,w01_t01|w01_t01,"])
+    with pytest.raises(ValueError) as info:
+        load_cohort(path, small_manifest)
+    assert str(info.value) == (f"{path}:3: student 's1': task(s) listed "
+                               f"twice: ['w01_t01']")
+
+
+def test_load_cohort_bad_boolean_wins_over_a_task_listed_twice(
+        tmp_path, small_manifest):
+    path = tmp_path / "cohort.csv"
+    write_cohort(path, ["s1,2023,yes,,w01_t02|w01_t02"])
+    with pytest.raises(ValueError, match=":2: expected 'true' or 'false'"):
         load_cohort(path, small_manifest)
 
 
@@ -156,7 +185,9 @@ def test_load_cohort_rejects_wrong_field_count(tmp_path, small_manifest):
 def test_load_cohort_empty_file(tmp_path, small_manifest):
     path = tmp_path / "cohort.csv"
     write_cohort(path, [])
-    assert load_cohort(path, small_manifest) == []
+    cohort = load_cohort(path, small_manifest)
+    assert len(cohort) == 0
+    assert cohort.outcomes.shape == (0, 4)
 
 
 def test_load_cohort_rejects_wrong_header(tmp_path, small_manifest):
@@ -169,50 +200,131 @@ def test_load_cohort_rejects_wrong_header(tmp_path, small_manifest):
 # --- encoding ---------------------------------------------------------------
 
 def test_encode_interval_column_counts(default_cohort):
-    records, manifest = default_cohort
-    assert encode(records, manifest, 3).n_features == 43
-    assert encode(records, manifest, 6).n_features == 106
-    assert encode(records, manifest, 9).n_features == 150
-    assert encode(records, manifest, 3).n_rows == 379
+    cohort, _ = default_cohort
+    assert encode(cohort, 3).n_features == 43
+    assert encode(cohort, 6).n_features == 106
+    assert encode(cohort, 9).n_features == 150
+    assert encode(cohort, 3).n_rows == 379
 
 
 def test_encode_all_interval_tasks_right(small_manifest):
-    record = StudentRecord("s1", "c", ("w01_t01", "w01_t02"), (), True)
-    dataset = encode([record], small_manifest, 1)
+    cohort = one_student(small_manifest, right=("w01_t01", "w01_t02"))
+    dataset = encode(cohort, 1)
     assert dataset.features.tolist() == [[1.0, 1.0]]
     assert dataset.labels.tolist() == [True]
 
 
 def test_encode_empty_lists_give_zero_row(small_manifest):
-    record = StudentRecord("s1", "c", (), (), False)
-    dataset = encode([record], small_manifest, 3)
+    cohort = one_student(small_manifest, passed=False)
+    dataset = encode(cohort, 3)
     assert dataset.features.tolist() == [[0.0, 0.0, 0.0, 0.0]]
 
 
 def test_encode_wrong_answers_encode_to_zero(small_manifest):
-    record = StudentRecord("s1", "c", ("w02_t01",), ("w01_t01",), True)
-    dataset = encode([record], small_manifest, 2)
+    cohort = one_student(small_manifest, right=("w02_t01",),
+                         wrong=("w01_t01",))
+    dataset = encode(cohort, 2)
     assert dataset.features.tolist() == [[0.0, 0.0, 1.0]]
     assert dataset.feature_names == ("w01_t01", "w01_t02", "w02_t01")
 
 
 def test_encode_rejects_empty_interval():
     manifest = TaskManifest([TaskId("a", 5)])
-    record = StudentRecord("s1", "c", (), (), True)
     with pytest.raises(ValueError, match="no manifest tasks"):
-        encode([record], manifest, 3)
+        encode(one_student(manifest), 3)
 
 
 def test_encode_load_round_trip_membership(tmp_path, default_cohort):
-    # every cell equals right_answers membership, checked exhaustively
-    records, manifest = default_cohort
-    subset = records[:40]
-    dataset = encode(subset, manifest, 6)
+    # every cell equals right-answer membership, checked exhaustively
+    cohort, manifest = default_cohort
+    path = tmp_path / "cohort.csv"
+    save_cohort(cohort, path)
+    right_answers = [set(row[3].split("|")) for row in
+                     (line.split(",") for line in
+                      path.read_text().splitlines()[1:41])]
+    dataset = encode(load_cohort(path, manifest), 6)
     names = dataset.feature_names
-    for i, record in enumerate(subset):
-        right = set(record.right_answers)
+    for i, right in enumerate(right_answers):
         for j, name in enumerate(names):
             assert dataset.features[i, j] == (1.0 if name in right else 0.0)
+
+
+def test_unattempted_task_loads_as_minus_one_and_encodes_to_zero(
+        tmp_path, small_manifest):
+    path = tmp_path / "cohort.csv"
+    # lists in manifest order; s1 leaves w01_t02 and w03_t01 unattempted
+    write_cohort(path, ["s1,2023,true,w01_t01,w02_t01",
+                        "s2,2023,false,w01_t02|w03_t01,w01_t01|w02_t01"])
+    cohort = load_cohort(path, small_manifest)
+    assert cohort.outcomes.tolist() == [[1, -1, 0, -1], [0, 1, 0, 1]]
+    assert encode(cohort, 3).features.tolist() == [[1.0, 0.0, 0.0, 0.0],
+                                                   [0.0, 1.0, 0.0, 1.0]]
+    again = tmp_path / "again.csv"
+    save_cohort(cohort, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_cohort_arrays_are_read_only(default_cohort):
+    cohort, _ = default_cohort
+    with pytest.raises(ValueError):
+        cohort.outcomes[0, 0] = -1
+    with pytest.raises(ValueError):
+        cohort.passed[0] = False
+
+
+# --- every week from one encode (the data module's contract) ---------------
+
+# names in manifest order interleave the weeks, so a week's columns are
+# not a prefix of the next week's
+INTERLEAVED = TaskManifest([TaskId("a", 3), TaskId("b", 1), TaskId("c", 2),
+                            TaskId("d", 1), TaskId("e", 3), TaskId("f", 2)])
+
+
+def _random_cohort(manifest, seed):
+    rng = np.random.default_rng(seed)
+    n = 40
+    passed = np.arange(n) % 4 != 0  # both classes, for the split
+    outcomes = rng.integers(-1, 2, size=(n, len(manifest)))
+    return Cohort(manifest, tuple(f"s{i}" for i in range(n)), ("c",) * n,
+                  passed, outcomes)
+
+
+def _week_cohorts():
+    for seed in (0, 7, 4242):
+        yield simulate(SimConfig(seed=seed, n_students=120))[0]
+        yield _random_cohort(INTERLEAVED, seed)
+
+
+@pytest.mark.parametrize("cohort", _week_cohorts())
+def test_each_week_is_the_last_weeks_dataset_restricted(cohort):
+    weeks = sorted({t.week for t in cohort.manifest.tasks})
+    last = encode(cohort, weeks[-1])
+    for week in weeks:
+        dataset = encode(cohort, week)
+        names = tuple(t.name for t in cohort.manifest.tasks
+                      if t.week <= week)
+        columns = [last.feature_names.index(n) for n in names]
+        assert dataset.feature_names == names
+        assert np.array_equal(dataset.features, last.features[:, columns])
+        assert np.array_equal(dataset.labels, last.labels)
+    if cohort.manifest is INTERLEAVED:
+        assert encode(cohort, 1).feature_names == ("b", "d")
+
+
+@pytest.mark.parametrize("cohort", _week_cohorts())
+def test_one_split_spec_picks_the_same_rows_at_every_week(cohort):
+    weeks = sorted({t.week for t in cohort.manifest.tasks})
+    spec = SplitSpec(train_fraction=0.75, seed=5)
+    last = encode(cohort, weeks[-1])
+    last_parts = split(last, spec)
+    for week in weeks:
+        dataset = encode(cohort, week)
+        columns = [last.feature_names.index(n)
+                   for n in dataset.feature_names]
+        for part, last_part in zip(split(dataset, spec), last_parts):
+            assert np.array_equal(part.features,
+                                  last_part.features[:, columns])
+            assert np.array_equal(part.labels, last_part.labels)
 
 
 # --- LabeledDataset ---------------------------------------------------------
@@ -296,7 +408,7 @@ def assert_csv_contract(dataset):
     assert again.feature_names == dataset.feature_names
 
 
-def test_dataset_csv_writes_awkward_values_as_the_oracle():
+def test_dataset_csv_reads_awkward_synthetic_values_back_bitwise():
     features = np.array([[0.0, 1.0, 1.0],
                          [-0.0, 2.0, -3.0],
                          [1.0, 0.0, 1.0],
@@ -443,6 +555,17 @@ def _repeat_key(data, cells, lines, row):
     return f" {cells[0].decode()!r} (first seen on line {first + 1})"
 
 
+def _repeat_task(data, cells, lines, row):
+    """List a task of the row's right or wrong list there again; returns
+    the end of the reason."""
+    column = data.draw(st.sampled_from([c for c in (3, 4) if cells[c]]))
+    names = cells[column].split(b"|")
+    name = data.draw(st.sampled_from(names))
+    names.insert(data.draw(st.integers(0, len(names))), name)
+    cells[column] = b"|".join(names)
+    return f" {cells[0].decode()!r}: task(s) listed twice: ['{name.decode()}']"
+
+
 def _stray_quote(data, cells, lines, row):
     column = data.draw(st.integers(0, len(cells) - 1))
     cells[column] = b'"' + cells[column]
@@ -462,6 +585,7 @@ INPUT_CORRUPTIONS = (
     ("cohort.csv", _set_field(2, (b"yes", b"True", b"1", b"", b"false ")),
      "expected 'true' or 'false'"),
     ("cohort.csv", _repeat_key, "duplicate student_id"),
+    ("cohort.csv", _repeat_task, "student"),
     ("cohort.csv", _stray_quote, "malformed CSV: "),
     ("cohort.csv", _non_utf8, "not UTF-8 text"),
     ("manifest.csv", _drop_field, "expected 2 fields, got 1"),
@@ -668,6 +792,19 @@ def test_write_csv_bytes_match_caller_formatted_cells(table):
         path = Path(tmp) / "table.csv"
         write_csv(path, header, rows)
         assert path.read_bytes() == csv_file_oracle(header, rows)
+
+
+# cells that make the csv module quote (a comma, a quote, a line break, a
+# lone empty cell), beside rows that write_csv joins without it
+@pytest.mark.parametrize("row", [
+    ("a", "b,c"), ('x"y', "z"), ("line\nbreak", "2"), ("cr\rx", "y"),
+    ("",), ("", ""), (), (None, "n"), (3, np.int64(4), True, 0.1),
+    ("s0001", "sim", True, "w01_t01|w01_t02", ""), (" pad ", "\t", "é")])
+def test_write_csv_row_bytes_match_the_csv_module(tmp_path, row):
+    path = tmp_path / "table.csv"
+    header = [f"c{i}" for i in range(len(row))]
+    write_csv(path, header, [row])
+    assert path.read_bytes() == csv_file_oracle(header, [row])
 
 
 def test_write_json_rejects_values_json_has_no_type_for(tmp_path):

@@ -324,8 +324,8 @@ def test_start_at_the_optimum_takes_no_step(smote_train_w3):
 def smote_train_seed7_w9():
     """The week-9 SMOTE training set of `atrisk pipeline --seed 7`."""
     cfg = build_config(overrides={"seed": 7})
-    records, manifest = simulate(cfg.simulate)
-    train, _ = split(encode(records, manifest, 9), cfg.split)
+    cohort, _ = simulate(cfg.simulate)
+    train, _ = split(encode(cohort, 9), cfg.split)
     return resample(train, cfg.resample).dataset
 
 
