@@ -25,7 +25,8 @@ Other CSVs:   a bool cell is ``true``/``false``, a float cell (numpy's too)
               ``repr(float(v))``, any other as the csv module writes it.
 JSON:         key-sorted, indented by two spaces, newline-terminated; an
               ndarray is its list, a dataclass the dict of its fields, and
-              any other value JSON has no type for a TypeError.
+              a key that is no string, or any other value JSON has no type
+              for, a TypeError.
 
 Dataset CSVs are written by :meth:`LabeledDataset.to_csv`, every other CSV
 artifact by :func:`write_csv`, and every JSON artifact by
@@ -80,11 +81,70 @@ def _json_default(value):
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
+# what json writes as text of its own: a list holding only these is flat;
+# a number's text holds no bracket
+_NUMBERS = frozenset((int, float, bool, type(None)))
+_SCALARS = _NUMBERS | {str}
+
+
 def write_json(path, doc):
-    """doc as JSON by the rule in the module docstring."""
+    """doc as JSON by the rule in the module docstring, in the bytes of
+    ``json.dump(doc, indent=2, sort_keys=True)``.
+
+    The document is walked here.  Each flat list, or list of non-empty
+    flat lists of numbers, goes to calls of json's C encoder whose item
+    separator carries the indent, so every scalar's text is json's own.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, default=_json_default)
+        _write_json(fh.write, doc, "\n")
         fh.write("\n")
+
+
+def _write_json(write, value, newline):
+    """Write value as JSON; newline starts each of its lines after the
+    first."""
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            write("[]")
+        elif set(map(type, value)) <= _SCALARS:
+            text = json.dumps(value, separators=("," + inner, ": "))
+            write("[" + inner + text[1:-1] + newline + "]")
+        elif set(map(type, value)) == {list} and all(value) and \
+                set(map(type, chain.from_iterable(value))) <= _NUMBERS:
+            # rows of numbers, 64 a call, in whose text "]" + separator +
+            # "[" is a row break
+            row = inner + "  "
+            row_break = inner + "]," + inner + "[" + row
+            write("[" + inner + "[" + row)
+            for lo in range(0, len(value), 64):
+                text = json.dumps(value[lo:lo + 64],
+                                  separators=("," + row, ": "))
+                write((row_break if lo else "")
+                      + text[2:-2].replace("]," + row + "[", row_break))
+            write(inner + "]" + newline + "]")
+        else:
+            write("[")
+            for i, item in enumerate(value):
+                write("," + inner if i else inner)
+                _write_json(write, item, inner)
+            write(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            write("{}")
+            return
+        write("{")
+        for i, key in enumerate(sorted(value)):
+            if not isinstance(key, str):
+                raise TypeError(f"a JSON key must be a string, got "
+                                f"{type(key).__name__}")
+            write(("," + inner if i else inner) + json.dumps(key) + ": ")
+            _write_json(write, value[key], inner)
+        write(newline + "}")
+    elif isinstance(value, (str, int, float)) or value is None:
+        write(json.dumps(value))
+    else:
+        _write_json(write, _json_default(value), newline)
 
 
 def read_text(path):
@@ -179,6 +239,13 @@ def _check_values(features, synthetic_flags):
         raise ValueError("real rows must contain only exact 0/1 values")
 
 
+def _refuse_cr(what, value):
+    # the csv module writes a lone CR unquoted, and a reader ends the row
+    # there, so a saved file would not load back
+    if "\r" in value:
+        raise ValueError(f"{what} {value!r} contains a carriage return")
+
+
 @dataclass(frozen=True)
 class TaskId:
     """A formative task: unique name plus the teaching week it belongs to."""
@@ -192,6 +259,7 @@ class TaskId:
         if "|" in self.name:
             raise ValueError(f"task name {self.name!r} contains '|', which "
                              "separates the tasks of a cohort CSV list")
+        _refuse_cr("task name", self.name)
         if self.week < 1:
             raise ValueError(f"task {self.name!r}: week must be >= 1, "
                              f"got {self.week}")
@@ -259,6 +327,9 @@ class Cohort:
                                                  (-1, 0, 1)).all():
             raise ValueError(f"{n} students need {n} cohort labels, labels "
                              f"and rows of {m} outcomes of 1, 0 or -1")
+        for student_id, cohort in zip(self.student_ids, self.cohorts):
+            _refuse_cr("student id", student_id)
+            _refuse_cr("cohort label", cohort)
 
     def __len__(self):
         return len(self.student_ids)
@@ -385,7 +456,9 @@ def load_cohort(path, manifest):
     column = {name: j for j, name in enumerate(manifest.names())}
 
     def check(row):
-        student_id, _, passed, *lists = row
+        student_id, cohort, passed, *lists = row
+        _refuse_cr("student id", student_id)
+        _refuse_cr("cohort label", cohort)
         _parse_bool(passed)
         right, wrong = ([n for n in names.split("|") if n] for names in lists)
         for problem, tasks in (

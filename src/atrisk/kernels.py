@@ -1,9 +1,10 @@
 """The numeric hot kernels: pairwise squared distances and Gini split scans.
 
-Both are plain numpy.  Every candidate value comes from elementwise
-double-precision operations (no BLAS call and no reduction whose order
-depends on the thread count), so results are exact on 0/1 inputs and
-reproducible bit for bit on fractional ones.
+Both are plain numpy; a split scan reads a group of tree nodes at once,
+each value as an integer key of its rank in its feature.  Every candidate
+value comes from elementwise double-precision operations (no BLAS call and
+no reduction whose order depends on the thread count), so results are
+exact on 0/1 inputs and reproducible bit for bit on fractional ones.
 """
 
 from __future__ import annotations
@@ -28,63 +29,83 @@ def pairwise_sqdist(x, y):
     if x.shape[1] != y.shape[1]:
         raise ValueError(f"column mismatch: {x.shape[1]} vs {y.shape[1]}")
     out = np.empty((x.shape[0], y.shape[0]), dtype=np.float64)
+    diff = np.empty_like(y)  # one buffer, not two fresh ones a row
     for i in range(x.shape[0]):
-        diff = y - x[i]
-        out[i] = (diff * diff).sum(axis=1)
+        np.subtract(y, x[i], out=diff)
+        np.multiply(diff, diff, out=diff)
+        diff.sum(axis=1, out=out[i])
     return out
 
 
-def split_scan(values, labels):
-    """Best binary split over the columns of a node's feature block.
+def split_scan(keys, ends):
+    """Best Gini split of each segment of a group of tree nodes' cells.
 
-    ``values`` is an (n, m) block whose columns are each sorted ascending;
-    ``labels`` (1 = positive class) is aligned to it column by column.
-    Candidate thresholds are midpoints between distinct consecutive values
-    of a column, scored by weighted child Gini.  The first strict minimum
-    wins: the lowest column, then the lowest threshold within it.
+    A segment is one node's rows in one candidate feature, and a cell one
+    row of it, packed in an integer key as ``(segment * n_ranks + rank) * 2
+    + label``: ``rank`` is the dense rank of the cell's value among its
+    feature's distinct values, and ``label`` is 1 for the positive class.
+    ``keys`` is sorted in place, so that each segment's cells follow in
+    ascending rank; segment s then holds the cells from ``ends[s - 1]`` (0
+    for the first) to ``ends[s]``, at least one, and ``ends[-1]`` is
+    ``len(keys)``.
 
-    The scores are built in three (n - 1, m) buffers reused in place, each
-    value by the same operations in the same order as the textbook
-    expression, so they are bit-identical to it.
+    A boundary is a place inside a segment where the rank changes; a split
+    there has the midpoint of the two values as its threshold.  Only at a
+    boundary is the weighted child Gini evaluated, from exact integer
+    counts by the operations, in order, of the textbook expression
+    ``(nl - (cl0*cl0 + cl1*cl1)/nl + nr - (cr0*cr0 + cr1*cr1)/nr) / n``,
+    so every score is bit-identical to it.
 
-    Returns ``(column, weighted_gini, threshold)``; column is -1 when no
-    column has two distinct values.
+    Returns ``(score, at)``, one entry a segment: the lowest score and the
+    sorted position of the last cell left of its boundary, the first
+    minimum (the lowest threshold) winning; ``inf`` and -1 where a segment
+    has fewer than two distinct values.
     """
-    values = np.asarray(values, dtype=np.float64)
-    labels = np.asarray(labels)
-    if values.ndim != 2 or values.shape != labels.shape:
-        raise ValueError("values and labels must be aligned 2-D blocks, "
-                         f"got {values.shape} and {labels.shape}")
-    n = values.shape[0]
-    if n < 2 or values.shape[1] == 0:
-        return -1, np.inf, 0.0
-    ntot = float(n)
-    nl = np.arange(1, n, dtype=np.float64)[:, None]
+    ends = np.asarray(ends, dtype=np.intp)
+    if keys.ndim != 1 or ends.ndim != 1 or not ends.size or \
+            ends[0] < 1 or (ends[1:] <= ends[:-1]).any() or \
+            ends[-1] != keys.size:
+        raise ValueError(f"ends must rise from 1 to the {keys.size} keys, "
+                         f"got {ends.tolist()}")
+    keys.sort()
+    score = np.full(ends.size, np.inf)
+    at = np.full(ends.size, -1, dtype=np.intp)
+    ranks = keys >> 1
+    boundary = ranks[1:] != ranks[:-1]  # between cells i and i + 1
+    del ranks
+    boundary[ends[:-1] - 1] = False  # not between two segments
+    cut = np.flatnonzero(boundary)
+    if not cut.size:
+        return score, at
+    begins = np.concatenate(([0], ends[:-1]))
+    seg = np.repeat(np.arange(ends.size), ends - begins)[cut]
+    begin = begins[seg]
+    # positives[i]: the positive cells before cell i, counted exactly
+    positives = np.zeros(keys.size + 1)
+    np.cumsum(keys & 1, out=positives[1:])
+    ntot = (ends[seg] - begin).astype(np.float64)
+    nl = (cut + 1 - begin).astype(np.float64)
     nr = ntot - nl
-    total = labels.sum(axis=0, dtype=np.float64)
-    # wg = (nl - (cl0*cl0 + cl1*cl1)/nl + nr - (cr0*cr0 + cr1*cr1)/nr) / ntot
-    cl1 = np.cumsum(labels[:-1], axis=0, dtype=np.float64)
-    wg = np.subtract(nl, cl1)                      # cl0
-    cr1 = np.subtract(total, cl1)
-    np.multiply(cl1, cl1, out=cl1)
-    np.multiply(wg, wg, out=wg)
-    np.add(wg, cl1, out=wg)                        # cl0*cl0 + cl1*cl1
-    cr0 = np.subtract(nr, cr1, out=cl1)            # cl1 is no longer needed
-    np.divide(wg, nl, out=wg)
-    np.subtract(nl, wg, out=wg)
-    np.add(wg, nr, out=wg)
-    np.multiply(cr0, cr0, out=cr0)
-    np.multiply(cr1, cr1, out=cr1)
-    np.add(cr0, cr1, out=cr0)                      # cr0*cr0 + cr1*cr1
-    np.divide(cr0, nr, out=cr0)
-    np.subtract(wg, cr0, out=wg)
-    np.divide(wg, ntot, out=wg)
-    wg[values[1:] == values[:-1]] = np.inf
-    split_at = np.argmin(wg, axis=0)
-    best = wg[split_at, np.arange(wg.shape[1])]
-    column = int(np.argmin(best))
-    if best[column] == np.inf:
-        return -1, np.inf, 0.0
-    k = split_at[column]
-    threshold = (values[k, column] + values[k + 1, column]) / 2.0
-    return column, float(best[column]), float(threshold)
+    cl1 = positives[cut + 1] - positives[begin]
+    total = positives[ends[seg]] - positives[begin]
+    del positives
+    cl0 = nl - cl1
+    cr1 = total - cl1
+    cr0 = nr - cr1
+    wg = (nl - (cl0 * cl0 + cl1 * cl1) / nl
+          + nr - (cr0 * cr0 + cr1 * cr1) / nr) / ntot
+    # each segment's lowest score, and its first boundary that has it
+    first = _run_starts(seg)
+    score[seg[first]] = np.minimum.reduceat(wg, first)
+    hit = np.flatnonzero(wg == score[seg])
+    hit = hit[_run_starts(seg[hit])]
+    at[seg[hit]] = cut[hit]
+    return score, at
+
+
+def _run_starts(ids):
+    """The positions where a sorted array of ids takes a new value."""
+    new = np.empty(ids.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(ids[1:], ids[:-1], out=new[1:])
+    return np.flatnonzero(new)

@@ -104,6 +104,83 @@ def gini_split_oracle(values, labels):
     return out
 
 
+def split_block_oracle(values, labels):
+    """Best split of a node's (n, m) block, every column sorted ascending
+    with its labels aligned: the weighted child Gini of every threshold by
+    one textbook expression, the first strict minimum (lowest column, then
+    lowest threshold) winning.  Returns (column, score, threshold); column
+    is -1 when no column has two distinct values."""
+    n = values.shape[0]
+    if n < 2:
+        return -1, np.inf, 0.0
+    ntot = float(n)
+    nl = np.arange(1, n, dtype=np.float64)[:, None]
+    nr = ntot - nl
+    total = labels.sum(axis=0, dtype=np.float64)
+    cl1 = np.cumsum(labels[:-1], axis=0, dtype=np.float64)
+    cl0 = nl - cl1
+    cr1 = total - cl1
+    cr0 = nr - cr1
+    wg = (nl - (cl0 * cl0 + cl1 * cl1) / nl
+          + nr - (cr0 * cr0 + cr1 * cr1) / nr) / ntot
+    wg[values[1:] == values[:-1]] = np.inf
+    split_at = np.argmin(wg, axis=0)
+    best = wg[split_at, np.arange(wg.shape[1])]
+    column = int(np.argmin(best))
+    if best[column] == np.inf:
+        return -1, np.inf, 0.0
+    k = split_at[column]
+    threshold = (values[k, column] + values[k + 1, column]) / 2.0
+    return column, float(best[column]), float(threshold)
+
+
+def tree_build_oracle(X, y, max_depth, min_samples_split, rng=None,
+                      max_features=None):
+    """A CART tree grown one node at a time from a stack of row-index
+    arrays: pop a node, stop at a pure, small or deep one, else draw
+    max_features candidate features from rng (all when None), sort each
+    candidate column of the node's rows and split at the block's best
+    threshold; push the right child, then the left.  Returns the dict of
+    node arrays (feature, threshold, right, counts) in preorder."""
+    n_rows, d = X.shape
+    feature, threshold, right, counts = [], [], [], []
+    pending = [(np.arange(n_rows), 0, -1)]
+    while pending:
+        rows, depth, parent = pending.pop()
+        node = len(feature)
+        if parent >= 0:
+            right[parent] = node
+        node_labels = y[rows]
+        n_true = int(node_labels.sum())
+        feature.append(-1)
+        threshold.append(0.0)
+        right.append(-1)
+        counts.append((rows.size - n_true, n_true))
+        if n_true in (0, rows.size) or rows.size < min_samples_split or \
+                (max_depth is not None and depth >= max_depth):
+            continue
+        if max_features is not None and max_features < d:
+            candidates = np.sort(rng.choice(d, size=max_features,
+                                            replace=False))
+        else:
+            candidates = np.arange(d)
+        block = X[np.ix_(rows, candidates)]
+        order = np.argsort(block, axis=0, kind="stable")
+        column, _, t = split_block_oracle(
+            np.take_along_axis(block, order, axis=0),
+            node_labels.astype(np.uint8)[order])
+        if column < 0:
+            continue  # every candidate constant here
+        feature[node], threshold[node] = int(candidates[column]), t
+        go_left = X[rows, feature[node]] <= t
+        pending.append((rows[~go_left], depth + 1, node))
+        pending.append((rows[go_left], depth + 1, -1))
+    return {"feature": np.array(feature, dtype=np.intp),
+            "threshold": np.array(threshold),
+            "right": np.array(right, dtype=np.intp),
+            "counts": np.array(counts, dtype=np.intp).reshape(-1, 2)}
+
+
 def pca_oracle(rows, r):
     """Eigendecomposition of np.cov (general eig path), sign-normalised."""
     rows = np.asarray(rows, dtype=np.float64)

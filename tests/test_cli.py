@@ -760,6 +760,37 @@ def test_adasyn_files_match_golden_hashes(tmp_path):
     assert found == GOLDEN_ADASYN_SHA256
 
 
+# sha256 of the model files that the benchmark's `suite` workload writes:
+# `atrisk train --seed 7 --interval 9` with `[resample] method = adasyn`,
+# for the kinds whose bytes need no BLAS call; every tree here grows on
+# fractional synthetic rows
+GOLDEN_ADASYN_MODEL_SHA256 = {
+    "model_w9_random_forest.json":
+        "6eeebf61d2177dc95346a995ac0465bb692d5f40a8942feebd2fc726f7fa1da8",
+    "model_w9_decision_tree.json":
+        "d9b7e058adde4949493a78b4ae0717605792ebc21e8ec484aabeaf22d6741a87",
+    "model_w9_knn.json":
+        "e520bdd9d003e7ffe7ed9855d32412f8c490e2965ff0b3f41586ea8a144baeca",
+    "model_w9_naive_bayes.json":
+        "8686812c0ac7cc71d1cc8c621968a6018160a8a7adc55f10c1e592a4c00bbb3d",
+}
+
+
+def test_seed7_adasyn_model_files_match_golden_hashes(tmp_path):
+    config = tmp_path / "adasyn.cfg"
+    config.write_text("[resample]\nmethod = adasyn\n")
+    common = ["--seed", "7", "--interval", "9", "--config", str(config),
+              "--out", str(tmp_path / "run")]
+    for stage in ("simulate", "encode", "split", "resample"):
+        run_ok([stage, *common])
+    for name in GOLDEN_ADASYN_MODEL_SHA256:
+        kind = name[len("model_w9_"):-len(".json")]
+        run_ok(["train", *common, "--model-kind", kind])
+    found = {name: hashlib.sha256((tmp_path / "run" / name).read_bytes())
+             .hexdigest() for name in GOLDEN_ADASYN_MODEL_SHA256}
+    assert found == GOLDEN_ADASYN_MODEL_SHA256
+
+
 @pytest.mark.parametrize("seed, n_failing", [("13", 0), ("6", 1)])
 def test_too_few_failing_rows_for_any_k(tmp_path, capsys, seed, n_failing):
     # 20 students split without stratification leave 0 or 1 failing

@@ -153,6 +153,20 @@ def test_load_cohort_rejects_task_listed_twice(tmp_path, small_manifest):
                                f"twice: ['w01_t01']")
 
 
+@pytest.mark.parametrize("student_id, cohort, task", [
+    ("s\r1", "2023", "w01_t01"), ("s1", "20\r23", "w01_t01"),
+    ("s1", "2023", "w01\rt01")], ids=["student_id", "cohort", "task"])
+def test_carriage_return_is_refused_where_a_csv_cell_could_hold_it(
+        student_id, cohort, task):
+    # the csv module writes a lone CR unquoted, so a cohort or manifest
+    # holding one would be saved as a file that does not load back
+    bad = next(v for v in (student_id, cohort, task) if "\r" in v)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{bad!r} contains a carriage return")):
+        Cohort(TaskManifest([TaskId(task, 1)]), (student_id,), (cohort,),
+               [True], [[1]])
+
+
 def test_load_cohort_bad_boolean_wins_over_a_task_listed_twice(
         tmp_path, small_manifest):
     path = tmp_path / "cohort.csv"
@@ -586,6 +600,10 @@ INPUT_CORRUPTIONS = (
      "expected 'true' or 'false'"),
     ("cohort.csv", _repeat_key, "duplicate student_id"),
     ("cohort.csv", _repeat_task, "student"),
+    ("cohort.csv", _set_field(0, (b'"s\r1"',)),
+     "student id 's\\r1' contains a carriage return"),
+    ("cohort.csv", _set_field(1, (b'"x\ry"',)),
+     "cohort label 'x\\ry' contains a carriage return"),
     ("cohort.csv", _stray_quote, "malformed CSV: "),
     ("cohort.csv", _non_utf8, "not UTF-8 text"),
     ("manifest.csv", _drop_field, "expected 2 fields, got 1"),
@@ -593,6 +611,8 @@ INPUT_CORRUPTIONS = (
     ("manifest.csv", _set_field(1, (b"1.5", b"x", b"", b"one", b"1e3")),
      "week must be an integer"),
     ("manifest.csv", _repeat_key, "duplicate task"),
+    ("manifest.csv", _set_field(0, (b'"a\rb"',)),
+     "task name 'a\\rb' contains a carriage return"),
     ("manifest.csv", _stray_quote, "malformed CSV: unexpected end of data"),
     ("manifest.csv", _non_utf8, "not UTF-8 text"),
 )
@@ -773,6 +793,18 @@ def test_write_json_bytes_match_walked_document(doc):
         assert path.read_bytes() == json_file_oracle(doc)
 
 
+# lists of rows, which write_json encodes 64 rows a call, beside lists of
+# lists that it walks: an empty row, a string holding a bracket
+@pytest.mark.parametrize("doc", [
+    np.arange(130.0).reshape(65, 2), np.zeros((129, 3)), [[1, 2]] * 64,
+    [(1, 2), [3, 4]], [[1], [], [2]], [[1, "a"], [2, "],\n  ["]],
+    [[0.5, None, True]] * 3, [[float("nan"), -float("inf")]] * 66,
+    {"m": np.ones((70, 1)) / 3, "e": np.zeros((0, 2)), "r": [[7]]}])
+def test_write_json_rows_match_walked_document(tmp_path, doc):
+    write_json(tmp_path / "doc.json", doc)
+    assert (tmp_path / "doc.json").read_bytes() == json_file_oracle(doc)
+
+
 @st.composite
 def csv_tables(draw):
     width = draw(st.integers(1, 4))
@@ -805,6 +837,12 @@ def test_write_csv_row_bytes_match_the_csv_module(tmp_path, row):
     header = [f"c{i}" for i in range(len(row))]
     write_csv(path, header, [row])
     assert path.read_bytes() == csv_file_oracle(header, [row])
+
+
+def test_write_json_rejects_a_key_that_is_no_string(tmp_path):
+    with pytest.raises(TypeError, match="a JSON key must be a string, got "
+                                        "int"):
+        write_json(tmp_path / "doc.json", {"a": {1: 2}})
 
 
 def test_write_json_rejects_values_json_has_no_type_for(tmp_path):

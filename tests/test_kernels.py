@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from atrisk import kernels
-from oracles import gini_split_oracle
+from oracles import gini_split_oracle, split_block_oracle
 
 
 def test_pairwise_sqdist_matches_direct_formula():
@@ -32,129 +32,129 @@ def test_pairwise_rejects_mismatched_columns():
         kernels.pairwise_sqdist(np.zeros((2, 3)), np.zeros((2, 4)))
 
 
-def sorted_block(values, labels):
-    """Sort every column of a block, carrying its labels along."""
-    order = np.argsort(values, axis=0, kind="stable")
-    return (np.take_along_axis(values, order, axis=0),
-            np.take_along_axis(labels, order, axis=0))
+def pack(segments, seed=0):
+    """(keys, ends, distinct, n_ranks) of segments, each a (values,
+    labels) pair of 1-D arrays: a value's rank is dense within its segment,
+    distinct[s] holds segment s's values ascending, and the keys are
+    shuffled (split_scan sorts them)."""
+    distinct = [np.unique(values) for values, _ in segments]
+    n_ranks = max(len(d) for d in distinct)
+    keys = np.concatenate([
+        (s * n_ranks + np.searchsorted(d, values)) * 2 + labels
+        for s, ((values, labels), d) in enumerate(zip(segments, distinct))])
+    keys = np.random.default_rng(seed).permutation(keys).astype(np.int32)
+    ends = np.cumsum([len(values) for values, _ in segments])
+    return keys, ends, distinct, n_ranks
+
+
+def scan(segments):
+    """split_scan of the segments, as (score, threshold) a segment; the
+    threshold is None where the score is inf."""
+    keys, ends, distinct, n_ranks = pack(segments)
+    score, at = kernels.split_scan(keys, ends)
+    found = []
+    for s, (low, k) in enumerate(zip(score.tolist(), at.tolist())):
+        if k < 0:
+            assert low == np.inf
+            found.append((low, None))
+            continue
+        left, right = ((keys[k:k + 2] >> 1) - s * n_ranks).tolist()
+        assert right > left  # a boundary lies between two ranks
+        found.append((low, (distinct[s][left] + distinct[s][right]) / 2.0))
+    return found
+
+
+def random_segments(rng, max_rows):
+    """Segments of one node's rows: every column shares the labels, and a
+    column is binary or fractional with repeats."""
+    n = int(rng.integers(1, max_rows))
+    labels = (rng.random(n) < rng.random()).astype(np.int32)
+    columns = []
+    for _ in range(int(rng.integers(1, 8))):
+        if rng.random() < 0.5:
+            columns.append(rng.integers(0, 2, n).astype(float))
+        else:
+            columns.append(np.round(rng.random(n), int(rng.integers(1, 3))))
+    return [(values, labels) for values in columns]
 
 
 def test_split_scan_against_oracle():
     rng = np.random.default_rng(7)
     for _ in range(200):
-        n = int(rng.integers(2, 60))
-        m = int(rng.integers(1, 8))
-        if rng.random() < 0.5:
-            values = rng.integers(0, 2, (n, m)).astype(float)
-        else:
-            values = rng.random((n, m))
-        labels = np.repeat((rng.random((n, 1)) < 0.4).astype(np.uint8),
-                           m, axis=1)
-        values, labels = sorted_block(values, labels)
-        # the best split of each column on its own, by the oracle
-        per_column = [gini_split_oracle(values[:, j], labels[:, j])
-                      for j in range(m)]
-        # each column scanned alone agrees with the oracle
-        singles = [kernels.split_scan(values[:, [j]], labels[:, [j]])
-                   for j in range(m)]
-        for j, (found, impurity, threshold) in enumerate(singles):
-            candidates = gini_split_oracle(values[:, j], labels[:, j])
+        segments = random_segments(rng, 60) + random_segments(rng, 60)
+        for (values, labels), (score, threshold) in zip(segments,
+                                                        scan(segments)):
+            order = np.argsort(values, kind="stable")
+            candidates = gini_split_oracle(values[order], labels[order])
             if not candidates:
-                assert found == -1
+                assert threshold is None
                 continue
             best = min(wg for wg, _ in candidates)
-            assert found == 0
-            assert impurity == pytest.approx(best, abs=1e-12)
+            assert score == pytest.approx(best, abs=1e-12)
             ties = {thr for wg, thr in candidates if abs(wg - best) < 1e-12}
             assert threshold in ties
-        # the block's winner is the first strict minimum over the columns
-        expected = (-1, np.inf, 0.0)
-        for j, (found, impurity, threshold) in enumerate(singles):
-            if found == 0 and impurity < expected[1]:
-                expected = (j, impurity, threshold)
-        assert kernels.split_scan(values, labels) == expected
-
-
-def split_scan_reference(values, labels):
-    """split_scan as one textbook expression: the weighted Gini scores whose
-    bits every saved tree and forest depends on."""
-    n = values.shape[0]
-    ntot = float(n)
-    nl = np.arange(1, n, dtype=np.float64)[:, None]
-    nr = ntot - nl
-    total = labels.sum(axis=0, dtype=np.float64)
-    cl1 = np.cumsum(labels[:-1], axis=0, dtype=np.float64)
-    cl0 = nl - cl1
-    cr1 = total - cl1
-    cr0 = nr - cr1
-    wg = (nl - (cl0 * cl0 + cl1 * cl1) / nl
-          + nr - (cr0 * cr0 + cr1 * cr1) / nr) / ntot
-    wg[values[1:] == values[:-1]] = np.inf
-    split_at = np.argmin(wg, axis=0)
-    best = wg[split_at, np.arange(wg.shape[1])]
-    column = int(np.argmin(best))
-    if best[column] == np.inf:
-        return -1, np.inf, 0.0
-    k = split_at[column]
-    threshold = (values[k, column] + values[k + 1, column]) / 2.0
-    return column, float(best[column]), float(threshold)
 
 
 def test_split_scan_bit_identical_to_reference_expression():
-    # exact equality: a reordered sum or product shifts the last bits of
-    # some score, which the oracle test's 1e-12 tolerance would let pass
+    # exact equality with the textbook expression over a sorted column: a
+    # reordered sum or product shifts the last bits of some score, which
+    # the oracle test's 1e-12 tolerance would let pass
     rng = np.random.default_rng(17)
     for _ in range(200):
-        n = int(rng.integers(2, 300))
-        m = int(rng.integers(1, 12))
-        if rng.random() < 0.5:
-            values = rng.integers(0, 2, (n, m)).astype(float)
-        else:
-            values = rng.random((n, m))
-        labels = np.repeat((rng.random((n, 1)) < rng.random())
-                           .astype(np.uint8), m, axis=1)
-        values, labels = sorted_block(values, labels)
-        assert kernels.split_scan(values, labels) == \
-            split_scan_reference(values, labels)
-        for j in range(m):
-            single = (values[:, [j]], labels[:, [j]])
-            assert kernels.split_scan(*single) == \
-                split_scan_reference(*single)
+        segments = random_segments(rng, 300) + random_segments(rng, 30)
+        found = scan(segments)
+        for (values, labels), (score, threshold) in zip(segments, found):
+            order = np.argsort(values, kind="stable")
+            column, best, at = split_block_oracle(
+                values[order][:, None], labels[order][:, None])
+            assert (score, threshold) == \
+                ((np.inf, None) if column < 0 else (best, at))
 
 
 def test_split_scan_identical_columns_lower_wins():
-    values = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
-    labels = np.array([[0, 0], [0, 0], [1, 1], [1, 1]], dtype=np.uint8)
-    column, impurity, threshold = kernels.split_scan(values, labels)
-    assert (column, impurity, threshold) == (0, 0.0, 1.5)
+    # the two columns score alike, so a node's first minimum is column 0
+    values = np.array([0.0, 1.0, 2.0, 3.0])
+    labels = np.array([0, 0, 1, 1])
+    keys, ends, _, _ = pack([(values, labels)] * 2)
+    score, _ = kernels.split_scan(keys, ends)
+    assert score.tolist() == [0.0, 0.0] and np.argmin(score) == 0
 
 
 def test_split_scan_lowest_threshold_wins_within_column():
     # the splits at 0.5 and 3.5 score exactly 0.4 each
-    values = np.arange(5.0).reshape(5, 1)
-    labels = np.array([[0], [1], [0], [1], [0]], dtype=np.uint8)
-    assert kernels.split_scan(values, labels) == (0, 0.4, 0.5)
+    assert scan([(np.arange(5.0), np.array([0, 1, 0, 1, 0]))]) == \
+        [(0.4, 0.5)]
 
 
 def test_split_scan_constant_column():
-    values = np.ones((10, 3))
-    labels = np.tile(np.array([[0], [1]], dtype=np.uint8), (5, 3))
-    assert kernels.split_scan(values, labels)[0] == -1
+    labels = np.tile([0, 1], 5)
+    assert scan([(np.ones(10), labels), (np.arange(10.0), labels)])[0] == \
+        (np.inf, None)
 
 
 @pytest.mark.parametrize("n", [0, 1])
 def test_split_scan_too_few_rows(n):
-    values = np.arange(float(n)).reshape(n, 1)
-    labels = np.zeros((n, 1), dtype=np.uint8)
-    assert kernels.split_scan(values, labels)[0] == -1
+    # one cell has no split; a segment of no cells is refused
+    segments = [(np.arange(float(n)), np.zeros(n, dtype=np.int32)),
+                (np.arange(3.0), np.array([0, 1, 1]))]
+    if n == 0:
+        with pytest.raises(ValueError, match="ends must rise"):
+            scan(segments)
+    else:
+        assert scan(segments) == [(np.inf, None), (0.0, 0.5)]
 
 
-@pytest.mark.parametrize("values_shape, labels_shape",
-                         [((4, 2), (4, 3)), ((4, 2), (3, 2)), ((4,), (4,))])
-def test_split_scan_rejects_misaligned_shapes(values_shape, labels_shape):
-    with pytest.raises(ValueError, match="aligned 2-D"):
-        kernels.split_scan(np.zeros(values_shape),
-                           np.zeros(labels_shape, dtype=np.uint8))
+def test_split_scan_sorts_keys_in_place():
+    keys, ends, _, _ = pack(random_segments(np.random.default_rng(3), 40))
+    before = keys.copy()
+    kernels.split_scan(keys, ends)
+    assert np.array_equal(keys, np.sort(before))
+
+
+@pytest.mark.parametrize("ends", [[], [4], [2, 6], [3, 3, 5], [0, 5]])
+def test_split_scan_rejects_ends_not_covering_the_keys(ends):
+    with pytest.raises(ValueError, match="ends must rise from 1 to the 5"):
+        kernels.split_scan(np.arange(5, dtype=np.int32), ends)
 
 
 def test_single_numpy_backend():

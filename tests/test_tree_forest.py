@@ -2,16 +2,21 @@
 
 import dataclasses
 import gc
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atrisk import (LabeledDataset, ModelSpec, fit, load_model,
                     load_resampled)
 from atrisk.cli import main
-from atrisk.models import MODEL_KINDS, TreeModel
+from atrisk.data import write_json
+from atrisk.evaluation import evaluate
+from atrisk.models import MODEL_KINDS, TreeModel, tree as tree_module
 from conftest import make_dataset, random_binary_dataset
-from oracles import tree_proba_oracle
+from oracles import tree_build_oracle, tree_proba_oracle
 
 
 def training_accuracy(model, ds):
@@ -90,6 +95,13 @@ def test_tree_tolerates_single_class():
     model = fit(ModelSpec("decision_tree"), ds)
     proba = model.predict_proba(np.array([[0.5]]))
     assert proba.tolist() == [[0.0, 1.0]]
+
+
+@pytest.mark.parametrize("kind", ["decision_tree", "random_forest"])
+def test_tree_without_features_is_one_leaf(kind):
+    ds = make_dataset(np.zeros((3, 0)), [True, False, True])
+    for tree in fit(ModelSpec(kind), ds).trees:
+        assert tree.feature.tolist() == [-1] and tree.counts.sum() == 3
 
 
 def test_tree_duplicate_conflicting_rows_become_frequency_leaf():
@@ -217,3 +229,91 @@ def test_fit_leaves_no_cyclic_garbage(kind, smote_train_w9_seed7):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_save_leaves_no_cyclic_garbage(kind, tmp_path, smote_train_w9_seed7,
+                                       seed7_run):
+    # as for a fit: a model file or report written leaves no object that
+    # only the cyclic collector frees
+    model = fit(ModelSpec(kind), smote_train_w9_seed7)
+    report = evaluate(model, LabeledDataset.from_csv(
+        f"{seed7_run}/test_w9.csv"), 0.5)
+    gc.collect()
+    gc.disable()
+    try:
+        model.save(tmp_path / "model.json")
+        write_json(tmp_path / "report.json", report)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@st.composite
+def tree_problems(draw):
+    """A small matrix of fractional values with duplicate rows and constant
+    columns, its labels, and the tree parameters to grow on it."""
+    n = draw(st.integers(1, 24))
+    d = draw(st.integers(1, 6))
+    pool = draw(st.lists(st.sampled_from((0.0, 0.25, 0.3, 0.5, 1.0, 0.75)),
+                         min_size=1, max_size=4))
+    distinct = draw(st.integers(1, n))
+    rows = [draw(st.lists(st.sampled_from(pool), min_size=d, max_size=d))
+            for _ in range(distinct)]
+    X = np.array([rows[draw(st.integers(0, distinct - 1))]
+                  for _ in range(n)])
+    if draw(st.booleans()):
+        X[:, draw(st.integers(0, d - 1))] = pool[0]
+    y = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    params = {"max_depth": draw(st.none() | st.integers(1, 4)),
+              "min_samples_split": draw(st.integers(2, 6))}
+    return X, y, params, draw(st.integers(1, 4)), draw(
+        st.sampled_from(["sqrt", 1, 2, 3, 7])), draw(st.integers(0, 99))
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=tree_problems())
+def test_node_arrays_match_the_one_node_at_a_time_oracle(problem):
+    X, y, params, n_trees, max_features, seed = problem
+    ds = make_dataset(X, y, np.ones(len(y), dtype=bool))
+    grown = fit(ModelSpec("decision_tree", **params), ds).trees
+    want = [tree_build_oracle(X, y, **params)]
+    forest = fit(ModelSpec("random_forest", n_trees=n_trees, seed=seed,
+                           max_features=max_features, **params), ds)
+    grown += forest.trees
+    d = X.shape[1]
+    per_split = max(1, int(math.sqrt(d))) if max_features == "sqrt" \
+        else min(max_features, d)
+    for child in np.random.SeedSequence(seed).spawn(n_trees):
+        rng = np.random.default_rng(child)
+        rows = rng.integers(0, len(y), size=len(y))
+        want.append(tree_build_oracle(X[rows], y[rows], **params, rng=rng,
+                                      max_features=per_split))
+    for tree, expected in zip(grown, want, strict=True):
+        for name, array in expected.items():
+            found = getattr(tree, name)
+            assert found.dtype == array.dtype
+            assert np.array_equal(found, array), name
+
+
+@pytest.mark.parametrize("cells", [5, 2 ** 30])
+def test_scan_size_changes_no_tree(monkeypatch, cells):
+    # 5 cells a scan puts every node's columns in groups; 2**30 puts a
+    # step in one scan, with keys too wide for int32
+    monkeypatch.setattr(tree_module, "_SCAN_CELLS", cells)
+    rng = np.random.default_rng(12)
+    X = np.round(rng.random((40, 7)), 1)
+    y = rng.random(40) < 0.4
+    ds = make_dataset(X, y, np.ones(40, dtype=bool))
+    grown = fit(ModelSpec("decision_tree"), ds).trees \
+        + fit(ModelSpec("random_forest", n_trees=3, max_features=3,
+                        seed=4), ds).trees
+    want = [tree_build_oracle(X, y, None, 2)]
+    for child in np.random.SeedSequence(4).spawn(3):
+        rng = np.random.default_rng(child)
+        rows = rng.integers(0, 40, size=40)
+        want.append(tree_build_oracle(X[rows], y[rows], None, 2, rng=rng,
+                                      max_features=3))
+    for tree, expected in zip(grown, want, strict=True):
+        for name, array in expected.items():
+            assert np.array_equal(getattr(tree, name), array), name
