@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import sys
 from pathlib import Path
 
@@ -38,6 +39,10 @@ from .models import fit, load_model
 from .pca import export_scatter
 from .resampling import METHODS, load_resampled, resample
 from .simulate import simulate
+
+# once a process, not per main(): the imports' objects live until exit, so
+# neither full collections nor shutdown need to walk them
+gc.freeze()
 
 
 class CliError(Exception):
@@ -73,7 +78,8 @@ class _Store:
 
 @contextlib.contextmanager
 def _naming(interval, path):
-    """A ValueError raised in the block names the interval and input file."""
+    """A ValueError raised in the block names the interval and the input
+    file(s) given as path."""
     try:
         yield
     except ValueError as exc:
@@ -158,19 +164,23 @@ def cmd_evaluate(cfg, args, store, summary=None):
                            f"it needs a single --interval")
     rows = []
     for interval in cfg.intervals:
-        model = store.get(f"model_w{interval}_{cfg.model.kind}.json",
-                          load_model, "evaluate",
-                          getattr(args, "model_file", None))
+        model_name = f"model_w{interval}_{cfg.model.kind}.json"
+        model_file = (getattr(args, "model_file", None)
+                      or store.out / model_name)
+        model = store.get(model_name, load_model, "evaluate", model_file)
         kind = model.spec.kind  # a --model-file may hold another kind
-        test = store.get(f"test_w{interval}.csv", LabeledDataset.from_csv,
-                         "evaluate", getattr(args, "test_file", None))
+        test_name = f"test_w{interval}.csv"
+        test_file = getattr(args, "test_file", None) or store.out / test_name
+        test = store.get(test_name, LabeledDataset.from_csv, "evaluate",
+                         test_file)
         # one scoring serves the report and the sweep; without a sweep the
         # plain evaluate call stays, as clibench/tracing.py times it by name
-        if cfg.sweep_thresholds:
-            report, *swept = sweep_thresholds(
-                model, test, (cfg.threshold, *cfg.sweep_thresholds))
-        else:
-            report = evaluate(model, test, cfg.threshold)
+        with _naming(interval, f"{model_file} on {test_file}"):
+            if cfg.sweep_thresholds:
+                report, *swept = sweep_thresholds(
+                    model, test, (cfg.threshold, *cfg.sweep_thresholds))
+            else:
+                report = evaluate(model, test, cfg.threshold)
         store.put(f"report_w{interval}_{kind}.json", report, report.save)
         rows.append(report.summary_row(interval, test.n_features, kind))
         scores = " ".join(f"{name}={getattr(report, name):.4f}"

@@ -160,8 +160,9 @@ def fit(spec, train, start=None):
 
 # top-level document keys read after the format/version check, and the
 # JSON type each must have
-_DOCUMENT_FIELDS = (("kind", str), ("params", dict), ("n_features", int),
-                    ("non_converged", bool), ("state", dict))
+_DOCUMENT_FIELDS = (("kind", str), ("params", dict), ("classes", list),
+                    ("n_features", int), ("non_converged", bool),
+                    ("state", dict))
 
 
 def load_model(path):
@@ -185,6 +186,12 @@ def load_model(path):
             raise ValueError(f"{path}: key {key!r} must be a JSON "
                              f"{kind.__name__}, got "
                              f"{type(doc[key]).__name__}")
+    # types too: [0, 1] == [False, True] in Python
+    classes = doc["classes"]
+    if classes != list(TrainedModel.classes) or \
+            any(type(c) is not bool for c in classes):
+        raise ValueError(f"{path}: key 'classes' must be [false, true] "
+                         f"(failing, passing), got {json.dumps(classes)}")
     try:
         spec = ModelSpec(doc["kind"], **doc["params"])
     except (TypeError, ValueError) as exc:

@@ -28,7 +28,8 @@ _ENTRIES = {"f": ((int, float), "numbers"), "i": ((int,), "integers"),
 
 def fitted_array(value, *shape, dtype=np.float64):
     """value as a read-only array of the given shape (None: any length; no
-    shape: a scalar).  An entry of the wrong type raises TypeError.
+    shape: a scalar).  An entry of the wrong type raises TypeError, and a
+    non-finite float (NaN or inf) raises ValueError.
 
     A saved matrix with no rows is the JSON list ``[]``; it is read back as
     zero rows of ``shape[1]`` columns.
@@ -43,6 +44,9 @@ def fitted_array(value, *shape, dtype=np.float64):
         if not issubclass(t, types) or (t is bool and kind != "b"):
             raise TypeError(f"expected {what}, got {t.__name__}")
     array = np.asarray(value, dtype=dtype)
+    if kind == "f" and not np.isfinite(array).all():
+        raise ValueError(f"expected finite numbers, got "
+                         f"{array[~np.isfinite(array)][0]}")
     if len(shape) == 2 and array.shape == (0,):
         array = array.reshape(0, shape[1])
     if array.ndim != len(shape) or any(

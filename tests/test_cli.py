@@ -1,8 +1,13 @@
 """CLI stages: artifact chain, config handling, determinism, guards."""
 
+import gc
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -226,6 +231,24 @@ def test_evaluate_file_flag_needs_one_interval(tmp_path, capsys, flag, name):
     assert after == before
     run_ok(["evaluate", *common, flag, str(tmp_path / "run" / name),
             "--interval", "3"])
+
+
+def test_evaluate_dimension_mismatch_names_interval_and_files(tmp_path,
+                                                              capsys):
+    config = tmp_path / "two.cfg"
+    config.write_text(BASE_CONFIG.replace("intervals = 3", "intervals = 3,6"))
+    out = tmp_path / "run"
+    common = ["--config", str(config), "--out", str(out)]
+    for stage in ("simulate", "encode", "split", "resample", "train"):
+        run_ok([stage, *common])
+    capsys.readouterr()
+    code = main(["evaluate", *common, "--interval", "6", "--model-file",
+                 str(out / "model_w3_logreg.json")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"atrisk evaluate: error: interval 6, {out / 'model_w3_logreg.json'} "
+        f"on {out / 'test_w6.csv'}: dimension mismatch: model trained on "
+        f"43 features, rows have 106\n")
 
 
 def test_evaluate_malformed_model_file_is_one_line_error(tmp_path,
@@ -840,3 +863,27 @@ def test_tune_without_feasible_cell_fails(tmp_path, config_file, capsys):
     lines = (out / "tune_w3.csv").read_text().splitlines()[1:]
     assert [line.split(",")[1:3] for line in lines] == \
         [["none", "0"]] * 2 + [["smote", "20"]] * 2 + [["smote", "50"]] * 2
+
+
+def test_main_calls_freeze_nothing(tmp_path, config_file):
+    # the import froze its heap once; a long-lived caller's runs stay
+    # collectable.  The count may fall (a frozen object freed by its
+    # reference count leaves the permanent generation), never rise.
+    frozen = gc.get_freeze_count()
+    for _ in range(2):
+        run_ok(["simulate", "--config", config_file,
+                "--out", str(tmp_path / "run")])
+    assert gc.get_freeze_count() <= frozen
+
+
+def test_only_the_cli_import_freezes_the_heap():
+    probe = ("import gc, atrisk; print(gc.get_freeze_count()); "
+             "import atrisk.cli; print(gc.get_freeze_count())")
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    library, command_line = map(int, result.stdout.split())
+    assert library == 0
+    assert command_line > 0

@@ -110,7 +110,8 @@ def test_rejects_version_1_file(tmp_path, split_w3, kind):
 
 @pytest.mark.parametrize("kind, key", [
     *(pytest.param("logreg", key, id=key)
-      for key in ("kind", "params", "n_features", "non_converged", "state")),
+      for key in ("kind", "params", "classes", "n_features", "non_converged",
+                  "state")),
     *(pytest.param(kind, f"state.{name}",
                    id=f"state.{name}" if kind == "logreg"
                    else f"{kind}-state.{name}")
@@ -278,3 +279,50 @@ def test_rejects_bad_svm_params(tmp_path, split_w3, params, message):
     with pytest.raises(ValueError) as caught:
         load_model(path)
     assert str(caught.value) == f"{path}: bad 'kind' or 'params' ({message})"
+
+
+# a float entry of each kind's state, as keys and indexes below "state"
+_FLOAT_ENTRY = {
+    "logreg": ("intercept",),
+    "naive_bayes": ("log_theta", 1, 0),
+    "decision_tree": ("trees", 0, "threshold", 0),
+    "random_forest": ("trees", 9, "threshold", 0),
+    "knn": ("train_features", 0, 0),
+    "svm_linear": ("sv_coef", 0),
+    "svm_rbf": ("link_scale",),
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")],
+                         ids=["nan", "inf"])
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_rejects_non_finite_state_entry(tmp_path, split_w3, kind, value):
+    train, _ = split_w3
+    path, doc = saved_document(tmp_path, train, kind)
+    *parents, leaf = _FLOAT_ENTRY[kind]
+    node = doc["state"]
+    for parent in parents:
+        node = node[parent]
+    node[leaf] = value
+    path.write_text(json.dumps(doc))  # written as NaN or Infinity
+    with pytest.raises(ValueError) as caught:
+        load_model(path)
+    assert str(caught.value) == (f"{path}: malformed 'state' (expected "
+                                 f"finite numbers, got {value})")
+
+
+@pytest.mark.parametrize("classes, shown", [
+    pytest.param([True, False], "[true, false]", id="swapped"),
+    pytest.param([0, 1], "[0, 1]", id="integers"),
+    pytest.param([False, True, True], "[false, true, true]", id="three"),
+])
+def test_rejects_classes_other_than_false_true(tmp_path, split_w3, classes,
+                                               shown):
+    train, _ = split_w3
+    path, doc = saved_document(tmp_path, train)
+    doc["classes"] = classes
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as caught:
+        load_model(path)
+    assert str(caught.value) == (f"{path}: key 'classes' must be [false, "
+                                 f"true] (failing, passing), got {shown}")
