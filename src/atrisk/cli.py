@@ -43,6 +43,9 @@ from .simulate import simulate
 # once a process, not per main(): the imports' objects live until exit, so
 # neither full collections nor shutdown need to walk them
 gc.freeze()
+# every generator is seeded, so numpy.random's secrets -> hmac import needs
+# no OpenSSL: hashlib falls back to CPython's own code, same digests
+sys.modules.setdefault("_hashlib", None)
 
 
 class CliError(Exception):
@@ -225,8 +228,8 @@ def cmd_pca_export(cfg, args, store):
 
 
 def cmd_pipeline(cfg, args, store):
-    # a default_rng call loads OpenSSL anyway (numpy.random -> secrets ->
-    # hmac), so importing it here spares only commands that draw no numbers
+    # imported here, so a command that draws no number (evaluate) never
+    # loads hashlib; numpy.random loads it through hmac anyway
     import hashlib
     if cfg.cohort_path:  # ingest an existing cohort instead of simulating
         print(f"pipeline: ingesting {cfg.cohort_path}")

@@ -504,10 +504,16 @@ def save_cohort(cohort, path):
 def encode(cohort, max_week):
     """One-hot encode a cohort over its manifest's tasks of week <=
     max_week, in manifest order: a cell is 1 exactly when the student got
-    the task right, so unattempted and wrong tasks both encode to 0."""
-    keep = [t.week <= max_week for t in cohort.manifest.tasks]
+    the task right, so unattempted and wrong tasks both encode to 0.  A
+    max_week past the manifest's last week is refused, not encoded as that
+    week under another name."""
+    weeks = [t.week for t in cohort.manifest.tasks]
+    keep = [week <= max_week for week in weeks]
     if not any(keep):
         raise ValueError(f"no manifest tasks fall within weeks 1..{max_week}")
+    if max_week > max(weeks):
+        raise ValueError(f"interval {max_week} is past the manifest's last "
+                         f"week {max(weeks)}")
     return LabeledDataset(cohort.outcomes[:, keep] == 1, cohort.passed,
                           compress(cohort.manifest.names(), keep))
 

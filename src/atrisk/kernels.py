@@ -20,10 +20,13 @@ def active_backend():
 def pairwise_sqdist(x, y):
     """Squared Euclidean distances between rows of x (n, d) and y (m, d).
 
-    Returns an (n, m) float64 array.
+    Returns an (n, m) float64 array.  Given one array twice, it computes
+    each unordered pair once and mirrors it: ``a - b`` is exactly ``-(b -
+    a)``, so the square and each row's sum are bit-identical either way.
     """
+    same = y is x
     x = np.ascontiguousarray(x, dtype=np.float64)
-    y = np.ascontiguousarray(y, dtype=np.float64)
+    y = x if same else np.ascontiguousarray(y, dtype=np.float64)
     if x.ndim != 2 or y.ndim != 2:
         raise ValueError("pairwise_sqdist expects 2-D matrices")
     if x.shape[1] != y.shape[1]:
@@ -31,9 +34,13 @@ def pairwise_sqdist(x, y):
     out = np.empty((x.shape[0], y.shape[0]), dtype=np.float64)
     diff = np.empty_like(y)  # one buffer, not two fresh ones a row
     for i in range(x.shape[0]):
-        np.subtract(y, x[i], out=diff)
-        np.multiply(diff, diff, out=diff)
-        diff.sum(axis=1, out=out[i])
+        first = i if same else 0  # same: row i's columns below i are done
+        part = diff[first:]
+        np.subtract(y[first:], x[i], out=part)
+        np.multiply(part, part, out=part)
+        part.sum(axis=1, out=out[i, first:])
+        if same:
+            out[first:, i] = out[i, first:]
     return out
 
 

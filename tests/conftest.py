@@ -1,3 +1,7 @@
+# loaded before any test imports atrisk.cli, so the tests' sha256 stays
+# OpenSSL's (where the Python has it), not the built-in code the CLI uses
+import hashlib  # noqa: F401
+
 import numpy as np
 import pytest
 

@@ -876,14 +876,79 @@ def test_main_calls_freeze_nothing(tmp_path, config_file):
     assert gc.get_freeze_count() <= frozen
 
 
-def test_only_the_cli_import_freezes_the_heap():
-    probe = ("import gc, atrisk; print(gc.get_freeze_count()); "
-             "import atrisk.cli; print(gc.get_freeze_count())")
+def _fresh_python(code, *args):
+    """stdout of code run in a new interpreter that imports this atrisk."""
     src = str(Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    result = subprocess.run([sys.executable, "-c", probe], env=env,
-                            capture_output=True, text=True, check=True)
-    library, command_line = map(int, result.stdout.split())
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_only_the_cli_import_freezes_the_heap():
+    probe = ("import gc, atrisk; print(gc.get_freeze_count()); "
+             "import atrisk.cli; print(gc.get_freeze_count())")
+    library, command_line = map(int, _fresh_python(probe).split())
     assert library == 0
     assert command_line > 0
+
+
+def test_a_cli_process_that_draws_numbers_loads_no_openssl():
+    probe = """if True:
+        import pathlib, sys, atrisk.cli, numpy
+        numpy.random.default_rng(0)
+        import hashlib
+        print(sys.modules["_hashlib"] is None)
+        maps = pathlib.Path("/proc/self/maps")  # the libraries mapped
+        print(maps.read_text().count("libcrypto") if maps.exists()
+              else "no-maps")
+    """
+    blocked, libcrypto = _fresh_python(probe).split()
+    assert blocked == "True"
+    if libcrypto == "no-maps":
+        pytest.skip("no /proc/self/maps to read the mapped libraries from")
+    assert libcrypto == "0"
+
+
+def test_a_library_import_leaves_hashlib_alone():
+    probe = """if True:
+        import sys, atrisk, numpy
+        numpy.random.default_rng(0)
+        print(sys.modules.get("_hashlib", "not loaded") is not None)
+        try:
+            import _hashlib
+        except ImportError:
+            sys.exit(print("no-openssl"))
+        import atrisk.cli  # a _hashlib loaded before the CLI stays
+        print(sys.modules["_hashlib"] is _hashlib)
+    """
+    untouched, kept = _fresh_python(probe).split()
+    assert untouched == "True"
+    if kept == "no-openssl":
+        pytest.skip("this Python was built without OpenSSL")
+    assert kept == "True"
+
+
+def test_a_cli_pipeline_child_writes_the_sha256_digests(tmp_path,
+                                                         config_file):
+    out = tmp_path / "run"
+    _fresh_python("import sys; from atrisk.cli import main; "
+                  "sys.exit(main(sys.argv[1:]))", "pipeline", "--config",
+                  config_file, "--out", str(out))
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert "summary.csv" in manifest["artifacts"]
+    for name, digest in manifest["artifacts"].items():
+        assert digest == hashlib.sha256((out / name).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("stage", ["encode", "pipeline"])
+def test_an_interval_past_the_last_week_fails_in_one_line(
+        tmp_path, capsys, config_file, stage):
+    # the default manifest ends at week 9: week 10 would be week 9's data
+    out = tmp_path / "run"
+    run_ok(["simulate", "--config", config_file, "--out", str(out)])
+    err = _one_line_error(capsys, [stage, "--config", config_file,
+                                   "--interval", "10", "--out", str(out)])
+    assert err == (f"atrisk {stage}: error: interval 10 is past the "
+                   f"manifest's last week 9\n")
+    assert not (out / "dataset_w10.csv").exists()

@@ -248,6 +248,13 @@ def test_encode_rejects_empty_interval():
         encode(one_student(manifest), 3)
 
 
+def test_encode_refuses_an_interval_past_the_last_week(small_manifest):
+    # week 4 would select every task, the week-3 dataset under another name
+    with pytest.raises(ValueError) as caught:
+        encode(one_student(small_manifest), 4)
+    assert str(caught.value) == "interval 4 is past the manifest's last week 3"
+
+
 def test_encode_load_round_trip_membership(tmp_path, default_cohort):
     # every cell equals right-answer membership, checked exhaustively
     cohort, manifest = default_cohort

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from atrisk import kernels
 from oracles import gini_split_oracle, split_block_oracle
@@ -25,6 +28,24 @@ def test_pairwise_sqdist_exact_on_binary():
     # 0/1 rows make every distance an exact small integer
     assert np.array_equal(dist, np.round(dist))
     assert np.array_equal(np.diag(dist), np.zeros(30))
+
+
+BINARY = st.sampled_from([0.0, 1.0])
+FRACTIONAL = st.floats(-1e6, 1e6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 40), d=st.integers(1, 40),
+       elements=st.sampled_from([BINARY, FRACTIONAL,
+                                 st.one_of(BINARY, FRACTIONAL)]))
+def test_pairwise_sqdist_of_one_array_is_bitwise_the_general_path(
+        data, n, d, elements):
+    # given one array twice, each pair is computed once and mirrored; a
+    # copy takes the general path, which computes every entry
+    x = data.draw(arrays(np.float64, (n, d), elements=elements))
+    mirrored = kernels.pairwise_sqdist(x, x)
+    general = kernels.pairwise_sqdist(x, x.copy())
+    assert np.array_equal(mirrored.view(np.uint64), general.view(np.uint64))
 
 
 def test_pairwise_rejects_mismatched_columns():
