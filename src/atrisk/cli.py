@@ -14,11 +14,16 @@ Stages communicate through conventionally named artifacts in the output
 directory (cohort.csv, dataset_w3.csv, train_w3.csv, ...), each written
 once; a resampled training set is stored as train_w3.csv plus its
 provenance file, train_w3_smote_provenance.csv.  A single-stage subcommand
-reads its inputs from that directory; ``pipeline`` chains the stages across
-the configured intervals, hands each artifact to the next stage in memory,
-and writes a manifest of artifact hashes.  Rerunning with an identical
-config at the same BLAS thread count reproduces the same bytes (the
-ROADMAP's reproducibility contract covers thread counts).
+reads its inputs from that directory.  ``pipeline`` makes or loads the
+cohort and its manifest once, then runs encode -> split -> resample ->
+train -> evaluate for one interval before it starts the next, in the
+configured order.  Each stage hands its artifact to the next in memory,
+and the run forgets it once that reader has it, so only the cohort, the
+manifest and one interval's artifacts are ever held.  The run ends with
+summary.csv (every interval's rows, in order) and a manifest of artifact
+hashes.  Rerunning with an identical config at the same BLAS thread count
+reproduces the same bytes (the ROADMAP's reproducibility contract covers
+thread counts).
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import argparse
 import contextlib
 import gc
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -38,7 +44,7 @@ from .evaluation import (SELECTION_METRICS, evaluate, grid_search,
 from .models import fit, load_model
 from .pca import export_scatter
 from .resampling import METHODS, load_resampled, resample
-from .simulate import simulate
+from .simulate import build_manifest, simulate
 
 # once a process, not per main(): the imports' objects live until exit, so
 # neither full collections nor shutdown need to walk them
@@ -55,28 +61,38 @@ class CliError(Exception):
 class _Store:
     """The artifacts of one run, by file name in the output directory.
 
-    put writes an artifact once and keeps the object; get returns a kept
-    object, or else reads the file (path overrides the default location).
+    put writes an artifact once and, given obj, holds that object for the
+    one stage that reads it; get hands a held object over and forgets it,
+    or else reads the file (path overrides the default location).  The
+    cohort and manifest are the exception: every interval reads them, so
+    the first get or put of either holds it until the run ends.
     """
+
+    _KEPT = ("cohort.csv", "manifest.csv")
 
     def __init__(self, out_dir):
         self.out = Path(out_dir)
         self.written = []
         self._held = {}
 
-    def put(self, name, obj, write):
+    def put(self, name, write, obj=None):
         self.out.mkdir(parents=True, exist_ok=True)
         write(self.out / name)
         self.written.append(name)
-        self._held[self.out / name] = obj
+        if obj is not None:
+            self._held[self.out / name] = obj
 
     def get(self, name, read, stage, path=None):
         path = Path(path) if path else self.out / name
         if path in self._held:
-            return self._held[path]
+            return (self._held[path] if name in self._KEPT
+                    else self._held.pop(path))
         if not path.exists():
             raise CliError(f"[{stage}] missing upstream artifact: {path}")
-        return read(path)
+        obj = read(path)
+        if name in self._KEPT:
+            self._held[path] = obj
+        return obj
 
 
 @contextlib.contextmanager
@@ -103,8 +119,8 @@ def _resampled(store, interval, method, stage):
 
 def cmd_simulate(cfg, args, store):
     cohort, manifest = simulate(cfg.simulate)
-    store.put("cohort.csv", cohort, lambda p: save_cohort(cohort, p))
-    store.put("manifest.csv", manifest, manifest.to_csv)
+    store.put("cohort.csv", lambda p: save_cohort(cohort, p), cohort)
+    store.put("manifest.csv", manifest.to_csv, manifest)
     print(f"simulate: wrote {len(cohort)} records -> "
           f"{store.out / 'cohort.csv'}")
 
@@ -116,7 +132,7 @@ def cmd_encode(cfg, args, store):
                        "encode", cfg.cohort_path)
     for interval in cfg.intervals:
         dataset = encode(cohort, interval)
-        store.put(f"dataset_w{interval}.csv", dataset, dataset.to_csv)
+        store.put(f"dataset_w{interval}.csv", dataset.to_csv, dataset)
         print(f"encode: interval {interval} -> {dataset.n_rows} rows x "
               f"{dataset.n_features} features")
 
@@ -126,8 +142,8 @@ def cmd_split(cfg, args, store):
         dataset = store.get(f"dataset_w{interval}.csv",
                             LabeledDataset.from_csv, "split")
         train, test = split(dataset, cfg.split)
-        store.put(f"train_w{interval}.csv", train, train.to_csv)
-        store.put(f"test_w{interval}.csv", test, test.to_csv)
+        store.put(f"train_w{interval}.csv", train.to_csv, train)
+        store.put(f"test_w{interval}.csv", test.to_csv, test)
         print(f"split: interval {interval} -> {train.n_rows} train / "
               f"{test.n_rows} test")
 
@@ -140,7 +156,7 @@ def cmd_resample(cfg, args, store):
             result = resample(train, cfg.resample)
         # held as the set it grows, so train reads nothing back
         store.put(f"train_w{interval}_{cfg.resample.method}_provenance.csv",
-                  result.dataset, result.provenance.to_csv)
+                  result.provenance.to_csv, result.dataset)
         n_fail, n_pass = result.dataset.class_counts()
         print(f"resample: interval {interval} {cfg.resample.method} -> "
               f"{n_fail}/{n_pass} fail/pass")
@@ -154,12 +170,15 @@ def cmd_train(cfg, args, store):
         with _naming(interval, store.out / source):
             model = fit(spec, train)
         name = f"model_w{interval}_{spec.kind}.json"
-        store.put(name, model, model.save)
+        store.put(name, model.save, model)
         flag = " (non-converged)" if model.non_converged else ""
         print(f"train: interval {interval} {spec.kind}{flag} -> {name}")
 
 
-def cmd_evaluate(cfg, args, store, summary=None):
+def cmd_evaluate(cfg, args, store, summary=True):
+    """Score each interval's model on its test rows; returns the summary
+    rows, written as summary_{intervals}_{kind}.csv unless summary is
+    false."""
     for flag in ("model_file", "test_file"):
         # getattr: pipeline's args have no --model-file or --test-file
         if getattr(args, flag, None) and len(cfg.intervals) > 1:
@@ -184,7 +203,7 @@ def cmd_evaluate(cfg, args, store, summary=None):
                     model, test, (cfg.threshold, *cfg.sweep_thresholds))
             else:
                 report = evaluate(model, test, cfg.threshold)
-        store.put(f"report_w{interval}_{kind}.json", report, report.save)
+        store.put(f"report_w{interval}_{kind}.json", report.save)
         rows.append(report.summary_row(interval, test.n_features, kind))
         scores = " ".join(f"{name}={getattr(report, name):.4f}"
                           for name in SELECTION_METRICS)
@@ -193,11 +212,13 @@ def cmd_evaluate(cfg, args, store, summary=None):
         if cfg.sweep_thresholds:
             sweep = [r.summary_row(interval, test.n_features, kind)
                      for r in swept]
-            store.put(f"sweep_w{interval}_{kind}.csv", sweep,
+            store.put(f"sweep_w{interval}_{kind}.csv",
                       lambda p: write_summary_csv(sweep, p))
-    intervals = "_".join(f"w{i}" for i in cfg.intervals)
-    summary = summary or f"summary_{intervals}_{kind}.csv"
-    store.put(summary, rows, lambda p: write_summary_csv(rows, p))
+    if summary:
+        intervals = "_".join(f"w{i}" for i in cfg.intervals)
+        store.put(f"summary_{intervals}_{kind}.csv",
+                  lambda p: write_summary_csv(rows, p))
+    return rows
 
 
 def cmd_tune(cfg, args, store):
@@ -206,8 +227,8 @@ def cmd_tune(cfg, args, store):
         train = store.get(f"train_w{interval}.csv", LabeledDataset.from_csv,
                           "tune")
         result = grid_search(grid, train)
-        store.put(f"tune_w{interval}.csv", result, result.to_csv)
-        store.put(f"tune_w{interval}_best.json", result, result.save_best)
+        store.put(f"tune_w{interval}.csv", result.to_csv)
+        store.put(f"tune_w{interval}_best.json", result.save_best)
         best = result.best()
         print(f"tune: interval {interval} best {best.method} "
               f"k={best.k_neighbors} {best.penalty} C={best.C} "
@@ -222,7 +243,7 @@ def cmd_pca_export(cfg, args, store):
     for interval in cfg.intervals:
         _, grown = _resampled(store, interval, method, "pca-export")
         name = f"scatter_w{interval}_{method}{suffix}.csv"
-        store.put(name, None, lambda p: export_scatter(
+        store.put(name, lambda p: export_scatter(
             grown, method, p, fit_on_real_only=real_only))
         print(f"pca-export: interval {interval} {method} -> {name}")
 
@@ -233,18 +254,27 @@ def cmd_pipeline(cfg, args, store):
     import hashlib
     if cfg.cohort_path:  # ingest an existing cohort instead of simulating
         print(f"pipeline: ingesting {cfg.cohort_path}")
+        tasks = store.get("manifest.csv", TaskManifest.from_csv, "encode",
+                          cfg.manifest_path)
     else:
+        tasks = build_manifest(cfg.simulate.tasks_per_week)
+    for interval in cfg.intervals:  # refused before anything is written
+        tasks.columns_through(interval)
+    if not cfg.cohort_path:
         cmd_simulate(cfg, args, store)
-    cmd_encode(cfg, args, store)
-    cmd_split(cfg, args, store)
-    cmd_resample(cfg, args, store)
-    cmd_train(cfg, args, store)
-    cmd_evaluate(cfg, args, store, summary="summary.csv")
+    rows = []
+    for interval in cfg.intervals:
+        one = replace(cfg, intervals=(interval,))
+        cmd_encode(one, args, store)
+        cmd_split(one, args, store)
+        cmd_resample(one, args, store)
+        cmd_train(one, args, store)
+        rows += cmd_evaluate(one, args, store, summary=False)
+    store.put("summary.csv", lambda p: write_summary_csv(rows, p))
     manifest = {"artifacts": {
         name: hashlib.sha256((store.out / name).read_bytes()).hexdigest()
         for name in sorted(store.written)}}
-    store.put("run_manifest.json", manifest,
-              lambda p: write_json(p, manifest))
+    store.put("run_manifest.json", lambda p: write_json(p, manifest))
     print(f"pipeline: {len(manifest['artifacts'])} artifacts -> "
           f"{store.out / 'run_manifest.json'}")
 

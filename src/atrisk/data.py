@@ -282,6 +282,21 @@ class TaskManifest:
     def names(self):
         return tuple(t.name for t in self.tasks)
 
+    def columns_through(self, max_week):
+        """Which tasks fall within weeks 1..max_week, one bool per task.
+
+        A max_week that keeps no task, or is past the last week (it would
+        be that week's data under another name), is refused."""
+        weeks = [t.week for t in self.tasks]
+        keep = [week <= max_week for week in weeks]
+        if not any(keep):
+            raise ValueError(f"no manifest tasks fall within weeks "
+                             f"1..{max_week}")
+        if max_week > max(weeks):
+            raise ValueError(f"interval {max_week} is past the manifest's "
+                             f"last week {max(weeks)}")
+        return keep
+
     @classmethod
     def from_csv(cls, path):
         def parse(row):
@@ -505,15 +520,8 @@ def encode(cohort, max_week):
     """One-hot encode a cohort over its manifest's tasks of week <=
     max_week, in manifest order: a cell is 1 exactly when the student got
     the task right, so unattempted and wrong tasks both encode to 0.  A
-    max_week past the manifest's last week is refused, not encoded as that
-    week under another name."""
-    weeks = [t.week for t in cohort.manifest.tasks]
-    keep = [week <= max_week for week in weeks]
-    if not any(keep):
-        raise ValueError(f"no manifest tasks fall within weeks 1..{max_week}")
-    if max_week > max(weeks):
-        raise ValueError(f"interval {max_week} is past the manifest's last "
-                         f"week {max(weeks)}")
+    max_week that TaskManifest.columns_through refuses is not encoded."""
+    keep = cohort.manifest.columns_through(max_week)
     return LabeledDataset(cohort.outcomes[:, keep] == 1, cohort.passed,
                           compress(cohort.manifest.names(), keep))
 

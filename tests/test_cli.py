@@ -109,18 +109,99 @@ def test_pipeline_writes_manifest_and_summary(tmp_path, config_file):
     assert "sweep_w3_logreg.csv" in manifest["artifacts"]
 
 
+def _ingest_config(tmp_path, source, intervals="3"):
+    """A config that ingests source's cohort and manifest."""
+    path = tmp_path / "ingest.cfg"
+    path.write_text(BASE_CONFIG.replace("intervals = 3\n",
+                                        f"intervals = {intervals}\n") + f"""
+[paths]
+cohort = {source / 'cohort.csv'}
+manifest = {source / 'manifest.csv'}
+""")
+    return str(path)
+
+
 def test_pipeline_reads_back_no_artifact(tmp_path, config_file,
                                          monkeypatch):
     def refuse(path, *rest):
         raise AssertionError(f"pipeline re-read {path}")
 
-    monkeypatch.setattr(cli, "load_cohort", refuse)
+    reads = []
+
+    def counted(read):
+        def reader(path, *rest):
+            reads.append(Path(path).name)
+            return read(path, *rest)
+        return reader
+
+    monkeypatch.setattr(cli, "load_cohort", counted(cli.load_cohort))
     monkeypatch.setattr(cli, "load_model", refuse)
     monkeypatch.setattr(cli, "load_resampled", refuse)
     monkeypatch.setattr(LabeledDataset, "from_csv", refuse)
-    monkeypatch.setattr(TaskManifest, "from_csv", refuse)
-    run_ok(["pipeline", "--config", config_file,
+    monkeypatch.setattr(TaskManifest, "from_csv",
+                        counted(TaskManifest.from_csv))
+    source = tmp_path / "run"
+    run_ok(["pipeline", "--config", config_file, "--out", str(source)])
+    assert reads == []
+    # an ingested cohort and manifest are read once for all three intervals
+    run_ok(["pipeline", "--config", _ingest_config(tmp_path, source, "3,6,9"),
+            "--out", str(tmp_path / "ingest")])
+    assert sorted(reads) == ["cohort.csv", "manifest.csv"]
+
+
+def test_pipeline_holds_one_interval_at_a_time(tmp_path, monkeypatch):
+    put = cli._Store.put
+    held = []  # (name put, names held after the put)
+
+    def recording(store, name, *rest):
+        put(store, name, *rest)
+        held.append((name, {path.name for path in store._held}))
+
+    monkeypatch.setattr(cli._Store, "put", recording)
+    config = tmp_path / "weeks.cfg"
+    config.write_text(BASE_CONFIG.replace("intervals = 3\n",
+                                          "intervals = 1,2,3,4,5,6,7,8,9\n"))
+    run_ok(["pipeline", "--config", str(config),
             "--out", str(tmp_path / "run")])
+
+    def week(name):
+        found = re.search(r"_w(\d+)[._]", name)
+        return found and int(found.group(1))
+
+    assert [week(name) for name, _ in held if week(name)] == sorted(
+        week(name) for name, _ in held if week(name))
+    assert {week(name) for name, _ in held} - {None} == set(range(1, 10))
+    kept = {"cohort.csv", "manifest.csv"}
+    assert {name for name, _ in held[:2]} == kept
+    for name, names in held[2:]:
+        assert kept <= names
+        others = names - kept
+        assert {week(other) for other in others} <= {week(name)}, name
+        if week(name) is None:  # summary.csv, run_manifest.json
+            assert not others, name
+
+
+def test_pipeline_intervals_are_independent(tmp_path):
+    config = tmp_path / "weeks.cfg"
+    config.write_text(BASE_CONFIG.replace("intervals = 3\n",
+                                          "intervals = 3,6,9\n"))
+    full = tmp_path / "full"
+    run_ok(["pipeline", "--config", str(config), "--out", str(full)])
+    own = {"summary.csv", "run_manifest.json"}
+    names, rows = set(), []
+    for interval in (3, 6, 9):
+        one = tmp_path / f"w{interval}"
+        run_ok(["pipeline", "--config", str(config), "--out", str(one),
+                "--interval", str(interval)])
+        header, *one_rows = (one / "summary.csv").read_text().splitlines()
+        rows += one_rows
+        for path in one.iterdir():
+            if path.name not in own:
+                names.add(path.name)
+                assert path.read_bytes() == (full / path.name).read_bytes(), \
+                    path.name
+    assert {path.name for path in full.iterdir()} - own == names
+    assert (full / "summary.csv").read_text().splitlines() == [header, *rows]
 
 
 def test_pipeline_rerun_is_byte_identical(tmp_path, config_file):
@@ -384,14 +465,9 @@ def test_interval_flag_restricts(tmp_path):
 def test_ingest_existing_cohort(tmp_path, config_file):
     source = tmp_path / "source"
     run_ok(["simulate", "--config", config_file, "--out", str(source)])
-    cfg = tmp_path / "ingest.cfg"
-    cfg.write_text(BASE_CONFIG + f"""
-[paths]
-cohort = {source / 'cohort.csv'}
-manifest = {source / 'manifest.csv'}
-""")
     out = tmp_path / "run"
-    run_ok(["pipeline", "--config", str(cfg), "--out", str(out)])
+    run_ok(["pipeline", "--config", _ingest_config(tmp_path, source),
+            "--out", str(out)])
     assert not (out / "cohort.csv").exists()  # ingested, not simulated
     assert (out / "summary.csv").exists()
 
@@ -946,9 +1022,25 @@ def test_an_interval_past_the_last_week_fails_in_one_line(
         tmp_path, capsys, config_file, stage):
     # the default manifest ends at week 9: week 10 would be week 9's data
     out = tmp_path / "run"
-    run_ok(["simulate", "--config", config_file, "--out", str(out)])
+    if stage == "encode":  # pipeline simulates its own cohort
+        run_ok(["simulate", "--config", config_file, "--out", str(out)])
     err = _one_line_error(capsys, [stage, "--config", config_file,
                                    "--interval", "10", "--out", str(out)])
     assert err == (f"atrisk {stage}: error: interval 10 is past the "
                    f"manifest's last week 9\n")
-    assert not (out / "dataset_w10.csv").exists()
+    # pipeline checks every interval before it writes anything
+    assert sorted(path.name for path in out.glob("*")) == (
+        ["cohort.csv", "manifest.csv"] if stage == "encode" else [])
+
+
+def test_an_ingested_manifest_refuses_a_late_interval_before_writing(
+        tmp_path, capsys, config_file):
+    source = tmp_path / "source"
+    run_ok(["simulate", "--config", config_file, "--out", str(source)])
+    out = tmp_path / "run"
+    err = _one_line_error(capsys, [
+        "pipeline", "--config", _ingest_config(tmp_path, source, "3,10"),
+        "--out", str(out)])
+    assert err == ("atrisk pipeline: error: interval 10 is past the "
+                   "manifest's last week 9\n")
+    assert not out.exists()
