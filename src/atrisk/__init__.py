@@ -10,7 +10,7 @@ end-to-end workflow.
 from .data import (Cohort, LabeledDataset, SplitSpec, TaskId, TaskManifest,
                    encode, load_cohort, save_cohort, split)
 from .evaluation import (EvalReport, GridSpec, evaluate, grid_search,
-                         mann_whitney_auc, sweep_thresholds)
+                         mann_whitney_auc, score_arm, sweep_thresholds)
 from .models import ModelSpec, TrainedModel, fit, load_model
 from .neighbors import knn_indices
 from .pca import PcaModel, export_scatter, fit_pca, reconstruct, transform
@@ -24,7 +24,7 @@ __all__ = [
     "Cohort", "LabeledDataset", "SplitSpec", "TaskId", "TaskManifest",
     "encode", "load_cohort", "save_cohort", "split",
     "EvalReport", "GridSpec", "evaluate", "grid_search", "mann_whitney_auc",
-    "sweep_thresholds",
+    "score_arm", "sweep_thresholds",
     "ModelSpec", "TrainedModel", "fit", "load_model",
     "knn_indices",
     "PcaModel", "export_scatter", "fit_pca", "reconstruct", "transform",

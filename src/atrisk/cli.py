@@ -65,10 +65,13 @@ class _Store:
     one stage that reads it; get hands a held object over and forgets it,
     or else reads the file (path overrides the default location).  The
     cohort and manifest are the exception: every interval reads them, so
-    the first get or put of either holds it until the run ends.
+    the first get or put of either holds it until the run ends.  Only a
+    pipeline run, whose next stage reads what one puts, sets hold: a
+    single-stage command's store holds nothing.
     """
 
     _KEPT = ("cohort.csv", "manifest.csv")
+    hold = False
 
     def __init__(self, out_dir):
         self.out = Path(out_dir)
@@ -79,7 +82,7 @@ class _Store:
         self.out.mkdir(parents=True, exist_ok=True)
         write(self.out / name)
         self.written.append(name)
-        if obj is not None:
+        if self.hold and obj is not None:
             self._held[self.out / name] = obj
 
     def get(self, name, read, stage, path=None):
@@ -90,7 +93,7 @@ class _Store:
         if not path.exists():
             raise CliError(f"[{stage}] missing upstream artifact: {path}")
         obj = read(path)
-        if name in self._KEPT:
+        if self.hold and name in self._KEPT:
             self._held[path] = obj
         return obj
 
@@ -252,6 +255,7 @@ def cmd_pipeline(cfg, args, store):
     # imported here, so a command that draws no number (evaluate) never
     # loads hashlib; numpy.random loads it through hmac anyway
     import hashlib
+    store.hold = True
     if cfg.cohort_path:  # ingest an existing cohort instead of simulating
         print(f"pipeline: ingesting {cfg.cohort_path}")
         tasks = store.get("manifest.csv", TaskManifest.from_csv, "encode",

@@ -8,8 +8,10 @@ failing-class recall is non-increasing in the threshold.  Division-by-zero
 metrics follow the 0/0 -> 0 convention and are flagged on the report.
 
 ``sweep_thresholds`` scores a model on a test set once and reports every
-threshold from that one score; ``evaluate`` and the grid search go through
-it.  ``METRICS`` names the five reported metrics once for every file format.
+threshold from that one score.  ``score_arm`` is the one place an arm of the
+comparison (none, SMOTE or ADASYN on the training rows only) is fitted and
+scored on real test rows; ``grid_search`` scores each fold through it.
+``METRICS`` names the five reported metrics once for every file format.
 """
 
 from __future__ import annotations
@@ -93,8 +95,7 @@ def mann_whitney_auc(scores, positive_mask):
                                    return_counts=True)
     starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
     avg_rank = starts + (counts + 1) / 2.0  # 1-based, ties averaged
-    ranks = avg_rank[inverse]
-    u = ranks[positive_mask].sum() - n_pos * (n_pos + 1) / 2.0
+    u = avg_rank[inverse][positive_mask].sum() - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)
 
 
@@ -149,17 +150,9 @@ def _report(p_false, actual_false, auc, threshold):
         auc = 0.5
 
     cm.setflags(write=False)
-    return EvalReport(confusion=cm,
-                      precision_false=precision_false,
-                      precision_true=precision_true,
-                      recall_false=recall_false,
-                      recall_true=recall_true,
-                      f1_false=f1_false,
-                      f1_true=f1_true,
-                      accuracy=accuracy,
-                      auc=auc,
-                      threshold=float(threshold),
-                      zero_division=tuple(hits))
+    return EvalReport(cm, precision_false, precision_true, recall_false,
+                      recall_true, f1_false, f1_true, accuracy, auc,
+                      float(threshold), tuple(hits))
 
 
 @dataclass(frozen=True)
@@ -281,24 +274,28 @@ def _model_cells(grid):
             for l1r in sorted(ratios, reverse=True)]
 
 
-def _fit_path(model_cells, train):
-    """A logreg model per (penalty, C, l1_ratio) cell of the path-ordered
-    model_cells, in that order.  The first fit starts at zero, the first at
-    each later C from the first solution at the previous C, and every other
-    fit from the solution just before it."""
-    models = []
+def score_arm(train, test, specs, thresholds, resample_config=None):
+    """One arm of the comparison: train resampled by resample_config (None
+    keeps it as it is), the logreg specs fitted on it in order, and each
+    model scored once on the real-only test set at every threshold.
+    Returns (the set the models were fitted on, one sweep_thresholds list
+    per spec).  The specs run as a path: the first fit starts at zero, the
+    first at each later C from the first solution at the previous C, and
+    every other fit from the solution just before it."""
+    if resample_config is not None:
+        train = resample(train, resample_config).dataset
+    sweeps = []
     start = head = last_c = None  # head: the first solution at last_c
-    for penalty, C, l1r in model_cells:
-        first = C != last_c
+    for spec in specs:
+        first = spec.params["C"] != last_c
         if first:
-            start, last_c = head, C
-        spec = ModelSpec("logreg", penalty=penalty, C=C, l1_ratio=l1r)
+            start, last_c = head, spec.params["C"]
         model = fit(spec, train, start=start)
-        models.append(model)
+        sweeps.append(sweep_thresholds(model, test, thresholds))
         start = np.append(model.weights, model.intercept)
         if first:
             head = start
-    return models
+    return train, sweeps
 
 
 def grid_search(grid, train):
@@ -310,14 +307,14 @@ def grid_search(grid, train):
     mean selection metric, ties broken by higher failing recall, smaller C,
     lower threshold, then the remaining cell key for full determinism.
 
-    Inside a fold the logistic fits follow a regularization path
-    (Friedman, Hastie & Tibshirani 2010), each started from a neighbouring
-    solution (see _fit_path), which saves Newton steps.  The path runs from
-    the strongest l1 penalty l1_ratio / C to the weakest.  w = 0 is optimal
-    exactly when every |dL/dw_j| at (w, b) = (0, b*) is at most
-    l1_ratio / C, a bound that only shrinks along the path, so a cell whose
-    weights are all zero starts only from other all-zero solutions.  On a
-    balanced fold (SMOTE balances the classes) that is the zero vector,
+    Each fold of each resample pair is one score_arm call, whose logistic
+    fits follow a regularization path (Friedman, Hastie & Tibshirani 2010),
+    each started from a neighbouring solution, which saves Newton steps.
+    The path runs from the strongest l1 penalty l1_ratio / C to the weakest.
+    w = 0 is optimal exactly when every |dL/dw_j| at (w, b) = (0, b*) is at
+    most l1_ratio / C, a bound that only shrinks along the path, so a cell
+    whose weights are all zero starts only from other all-zero solutions.
+    On a balanced fold (SMOTE balances the classes) that is the zero vector,
     which the cold fit returns too, so such a cell keeps P(fail) = 0.5
     exactly.  In the grid's own order a warm start from a denser solution
     ended such cells at an intercept near 1e-12 instead, which flipped
@@ -341,6 +338,8 @@ def grid_search(grid, train):
     audit = {"folds_checked": 0, "synthetic_rows_in_validation": 0,
              "synthetic_rows_in_fit": 0}
     model_cells = _model_cells(grid)
+    specs = [ModelSpec("logreg", penalty=penalty, C=C, l1_ratio=l1r)
+             for penalty, C, l1r in model_cells]
     mean_fields = [f"mean_{name}" for name in METRICS]
     # none is one pair, with k 0, placed last: it is not resampled, so it
     # needs no ResampleConfig (whose k must be >= 1) and its index seeds
@@ -362,18 +361,15 @@ def grid_search(grid, train):
                 cells += [GridCell(method, k, *cell, t, feasible=False)
                           for cell in model_cells for t in grid.thresholds]
                 break
-            fit_part = train.subset(fit_idx)
-            if method != "none":
-                seed = int(np.random.SeedSequence(
-                    grid.seed, spawn_key=(ri, f)).generate_state(1)[0])
-                fit_part = resample(fit_part, ResampleConfig(
-                    method=method, k_neighbors=k, seed=seed)).dataset
-            audit["synthetic_rows_in_fit"] += \
-                int(fit_part.synthetic_flags.sum())
-            scores.append([
-                [[getattr(r, name) for name in METRICS] for r in
-                 sweep_thresholds(model, val_part, grid.thresholds)]
-                for model in _fit_path(model_cells, fit_part)])
+            config = None if method == "none" else ResampleConfig(
+                method=method, k_neighbors=k, seed=int(np.random.SeedSequence(
+                    grid.seed, spawn_key=(ri, f)).generate_state(1)[0]))
+            fitted, sweeps = score_arm(train.subset(fit_idx), val_part,
+                                       specs, grid.thresholds, config)
+            audit["synthetic_rows_in_fit"] += int(fitted.synthetic_flags.sum())
+            del fitted  # held through the next fold's fits, it raised peak RSS
+            scores.append([[[getattr(r, name) for name in METRICS]
+                            for r in reports] for reports in sweeps])
         else:
             # a contiguous last fold axis sums each mean pairwise, as over
             # one list; axis 0 sums in sequence: another last bit at 8+ folds

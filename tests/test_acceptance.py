@@ -11,8 +11,8 @@ import pytest
 
 from atrisk import (GridSpec, ModelSpec, ResampleConfig, SimConfig,
                     SplitSpec, adasyn, encode, evaluate, fit, fit_pca,
-                    grid_search, knn_indices, reconstruct, simulate, smote,
-                    split, transform)
+                    grid_search, knn_indices, reconstruct, score_arm,
+                    simulate, smote, split, transform)
 from atrisk.cli import main as cli_main
 from atrisk.models.logistic import smooth_gradient, smooth_objective
 from conftest import make_dataset
@@ -163,12 +163,13 @@ def test_criterion_5_directional_reproduction():
         dataset = encode(cohort, 3)
         train, test = split(dataset, SplitSpec(train_fraction=0.8,
                                                seed=seed))
-        baseline = fit(ModelSpec("logreg"), train)
-        recall_base = evaluate(baseline, test, 0.5).recall_false
-        grown = smote(train, ResampleConfig(method="smote", k_neighbors=5,
-                                            seed=seed)).dataset
-        oversampled = fit(ModelSpec("logreg"), grown)
-        recall_smote = evaluate(oversampled, test, 0.5).recall_false
+        # each arm resamples the training rows only, scored on real rows
+        (_, [[baseline]]), (_, [[oversampled]]) = (
+            score_arm(train, test, [ModelSpec("logreg")], (0.5,), config)
+            for config in (None, ResampleConfig(method="smote",
+                                                k_neighbors=5, seed=seed)))
+        recall_base = baseline.recall_false
+        recall_smote = oversampled.recall_false
         wins += recall_smote >= recall_base
         improvements.append(recall_smote - recall_base)
     elapsed = time.time() - start

@@ -149,19 +149,29 @@ def test_pipeline_reads_back_no_artifact(tmp_path, config_file,
     assert sorted(reads) == ["cohort.csv", "manifest.csv"]
 
 
-def test_pipeline_holds_one_interval_at_a_time(tmp_path, monkeypatch):
+@pytest.fixture
+def held(monkeypatch):
+    """(name put, names held after the put), one a _Store.put."""
     put = cli._Store.put
-    held = []  # (name put, names held after the put)
+    held = []
 
     def recording(store, name, *rest):
         put(store, name, *rest)
         held.append((name, {path.name for path in store._held}))
 
     monkeypatch.setattr(cli._Store, "put", recording)
+    return held
+
+
+def weeks_config(tmp_path):
     config = tmp_path / "weeks.cfg"
     config.write_text(BASE_CONFIG.replace("intervals = 3\n",
                                           "intervals = 1,2,3,4,5,6,7,8,9\n"))
-    run_ok(["pipeline", "--config", str(config),
+    return str(config)
+
+
+def test_pipeline_holds_one_interval_at_a_time(tmp_path, held):
+    run_ok(["pipeline", "--config", weeks_config(tmp_path),
             "--out", str(tmp_path / "run")])
 
     def week(name):
@@ -179,6 +189,17 @@ def test_pipeline_holds_one_interval_at_a_time(tmp_path, monkeypatch):
         assert {week(other) for other in others} <= {week(name)}, name
         if week(name) is None:  # summary.csv, run_manifest.json
             assert not others, name
+
+
+def test_single_stage_commands_hold_nothing(tmp_path, held):
+    # no later stage in a single-stage command's process reads what it puts
+    config, out = weeks_config(tmp_path), str(tmp_path / "run")
+    for stage in ("simulate", "encode", "split"):
+        run_ok([stage, "--config", config, "--out", out])
+    assert [name for name, _ in held[-18:]] == [
+        f"{part}_w{week}.csv" for week in range(1, 10)
+        for part in ("train", "test")]
+    assert [names for _, names in held] == [set()] * (2 + 9 + 18)
 
 
 def test_pipeline_intervals_are_independent(tmp_path):

@@ -1,13 +1,19 @@
 """Metrics, AUC, sweeps, and the cross-validated grid search."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from atrisk import (GridSpec, ModelSpec, TrainedModel, evaluate, fit,
-                    grid_search, mann_whitney_auc, sweep_thresholds)
+from atrisk import (GridSpec, ModelSpec, ResampleConfig, TrainedModel,
+                    evaluate, fit, grid_search, mann_whitney_auc, resample,
+                    score_arm, sweep_thresholds)
 import atrisk.evaluation as evaluation
 from atrisk.evaluation import (METRICS, stratified_fold_indices,
                                write_summary_csv)
+from atrisk.resampling import METHODS
 from conftest import make_dataset
 from oracles import auc_pairwise_oracle, metrics_oracle
 
@@ -200,6 +206,79 @@ def test_empty_sweep_rejected(split_w3):
     model = fit(ModelSpec("logreg"), train)
     with pytest.raises(ValueError, match="empty"):
         sweep_thresholds(model, test, ())
+
+
+# --- score_arm ----------------------------------------------------------------
+
+# the benchmark grid's logreg objectives, in path order
+BENCH_SPECS = [ModelSpec("logreg", penalty="elasticnet", C=1.0, l1_ratio=r)
+               for r in (1.0, 0.5)] + [ModelSpec("logreg", C=1.0)]
+
+
+def every_field(report):
+    return {f.name: getattr(report, f.name) if f.name != "confusion"
+            else report.confusion.tolist() for f in fields(report)}
+
+
+@pytest.mark.parametrize("config", [None, ResampleConfig(k_neighbors=5,
+                                                         seed=11)],
+                         ids=["none", "smote"])
+def test_score_arm_matches_fits_by_hand(split_w3, config):
+    train, test = split_w3
+    thresholds = (0.4, 0.5, 0.6)
+    fitted, sweeps = score_arm(train, test, BENCH_SPECS, thresholds, config)
+    expected = resample(train, config or ResampleConfig("none")).dataset
+    for name in ("features", "labels", "synthetic_flags"):
+        assert np.array_equal(getattr(fitted, name), getattr(expected, name))
+    assert fitted.feature_names == expected.feature_names
+    start = None  # one C: each fit starts from the one before it
+    for spec, reports in zip(BENCH_SPECS, sweeps, strict=True):
+        model = fit(spec, expected, start=start)
+        start = np.append(model.weights, model.intercept)
+        assert [every_field(r) for r in reports] == \
+            [every_field(r) for r in sweep_thresholds(model, test, thresholds)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 30),
+       d=st.integers(1, 6), method=st.sampled_from([None, *METHODS]))
+def test_score_arm_resamples_only_train(seed, n, d, method):
+    rng = np.random.default_rng(seed)
+    features = (rng.random((n + 4, d)) < 0.5).astype(np.float64)
+    labels = rng.random(n + 4) < rng.uniform(0.2, 0.8)
+    labels[:3], labels[3:6] = False, True  # 3 train rows of each class
+    train = make_dataset(features[:n], labels[:n])
+    test = make_dataset(features[n:], labels[n:])
+    config = None if method is None else ResampleConfig(
+        method, k_neighbors=2, seed=seed)
+    drawn = []
+
+    def recording(rows, config):
+        drawn.append((rows, resample(rows, config)))
+        return drawn[-1][1]
+
+    specs = BENCH_SPECS[1:]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluation, "resample", recording)
+        fitted, sweeps = score_arm(train, test, specs, (0.5,), config)
+        assert len(sweeps) == len(specs)
+        if method is not None:
+            ((rows, result),) = drawn
+            assert rows is train and fitted is result.dataset
+            prov = result.provenance
+            assert prov.n_real == train.n_rows
+            for index in (prov.base_row, prov.neighbor_row):
+                assert np.all((0 <= index) & (index < train.n_rows))
+        impure = make_dataset(test.features, test.labels,
+                              np.arange(test.n_rows) == 0)
+        with pytest.raises(ValueError, match="test purity"):
+            score_arm(train, impure, specs, (0.5,), config)
+    assert np.array_equal(fitted.features[:n], train.features)
+    assert np.array_equal(fitted.labels[:n], train.labels)
+    added = fitted.n_rows - n
+    assert fitted.synthetic_flags.tolist() == [False] * n + [True] * added
+    if method in (None, "none"):
+        assert added == 0
 
 
 # --- stratified folds ---------------------------------------------------------
