@@ -18,7 +18,7 @@ import configparser
 import math
 from dataclasses import dataclass, field, replace
 
-from .data import SplitSpec, _parse_bool, read_text
+from .data import SplitSpec, read_text
 from .evaluation import THRESHOLD_RULE, GridSpec, check_axis
 from .models import ModelSpec
 from .resampling import RULES as RESAMPLE_RULES, ResampleConfig
@@ -123,7 +123,6 @@ _OPTIONS = {
     ("simulate", "difficulty_spread"): ("simulate.difficulty_spread", _real),
     ("simulate", "labeling"): ("simulate.labeling", str),
     ("split", "train_fraction"): ("split.train_fraction", _real),
-    ("split", "stratified"): ("split.stratified", _parse_bool),
     ("resample", "method"): ("resample.method", str),
     ("resample", "k_neighbors"): ("resample.k_neighbors", int),
     ("model", "kind"): ("model.kind", str),

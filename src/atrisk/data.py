@@ -450,11 +450,10 @@ class LabeledDataset:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Train/test split parameters; stratified by default."""
+    """Train/test split parameters; the split is stratified."""
 
     train_fraction: float = 0.8
     seed: int = 0
-    stratified: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
@@ -543,34 +542,29 @@ def _stratified_train_counts(class_sizes, train_fraction, n_train_total):
 
 
 def split(data, spec):
-    """Deterministic seeded train/test split of a dataset.
+    """Deterministic seeded stratified train/test split of a dataset.
 
-    Total train size is floor(train_fraction * n).  In stratified mode the
-    per-class allocation keeps each class's train share within one row of
+    Total train size is floor(train_fraction * n).  The per-class
+    allocation keeps each class's train share within one row of
     train_fraction; both parts preserve the original row order.
     """
     n = data.n_rows
     if n < 2:
         raise ValueError("need at least 2 rows to split")
     rng = np.random.default_rng(spec.seed)
-    n_train = int(np.floor(spec.train_fraction * n))
+    class_sizes = {}
+    for label in (False, True):
+        class_sizes[label] = int((data.labels == label).sum())
+        if class_sizes[label] < 2:
+            raise ValueError(
+                f"stratified split needs >= 2 rows of class "
+                f"{'true' if label else 'false'}, got {class_sizes[label]}")
+    counts = _stratified_train_counts(class_sizes, spec.train_fraction,
+                                      int(np.floor(spec.train_fraction * n)))
     train_mask = np.zeros(n, dtype=bool)
-    if spec.stratified:
-        class_sizes = {}
-        for label in (False, True):
-            class_sizes[label] = int((data.labels == label).sum())
-            if class_sizes[label] < 2:
-                raise ValueError(
-                    f"stratified split needs >= 2 rows of class "
-                    f"{'true' if label else 'false'}, "
-                    f"got {class_sizes[label]}")
-        counts = _stratified_train_counts(class_sizes, spec.train_fraction,
-                                          n_train)
-        for label in (False, True):
-            members = np.flatnonzero(data.labels == label)
-            train_mask[members[rng.permutation(len(members))
-                               [:counts[label]]]] = True
-    else:
-        train_mask[rng.permutation(n)[:n_train]] = True
+    for label in (False, True):
+        members = np.flatnonzero(data.labels == label)
+        train_mask[members[rng.permutation(len(members))
+                           [:counts[label]]]] = True
     return (data.subset(np.flatnonzero(train_mask)),
             data.subset(np.flatnonzero(~train_mask)))

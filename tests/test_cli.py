@@ -121,25 +121,26 @@ manifest = {source / 'manifest.csv'}
     return str(path)
 
 
+def _counting(reads, read):
+    """read, appending the name of each file it reads to reads."""
+    def reader(path, *rest):
+        reads.append(Path(path).name)
+        return read(path, *rest)
+    return reader
+
+
 def test_pipeline_reads_back_no_artifact(tmp_path, config_file,
                                          monkeypatch):
     def refuse(path, *rest):
         raise AssertionError(f"pipeline re-read {path}")
 
     reads = []
-
-    def counted(read):
-        def reader(path, *rest):
-            reads.append(Path(path).name)
-            return read(path, *rest)
-        return reader
-
-    monkeypatch.setattr(cli, "load_cohort", counted(cli.load_cohort))
+    monkeypatch.setattr(cli, "load_cohort", _counting(reads, cli.load_cohort))
     monkeypatch.setattr(cli, "load_model", refuse)
     monkeypatch.setattr(cli, "load_resampled", refuse)
     monkeypatch.setattr(LabeledDataset, "from_csv", refuse)
     monkeypatch.setattr(TaskManifest, "from_csv",
-                        counted(TaskManifest.from_csv))
+                        _counting(reads, TaskManifest.from_csv))
     source = tmp_path / "run"
     run_ok(["pipeline", "--config", config_file, "--out", str(source)])
     assert reads == []
@@ -191,15 +192,22 @@ def test_pipeline_holds_one_interval_at_a_time(tmp_path, held):
             assert not others, name
 
 
-def test_single_stage_commands_hold_nothing(tmp_path, held):
-    # no later stage in a single-stage command's process reads what it puts
+def test_single_stage_commands_hold_nothing(tmp_path, held, monkeypatch):
+    # no later stage in a single-stage command's process reads what it
+    # puts; encode holds the cohort and manifest it read for every week
     config, out = weeks_config(tmp_path), str(tmp_path / "run")
+    reads = []
+    monkeypatch.setattr(cli, "load_cohort", _counting(reads, cli.load_cohort))
+    monkeypatch.setattr(TaskManifest, "from_csv",
+                        _counting(reads, TaskManifest.from_csv))
     for stage in ("simulate", "encode", "split"):
         run_ok([stage, "--config", config, "--out", out])
+    assert reads == ["manifest.csv", "cohort.csv"]
     assert [name for name, _ in held[-18:]] == [
         f"{part}_w{week}.csv" for week in range(1, 10)
         for part in ("train", "test")]
-    assert [names for _, names in held] == [set()] * (2 + 9 + 18)
+    assert [names for _, names in held] == \
+        [set()] * 2 + [{"cohort.csv", "manifest.csv"}] * 9 + [set()] * 18
 
 
 def test_pipeline_intervals_are_independent(tmp_path):
@@ -262,6 +270,22 @@ def test_single_stage_rerun_matches_pipeline_slice(tmp_path, kind, extra,
             (pipeline_out / name).read_bytes(), name
     assert (stage_out / summary).read_bytes() == \
         (pipeline_out / "summary.csv").read_bytes()
+
+
+def test_pipeline_writes_what_its_stages_write(tmp_path):
+    # the default config at seed 7, stage by stage: every file both runs
+    # write has the same bytes, and evaluate's summary is summary.csv
+    full, staged = tmp_path / "full", tmp_path / "staged"
+    run_ok(["pipeline", "--seed", "7", "--out", str(full)])
+    for stage in ("simulate", "encode", "split", "resample", "train",
+                  "evaluate"):
+        run_ok([stage, "--seed", "7", "--out", str(staged)])
+    names = {path.name for path in staged.iterdir()}
+    summary = "summary_w3_w6_w9_logreg.csv"
+    assert names - {path.name for path in full.iterdir()} == {summary}
+    for name in names:
+        assert (staged / name).read_bytes() == (full / (
+            "summary.csv" if name == summary else name)).read_bytes(), name
 
 
 def test_seed_flag_overrides_config(tmp_path, config_file):
@@ -504,7 +528,6 @@ def _one_line_error(capsys, argv):
 @pytest.mark.parametrize("text, where", [
     ("[run]\nseed = abc\n", "run.seed"),
     ("[split]\ntrain_fraction = x\n", "split.train_fraction"),
-    ("[split]\nstratified = yes\n", "split.stratified"),
     ("[data]\nintervals = 3,x\n", "data.intervals"),
     ("[tune]\nc_values = 0.1,high\n", "tune.c_values"),
 ])
@@ -514,6 +537,16 @@ def test_bad_config_value_names_file_and_key(tmp_path, capsys, text, where):
     err = _one_line_error(capsys, ["simulate", "--config", str(bad),
                                    "--out", str(tmp_path / "x")])
     assert f"{bad}: {where}: " in err
+
+
+def test_split_stratified_is_an_unknown_key(tmp_path, capsys):
+    # every split is stratified; the key that turned that off is gone
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("[split]\nstratified = false\n")
+    err = _one_line_error(capsys, ["simulate", "--config", str(bad),
+                                   "--out", str(tmp_path / "x")])
+    assert err == (f"atrisk simulate: error: unknown config key "
+                   f"split.stratified in {bad}\n")
 
 
 @pytest.mark.parametrize("text, line", [
@@ -911,13 +944,19 @@ def test_seed7_adasyn_model_files_match_golden_hashes(tmp_path):
     assert found == GOLDEN_ADASYN_MODEL_SHA256
 
 
-@pytest.mark.parametrize("seed, n_failing", [("13", 0), ("6", 1)])
-def test_too_few_failing_rows_for_any_k(tmp_path, capsys, seed, n_failing):
-    # 20 students split without stratification leave 0 or 1 failing
-    # training rows, too few for k_neighbors = 1, the smallest there is
+@pytest.mark.parametrize("seed, n_failing, cohort", [
+    # 2 failing students: a 20% training share holds none of them
+    pytest.param("13", 0, "n_students = 20\nfail_rate = 0.1\n"
+                 "[split]\ntrain_fraction = 0.2\n", id="13-0"),
+    # 2 failing students: an 80% training share holds one of them
+    pytest.param("6", 1, "n_students = 21\nfail_rate = 0.1\n", id="6-1"),
+])
+def test_too_few_failing_rows_for_any_k(tmp_path, capsys, seed, n_failing,
+                                        cohort):
+    # 0 or 1 failing training rows are too few for k_neighbors = 1, the
+    # smallest there is
     config = tmp_path / "tiny.cfg"
-    config.write_text("[simulate]\nn_students = 20\n[split]\n"
-                      "stratified = false\n[resample]\nk_neighbors = 1\n")
+    config.write_text(f"[simulate]\n{cohort}[resample]\nk_neighbors = 1\n")
     err = _one_line_error(capsys, ["pipeline", "--seed", seed, "--config",
                                    str(config), "--out", str(tmp_path)])
     assert err == (f"atrisk pipeline: error: interval 3, "
@@ -927,10 +966,11 @@ def test_too_few_failing_rows_for_any_k(tmp_path, capsys, seed, n_failing):
 
 
 def test_fit_error_names_interval_and_training_file(tmp_path, capsys):
-    # the same cohort as above without resampling: the fit fails instead
+    # the one failing training row above without resampling: the fit
+    # fails instead
     config = tmp_path / "tiny.cfg"
-    config.write_text("[simulate]\nn_students = 20\n[split]\n"
-                      "stratified = false\n[resample]\nmethod = none\n")
+    config.write_text("[simulate]\nn_students = 21\nfail_rate = 0.1\n"
+                      "[resample]\nmethod = none\n")
     err = _one_line_error(capsys, ["pipeline", "--seed", "6", "--config",
                                    str(config), "--out", str(tmp_path)])
     assert err == (f"atrisk pipeline: error: interval 3, "

@@ -38,7 +38,6 @@ labeling = stochastic
 
 [split]
 train_fraction = 0.7
-stratified = false
 
 [resample]
 method = none
@@ -86,7 +85,7 @@ def test_every_file_key_reaches_its_field(tmp_path):
         simulate=SimConfig(n_students=50, fail_rate=0.2, noise=0.1,
                            ability_spread=1.5, difficulty_spread=0.5,
                            labeling="stochastic", seed=11),
-        split=SplitSpec(train_fraction=0.7, stratified=False, seed=12),
+        split=SplitSpec(train_fraction=0.7, seed=12),
         resample=ResampleConfig(method="none", k_neighbors=3, seed=13),
         model=ModelSpec("svm_rbf", C=2, gamma="scale", tolerance=0.01),
         threshold=0.4, sweep_thresholds=(0.3, 0.6),
@@ -126,9 +125,8 @@ FLAG_CASES = [
 
 def test_each_flag_reaches_its_field(monkeypatch):
     seen = {}
-    for name in ALL_COMMANDS:
-        monkeypatch.setitem(cli._COMMANDS, name,
-                            lambda cfg, args, store: seen.update(cfg=cfg))
+    monkeypatch.setattr(cli, "_run",
+                        lambda command, cfg, *rest: seen.update(cfg=cfg))
     for argv, option, value, commands in FLAG_CASES:
         expected = build_config(overrides={option: value})
         assert _setting(expected, option) == value
@@ -147,6 +145,33 @@ def test_every_flag_dest_is_a_config_field():
     for command, sub in subparsers.choices.items():
         for action in sub._actions:
             assert action.dest in names, (command, action.dest)
+
+
+def test_parser_builds_exactly_these_flags(capsys):
+    # the flag table moves no flag to another command
+    common = {"-h", "--help", "--config", "--seed", "--out", "--interval"}
+    own = {
+        "simulate": set(),
+        "encode": set(),
+        "split": set(),
+        "resample": {"--method", "--k-neighbors"},
+        "train": {"--model-kind"},
+        "evaluate": {"--threshold", "--model-file", "--test-file",
+                     "--model-kind"},
+        "tune": {"--metric"},
+        "pca-export": {"--method", "--real-only"},
+        "pipeline": {"--model-kind"},
+    }
+    subparsers = next(a for a in cli._parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert {(command, flag) for command, sub in subparsers.choices.items()
+            for action in sub._actions for flag in action.option_strings} \
+        == {(command, flag) for command, flags in own.items()
+            for flag in common | flags}
+    with pytest.raises(SystemExit):
+        cli.main(["encode", "--interval", "x"])
+    assert "argument --interval: invalid interval value: 'x'" in \
+        capsys.readouterr().err
 
 
 def _subcommand_action(command, dest):

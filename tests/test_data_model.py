@@ -743,12 +743,6 @@ def test_split_stratified_ratio_within_one_row():
             assert train.n_rows == int(np.floor(fraction * 83))
 
 
-def test_split_non_stratified_mode(dataset_w3):
-    train, test = split(dataset_w3, SplitSpec(train_fraction=0.8, seed=4,
-                                              stratified=False))
-    assert (train.n_rows, test.n_rows) == (303, 76)
-
-
 def test_split_rejects_tiny_class():
     features = np.zeros((5, 2))
     features[0, 0] = 1.0
