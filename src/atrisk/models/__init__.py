@@ -10,7 +10,7 @@ kind (see ``base``).
 from __future__ import annotations
 
 import json
-from sys import float_info
+from sys import float_info, maxsize
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -67,7 +67,8 @@ _RULES = {
     "k": (lambda v: v >= 1, ">= 1"),
     "max_depth": (lambda v: v is None or v >= 1, ">= 1 or None"),
     "min_samples_split": (lambda v: v >= 2, ">= 2"),
-    "n_trees": (lambda v: v >= 1, ">= 1"),
+    # SeedSequence.spawn takes a C ssize_t
+    "n_trees": (lambda v: 1 <= v <= maxsize, f"in [1, {maxsize}]"),
     "max_features": (lambda v: v == "sqrt" or (isinstance(v, int)
                                                and v >= 1),
                      "'sqrt' or an int >= 1"),
@@ -186,6 +187,9 @@ def load_model(path):
             raise ValueError(f"{path}: key {key!r} must be a JSON "
                              f"{kind.__name__}, got "
                              f"{type(doc[key]).__name__}")
+    if doc["n_features"] < 1:
+        raise ValueError(f"{path}: key 'n_features' must be >= 1, got "
+                         f"{doc['n_features']}")
     # types too: [0, 1] == [False, True] in Python
     classes = doc["classes"]
     if classes != list(TrainedModel.classes) or \

@@ -8,12 +8,14 @@ reaches training accuracy 1.0 whenever no duplicate feature rows carry
 different labels.
 
 A forest's probability is the mean of its trees' (Breiman 2001), so a
-decision tree is a forest of one, and both kinds are a ``TreeModel``
-saved as ``trees``.  A tree is four read-only arrays over its nodes in
-preorder: ``feature`` (-1 at a leaf), ``threshold``, ``right`` and
-``counts``, one (n_false, n_true) row a node; a left child is its
+decision tree is a forest of one, and both kinds are a ``TreeModel``:
+each tree's node count, ``tree_sizes``, and four read-only arrays over
+every tree's nodes, tree after tree, each tree's in preorder: ``feature``
+(-1 at a leaf), ``threshold``, ``right`` (numbered within its tree) and
+``counts``, one (n_false, n_true) row a node.  A left child is its
 parent's next node, and a leaf's probabilities are its counts over their
-sum.  Prediction walks all rows down at once, one level a pass.
+sum.  Prediction walks all (tree, row) pairs down at once, one level a
+pass, and averages the trees in tree order.
 
 All the trees of one fit grow in lockstep.  A node's rows are ids of
 training rows, a forest tree's bootstrap repeats kept, so no tree copies
@@ -32,7 +34,7 @@ alone, in groups of columns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,16 +45,6 @@ _NO_FEATURE = -1
 # the cells (a node's row in a candidate feature) one split_scan call holds
 # at most; it bounds the scan's memory
 _SCAN_CELLS = 16384
-
-
-@dataclass(frozen=True, eq=False)
-class _Tree:
-    """A fitted tree's nodes in preorder; made only by _fitted_tree."""
-
-    feature: np.ndarray
-    threshold: np.ndarray
-    right: np.ndarray
-    counts: np.ndarray  # (n_nodes, 2): per node (n_false, n_true)
 
 
 def _ranked(X, y):
@@ -115,7 +107,8 @@ class _Grower:
         self.n_false, self.n_true = [], []
 
     def grow(self):
-        """The node arrays of every tree, as dicts."""
+        """A TreeModel's state: each tree's size and the node arrays of
+        every tree, tree after tree."""
         n, d = self.X.shape
         # a pending node: its range of rows, its depth, the record of the
         # node it is the right child of (else -1) and its true rows
@@ -155,20 +148,16 @@ class _Grower:
                     np.array(drawn, dtype=np.int32), axis=1) if drawn else
                     np.broadcast_to(np.arange(d), (len(popped), d)))
             growing = [t for t in growing if stacks[t]]
-        # each tree's nodes, a slice of arrays in tree order; a list is
-        # freed once it is an array
+        # a list is freed once it is an array
         by_tree = np.argsort(self.tree_of, kind="stable")
-        arrays = []
-        for values, dtype in ((self.feature, np.intp),
-                              (self.threshold, np.float64),
-                              (self.right, np.intp)):
-            arrays.append(np.array(values, dtype=dtype)[by_tree])
-            values.clear()
-        arrays.append(np.array([self.n_false, self.n_true],
-                               dtype=np.intp).T[by_tree])
-        return [{name: array[end - size:end] for name, array in
-                 zip(("feature", "threshold", "right", "counts"), arrays)}
-                for end, size in zip(np.cumsum(n_nodes).tolist(), n_nodes)]
+        state = {"tree_sizes": np.array(n_nodes, dtype=np.intp)}
+        for name, dtype in (("feature", np.intp), ("threshold", np.float64),
+                            ("right", np.intp)):
+            state[name] = np.array(getattr(self, name), dtype=dtype)[by_tree]
+            getattr(self, name).clear()
+        state["counts"] = np.array([self.n_false, self.n_true],
+                                   dtype=np.intp).T[by_tree]
+        return state
 
     def _split(self, popped, candidates):
         """Split the popped nodes, each over its row of candidates, in scans
@@ -272,80 +261,85 @@ class _Grower:
             stack.append((lo, lo + lefts, depth + 1, -1, trues))
 
 
-def _tree_proba(tree, rows):
-    """The (p_false, p_true) of the leaf each row reaches: its counts over
-    their sum."""
-    leaf = np.zeros(rows.shape[0], dtype=np.intp)
-    active = np.arange(rows.shape[0])  # the rows still at an internal node
-    while active.size:
-        node = leaf[active]
-        j = tree.feature[node]
-        internal = j != _NO_FEATURE
-        active, node, j = active[internal], node[internal], j[internal]
-        leaf[active] = np.where(rows[active, j] <= tree.threshold[node],
-                                node + 1, tree.right[node])
-    counts = tree.counts[leaf]
-    return counts / counts.sum(axis=1, keepdims=True)
+class _Tree(NamedTuple):
+    """One tree's slices of a TreeModel's node arrays."""
 
-
-def _fitted_tree(tree, n_features):
-    """tree, or its dict, as a _Tree whose every path ends at a leaf (an
-    internal node tests a feature in [0, n_features), and its right child
-    follows node + 1) and whose every node counts rows, none negative."""
-    if isinstance(tree, _Tree):
-        return tree
-    feature = fitted_array(tree["feature"], None, dtype=np.intp)
-    n_nodes = len(feature)
-    if n_nodes == 0:
-        raise ValueError("a tree needs at least one node")
-    tree = _Tree(feature, fitted_array(tree["threshold"], n_nodes),
-                 fitted_array(tree["right"], n_nodes, dtype=np.intp),
-                 fitted_array(tree["counts"], n_nodes, 2, dtype=np.intp))
-    outside = (feature < 0) | (feature >= n_features)
-    bad = (feature != _NO_FEATURE) & (
-        outside | (tree.right <= np.arange(1, n_nodes + 1))
-        | (tree.right >= n_nodes))
-    if bad.any():
-        node = int(bad.argmax())
-        if outside[node]:
-            raise ValueError(f"tree node {node} tests feature "
-                             f"{feature[node]}, outside [0, {n_features})")
-        raise ValueError(f"tree node {node} has its right child "
-                         f"{tree.right[node]} outside ({node + 1}, "
-                         f"{n_nodes})")
-    bad = (tree.counts < 0).any(axis=1) | (tree.counts.sum(axis=1) <= 0)
-    if bad.any():
-        node = int(bad.argmax())
-        raise ValueError(f"tree node {node} has class counts "
-                         f"{tree.counts[node].tolist()}, not two counts "
-                         f">= 0 with a positive sum")
-    return tree
+    feature: np.ndarray
+    threshold: np.ndarray
+    right: np.ndarray
+    counts: np.ndarray
 
 
 class TreeModel(TrainedModel):
     """The mean probability of one tree, or of a forest's n_trees."""
 
-    state = ("trees",)
+    state = ("tree_sizes", "feature", "threshold", "right", "counts")
     needs_both_classes = False
 
-    def __init__(self, spec, n_features, non_converged=False, *, trees):
+    def __init__(self, spec, n_features, non_converged=False, *, tree_sizes,
+                 feature, threshold, right, counts):
         super().__init__(spec, n_features, non_converged)
-        if not isinstance(trees, list):
-            raise ValueError(f"'trees' must be a list of trees, got "
-                             f"{type(trees).__name__}")
-        self.trees = tuple(_fitted_tree(t, n_features) for t in trees)
+        sizes = self.tree_sizes = fitted_array(tree_sizes, None,
+                                               dtype=np.intp)
         want = spec.params.get("n_trees", 1)
-        if len(self.trees) != want:
+        if len(sizes) != want:
             raise ValueError(f"{spec.kind} needs {want} tree(s), got "
-                             f"{len(self.trees)}")
+                             f"{len(sizes)}")
+        if (sizes < 1).any():
+            tree = int((sizes < 1).argmax())
+            raise ValueError(f"tree {tree} has {sizes[tree]} nodes, not one "
+                             f"or more")
+        n = self.n_nodes = sum(sizes.tolist())  # an int64 sum could wrap
+        self.feature = fitted_array(feature, n, dtype=np.intp)
+        self.threshold = fitted_array(threshold, n)
+        self.right = fitted_array(right, n, dtype=np.intp)
+        self.counts = fitted_array(counts, n, 2, dtype=np.intp)
+        # every path ends at a leaf: an internal node tests a feature in
+        # [0, n_features), and its right child follows node + 1 in its tree
+        of = np.repeat(np.arange(len(sizes)), sizes)
+        node = np.arange(n) - (np.cumsum(sizes) - sizes)[of]
+        outside = (self.feature < 0) | (self.feature >= n_features)
+        broken = (self.feature != _NO_FEATURE) & (
+            outside | (self.right <= node + 1) | (self.right >= sizes[of]))
+        bad = broken | (self.counts < 0).any(axis=1) \
+            | (self.counts.sum(axis=1) <= 0)
+        if bad.any():
+            i = int(bad.argmax())
+            at = f"tree {of[i]} node {node[i]}"
+            if outside[i] and broken[i]:
+                raise ValueError(f"{at} tests feature {self.feature[i]}, "
+                                 f"outside [0, {n_features})")
+            if broken[i]:
+                raise ValueError(f"{at} has its right child {self.right[i]} "
+                                 f"outside ({node[i] + 1}, {sizes[of[i]]})")
+            raise ValueError(f"{at} has class counts "
+                             f"{self.counts[i].tolist()}, not two counts >= 0 "
+                             f"with a positive sum")
 
     def _proba(self, rows):
-        stacked = np.stack([_tree_proba(t, rows) for t in self.trees])
-        return stacked.mean(axis=0)
+        n = rows.shape[0]
+        # pair p is tree p // n and row p % n, and reaches leaf[p]
+        root = np.repeat(np.cumsum(self.tree_sizes) - self.tree_sizes, n)
+        leaf = root.copy()
+        active = np.arange(leaf.size)  # the pairs still at an internal node
+        while active.size:
+            node = leaf[active]
+            j = self.feature[node]
+            internal = j != _NO_FEATURE
+            active, node, j = active[internal], node[internal], j[internal]
+            leaf[active] = np.where(
+                rows[active % n, j] <= self.threshold[node], node + 1,
+                root[active] + self.right[node])
+        proba = self.counts / self.counts.sum(axis=1, keepdims=True)
+        return proba[leaf].reshape(len(self.tree_sizes), n, 2).mean(axis=0)
 
     @property
-    def n_nodes(self):
-        return sum(len(t.feature) for t in self.trees)
+    def trees(self):
+        """Each tree's slices of the node arrays.  Kept only until ROADMAP
+        item 7 step 2, for the benchmark tracer's node count."""
+        cuts = np.cumsum(self.tree_sizes)[:-1]
+        return tuple(map(_Tree._make, zip(*(np.split(a, cuts) for a in (
+            self.feature, self.threshold, self.right, self.counts)))))
 
 
 def fit_trees(spec, train):
@@ -361,6 +355,6 @@ def fit_trees(spec, train):
             max_features = None  # every feature a candidate: none drawn
         rngs = [np.random.default_rng(child) for child in
                 np.random.SeedSequence(p["seed"]).spawn(p["n_trees"])]
-    return TreeModel(spec, d, trees=_Grower(
+    return TreeModel(spec, d, **_Grower(
         train.features, train.labels, p["max_depth"],
         p["min_samples_split"], max_features, rngs).grow())

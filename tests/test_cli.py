@@ -582,6 +582,9 @@ BAD_MODELS = (
      "logreg hyperparameter 'tolerance' must be a finite number, got inf"),
     ("self = 1\n", [], "unknown hyperparameter(s) for logreg: ['self']"),
     ("a.b = 1\n", [], "unknown hyperparameter(s) for logreg: ['a.b']"),
+    # refused before any tree is drawn: SeedSequence.spawn takes a C ssize_t
+    ("kind = random_forest\nn_trees = 100000000000000000000\n", [],
+     f"n_trees must be in [1, {sys.maxsize}], got 100000000000000000000"),
 )
 
 
@@ -797,17 +800,17 @@ def test_seed7_dataset_csvs_match_golden_hashes(tmp_path):
 # changes these
 GOLDEN_TREE_MODEL_SHA256 = {
     "model_w3_decision_tree.json":
-        "2d3307bf2c19b595c326c2902ecc81072daeb357976183356774152eec17d029",
+        "0ec20eb866fd4d305a2e81dbef3345ee44ff1bd60f5e3e8d10966ad8ac2bd06f",
     "model_w6_decision_tree.json":
-        "9a3bfb4d4e67153c1c13509ec3a95d3c6ded6541064ad96dd773417422e3bb74",
+        "a7b9838f1544b16d6347230057e4991a3c65fd391fdcc6b6fa1a1732f0d83f17",
     "model_w9_decision_tree.json":
-        "341bebf108105a0f02c6d25c855d4a8f5f77e09c2b54566fecf612f5e1700018",
+        "fc22f069d35cff1a2c842ecf2d14f80cffd95c17e3449918cdf1a9da7869d178",
     "model_w3_random_forest.json":
-        "72f81f7c7f81d29ae879bc34db6360cc583ce813571196a1e9ef3dca08822878",
+        "5526004021481d248d8882c29787b3d6c514366fdc0c17213b6529ef834909ca",
     "model_w6_random_forest.json":
-        "2bad29e3574a06ebad4d3ad8e3a9507dfea13f387fd29675fb1b8d467c579012",
+        "d3b7f2e70f112edde3aa542d376acc17e49c519c1f7c7b93b21d0ac2e8094a94",
     "model_w9_random_forest.json":
-        "c576e58a21c84a56fab42bea05ac0fffe4cfd8e6658f2c3a7398aba32f5d4bf5",
+        "06669ad987a039b91a441984474dbba30476b740827f5b47726202c7c7b9c47b",
 }
 
 
@@ -826,9 +829,9 @@ def test_seed7_tree_model_files_match_golden_hashes(tmp_path):
 # are pinned on a second cohort
 GOLDEN_TREE_MODEL_SHA256_SEED4242 = {
     "model_w9_decision_tree.json":
-        "fd9dfd73221eb5113e6f3956a86db519e944a29f28c2f168782e927e87e213bd",
+        "3f5d32dc769c0f020793accac84856e9ee2f76943bcc714bd1d0c092d45b998e",
     "model_w9_random_forest.json":
-        "45ab285e191ae641b458403507908e29251b2a4bcb2472f24d0ab59cb629a6d4",
+        "cc803b9b11c4ea277e45a44f867412db0f745c5265f1e4d09d50dbea3a8a20f6",
 }
 
 
@@ -919,13 +922,13 @@ def test_adasyn_files_match_golden_hashes(tmp_path):
 # fractional synthetic rows
 GOLDEN_ADASYN_MODEL_SHA256 = {
     "model_w9_random_forest.json":
-        "6eeebf61d2177dc95346a995ac0465bb692d5f40a8942feebd2fc726f7fa1da8",
+        "c90331b61506c45858ffc6cb3b9eae5f1fa55cc3b05602f0e5d4287664a26b75",
     "model_w9_decision_tree.json":
-        "d9b7e058adde4949493a78b4ae0717605792ebc21e8ec484aabeaf22d6741a87",
+        "11e0f80627f71b795f216b0fe81f167f7fd5d866d6706928b70b66bf67e2b065",
     "model_w9_knn.json":
-        "e520bdd9d003e7ffe7ed9855d32412f8c490e2965ff0b3f41586ea8a144baeca",
+        "424bdcbcec193d96ebbb31ab0e6d66c9343cc7d9649548b521dc13d8b5c58e89",
     "model_w9_naive_bayes.json":
-        "8686812c0ac7cc71d1cc8c621968a6018160a8a7adc55f10c1e592a4c00bbb3d",
+        "a299a1665d9c21946718df0d9c77a89eab7ca1b54b773f381dc9e4a9d0e7801e",
 }
 
 

@@ -1,6 +1,7 @@
 """Model JSON persistence: bit-exact round trips for every kind."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -46,7 +47,7 @@ def test_document_structure(tmp_path, split_w3):
     model.save(path)
     doc = json.loads(path.read_text())
     assert doc["format"] == "atrisk-model"
-    assert doc["version"] == 2
+    assert doc["version"] == 3
     assert doc["kind"] == "logreg"
     assert doc["classes"] == [False, True]
     assert "state" in doc
@@ -80,9 +81,27 @@ def saved_document(tmp_path, train, kind="logreg"):
     return path, json.loads(path.read_text())
 
 
+_NODE_ARRAYS = ("feature", "threshold", "right", "counts")
+
+
+def _as_version_2(doc):
+    """doc as format 2 saved it: a tree model's state was "trees", a list of
+    objects, each one tree's four node arrays."""
+    doc["version"] = 2
+    state = doc["state"]
+    if "tree_sizes" in state:
+        ends = np.cumsum(state.pop("tree_sizes")).tolist()
+        arrays = {name: state.pop(name) for name in _NODE_ARRAYS}
+        state["trees"] = [{name: values[start:end]
+                           for name, values in arrays.items()}
+                          for start, end in zip([0, *ends], ends)]
+    return doc
+
+
 def _as_version_1(doc):
     """doc as format 1 saved it: a decision tree's state was one "tree",
     and a tree also held "left" (-1 at a leaf) and per-node "probs"."""
+    doc = _as_version_2(doc)
     doc["version"] = 1
     if "trees" in doc["state"]:
         trees = doc["state"].pop("trees")
@@ -100,12 +119,15 @@ def _as_version_1(doc):
 
 @pytest.mark.parametrize("kind", ["decision_tree", "random_forest", "knn"])
 def test_rejects_version_1_file(tmp_path, split_w3, kind):
+    # and a version 2 file: neither is read, and its model must be retrained
     train, _ = split_w3
-    path, doc = saved_document(tmp_path, train, kind)
-    path.write_text(json.dumps(_as_version_1(doc)))
-    with pytest.raises(ValueError) as caught:
-        load_model(path)
-    assert str(caught.value) == f"{path}: unsupported model version 1"
+    for version, convert in ((1, _as_version_1), (2, _as_version_2)):
+        path, doc = saved_document(tmp_path, train, kind)
+        path.write_text(json.dumps(convert(doc)))
+        with pytest.raises(ValueError) as caught:
+            load_model(path)
+        assert str(caught.value) == \
+            f"{path}: unsupported model version {version}"
 
 
 @pytest.mark.parametrize("kind, key", [
@@ -137,33 +159,52 @@ def _set_n_features(doc):
 
 def _tree_edit(name, value, node=0):
     def edit(doc):
-        doc["state"]["trees"][0][name][node] = value
+        doc["state"][name][node] = value
     return edit
 
 
 def _drop_last_counts(doc):
-    doc["state"]["trees"][0]["counts"].pop()
+    doc["state"]["counts"].pop()
 
 
 def _point_back_to_root(doc):
     # the right child of the first internal node below the root is the root
-    tree = doc["state"]["trees"][0]
-    node = next(i for i, j in enumerate(tree["feature"]) if i and j != -1)
-    tree["right"][node] = 0
+    state = doc["state"]
+    node = next(i for i, j in enumerate(state["feature"]) if i and j != -1)
+    state["right"][node] = 0
 
 
 def _right_past_end(doc):
-    tree = doc["state"]["trees"][0]
-    tree["right"][0] = len(tree["feature"])
+    state = doc["state"]
+    state["right"][0] = len(state["feature"])
+
+
+def _right_into_next_tree(doc):
+    # tree 1's root, were right children numbered across trees
+    state = doc["state"]
+    state["right"][0] = state["tree_sizes"][0]
 
 
 def _copy_first_tree(doc):
-    trees = doc["state"]["trees"]
-    trees.append(trees[0])
+    state = doc["state"]
+    size = state["tree_sizes"][0]
+    state["tree_sizes"].append(size)
+    for name in _NODE_ARRAYS:
+        state[name] += state[name][:size]
 
 
 def _drop_last_tree(doc):
-    doc["state"]["trees"].pop()
+    state = doc["state"]
+    size = state["tree_sizes"].pop()
+    for name in _NODE_ARRAYS:
+        del state[name][-size:]
+
+
+def _empty_first_tree(doc):
+    # the same nodes, all counted as tree 1's
+    sizes = doc["state"]["tree_sizes"]
+    sizes[1] += sizes[0]
+    sizes[0] = 0
 
 
 def _set_state(name, value):
@@ -187,6 +228,8 @@ def _keep_two_rows(doc):
     pytest.param("decision_tree", _tree_edit("right", 1),
                  id="tree-right-is-left-child"),
     pytest.param("decision_tree", _right_past_end, id="tree-right-past-end"),
+    pytest.param("random_forest", _right_into_next_tree,
+                 id="random_forest-right-into-next-tree"),
     pytest.param("decision_tree", _tree_edit("counts", [-1, 5]),
                  id="tree-negative-count"),
     pytest.param("decision_tree", _tree_edit("counts", [0, 0], node=-1),
@@ -230,28 +273,66 @@ def test_rejects_malformed_state(tmp_path, split_w3, kind, edit):
 
 
 def _one_tree_object(doc):
-    doc["state"]["trees"] = doc["state"]["trees"][0]
+    doc["state"]["tree_sizes"] = {"0": doc["state"]["tree_sizes"][0]}
 
 
-@pytest.mark.parametrize("edit, got", [
-    pytest.param(_one_tree_object, "dict", id="one-tree-object"),
-    pytest.param(_set_state("trees", 5), "int", id="number"),
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(_one_tree_object, "expected integers, got dict",
+                 id="one-tree-object"),
+    pytest.param(_set_state("tree_sizes", 5),
+                 "expected an array of shape (None,), got ()", id="number"),
 ])
-def test_rejects_trees_that_are_not_a_list(tmp_path, split_w3, edit, got):
+def test_rejects_trees_that_are_not_a_list(tmp_path, split_w3, edit,
+                                           message):
+    # tree_sizes, a list of one tree's size, given as an object or a number
     train, _ = split_w3
     path, doc = saved_document(tmp_path, train, "decision_tree")
     edit(doc)
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError) as caught:
         load_model(path)
-    assert str(caught.value) == (f"{path}: malformed 'state' ('trees' must "
-                                 f"be a list of trees, got {got})")
+    assert str(caught.value) == f"{path}: malformed 'state' ({message})"
+
+
+def _forest_edit(name, tree, node, value):
+    def edit(doc):
+        state = doc["state"]
+        state[name][sum(state["tree_sizes"][:tree]) + node] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(_forest_edit("feature", 3, 0, 500),
+                 "tree 3 node 0 tests feature 500, outside [0, {n_features})",
+                 id="feature"),
+    pytest.param(_forest_edit("right", 2, 0, 1),
+                 "tree 2 node 0 has its right child 1 outside (1, {size})",
+                 id="right"),
+    pytest.param(_forest_edit("counts", 9, 0, [0, 0]),
+                 "tree 9 node 0 has class counts [0, 0], not two counts >= 0 "
+                 "with a positive sum", id="counts"),
+    pytest.param(_empty_first_tree, "tree 0 has 0 nodes, not one or more",
+                 id="empty-tree"),
+])
+def test_malformed_forest_names_tree_and_node(tmp_path, split_w3, edit,
+                                              message):
+    train, _ = split_w3
+    path, doc = saved_document(tmp_path, train, "random_forest")
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as caught:
+        load_model(path)
+    message = message.format(size=doc["state"]["tree_sizes"][2],
+                             n_features=doc["n_features"])
+    assert str(caught.value) == f"{path}: malformed 'state' ({message})"
+
 
 
 @pytest.mark.parametrize("key, value, message", [
     ("n_features", "3", "'n_features' must be a JSON int"),
     ("state", [], "'state' must be a JSON dict"),
     ("params", {"C": "big"}, "bad 'kind' or 'params'"),
+    ("n_features", -3, "key 'n_features' must be >= 1, got -3"),
 ])
 def test_rejects_wrong_typed_field(tmp_path, split_w3, key, value, message):
     train, _ = split_w3
@@ -281,12 +362,25 @@ def test_rejects_bad_svm_params(tmp_path, split_w3, params, message):
     assert str(caught.value) == f"{path}: bad 'kind' or 'params' ({message})"
 
 
+def test_rejects_n_trees_past_an_index(tmp_path, split_w3):
+    # refused before any tree is drawn: SeedSequence.spawn takes a C ssize_t
+    train, _ = split_w3
+    path, doc = saved_document(tmp_path, train, "random_forest")
+    doc["params"]["n_trees"] = 10 ** 20
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as caught:
+        load_model(path)
+    assert str(caught.value) == (
+        f"{path}: bad 'kind' or 'params' (n_trees must be in "
+        f"[1, {sys.maxsize}], got 100000000000000000000)")
+
+
 # a float entry of each kind's state, as keys and indexes below "state"
 _FLOAT_ENTRY = {
     "logreg": ("intercept",),
     "naive_bayes": ("log_theta", 1, 0),
-    "decision_tree": ("trees", 0, "threshold", 0),
-    "random_forest": ("trees", 9, "threshold", 0),
+    "decision_tree": ("threshold", 0),
+    "random_forest": ("threshold", -1),  # the last tree's last node
     "knn": ("train_features", 0, 0),
     "svm_linear": ("sv_coef", 0),
     "svm_rbf": ("link_scale",),

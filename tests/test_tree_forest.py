@@ -1,12 +1,11 @@
 """CART tree and random forest behaviour."""
 
-import dataclasses
 import gc
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from atrisk import (LabeledDataset, ModelSpec, fit, load_model,
@@ -17,6 +16,12 @@ from atrisk.evaluation import evaluate
 from atrisk.models import MODEL_KINDS, TreeModel, tree as tree_module
 from conftest import make_dataset, random_binary_dataset
 from oracles import tree_build_oracle, tree_proba_oracle
+
+
+def one_tree(tree, n_features):
+    """A decision tree of one of a TreeModel's trees."""
+    return TreeModel(ModelSpec("decision_tree"), n_features,
+                     tree_sizes=[len(tree.feature)], **tree._asdict())
 
 
 def training_accuracy(model, ds):
@@ -117,8 +122,7 @@ def test_forest_probability_is_exact_mean_of_members(split_w3):
     train, test = split_w3
     model = fit(ModelSpec("random_forest", n_trees=12, seed=5), train)
     proba = model.predict_proba(test.features)
-    members = [TreeModel(ModelSpec("decision_tree"), train.n_features,
-                         trees=[tree]).predict_proba(test.features)
+    members = [one_tree(tree, train.n_features).predict_proba(test.features)
                for tree in model.trees]
     assert np.array_equal(proba, np.stack(members).mean(axis=0))
 
@@ -176,7 +180,7 @@ def rows_on_thresholds(tree, rows):
             out.append(row.copy())
             out[-1][j] = t
             node = node + 1 if row[j] <= t else tree.right[node]
-    return np.array(out)
+    return np.array(out).reshape(-1, rows.shape[1])
 
 
 @pytest.mark.parametrize("kind", ["decision_tree", "random_forest"])
@@ -187,8 +191,7 @@ def test_array_walk_matches_reference_walk(kind, seed7_run,
     model = fit(ModelSpec(kind), train)
     walked = []
     for tree in model.trees:
-        member = TreeModel(ModelSpec("decision_tree"), train.n_features,
-                           trees=[tree])
+        member = one_tree(tree, train.n_features)
         on_threshold = rows_on_thresholds(tree, train.features[:50])
         assert on_threshold.shape[0] > 0
         for rows in (train.features, test.features, on_threshold):
@@ -207,14 +210,15 @@ def test_fitted_and_loaded_tree_arrays_are_read_only(kind, tmp_path,
                                    else {})), train)
     model.save(tmp_path / "model.json")
     for source in (model, load_model(tmp_path / "model.json")):
+        arrays = [getattr(source, name) for name in TreeModel.state]
         for tree in source.trees:
-            for field in dataclasses.fields(tree):
-                array = getattr(tree, field.name)
-                assert not array.flags.writeable
-                with pytest.raises(ValueError, match="read-only"):
-                    array[0] = array[0]
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            arrays += tree
+            with pytest.raises(AttributeError):
                 tree.feature = tree.feature.copy()
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -273,14 +277,22 @@ def tree_problems(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(problem=tree_problems())
+# a forest whose trees have 5, 1, 3 and 5 nodes
+@example(problem=(np.array([[0.0, 0.25], [0.25, 1.0], [0.5, 0.25],
+                            [1.0, 0.75], [0.75, 0.0]]),
+                  np.array([False, True, False, True, True]),
+                  {"max_depth": None, "min_samples_split": 2}, 4, 1, 6))
 def test_node_arrays_match_the_one_node_at_a_time_oracle(problem):
+    # a forest's trees differ in size, and a bootstrap draw of one class
+    # grows a single leaf; its probability is the oracle walk of each tree,
+    # averaged in tree order
     X, y, params, n_trees, max_features, seed = problem
     ds = make_dataset(X, y, np.ones(len(y), dtype=bool))
-    grown = fit(ModelSpec("decision_tree", **params), ds).trees
+    single = fit(ModelSpec("decision_tree", **params), ds)
     want = [tree_build_oracle(X, y, **params)]
     forest = fit(ModelSpec("random_forest", n_trees=n_trees, seed=seed,
                            max_features=max_features, **params), ds)
-    grown += forest.trees
+    grown = single.trees + forest.trees
     d = X.shape[1]
     per_split = max(1, int(math.sqrt(d))) if max_features == "sqrt" \
         else min(max_features, d)
@@ -294,6 +306,12 @@ def test_node_arrays_match_the_one_node_at_a_time_oracle(problem):
             found = getattr(tree, name)
             assert found.dtype == array.dtype
             assert np.array_equal(found, array), name
+    rows = np.concatenate([X, *(rows_on_thresholds(t, X) for t in grown)])
+    for model, trees in ((single, grown[:1]), (forest, grown[1:])):
+        total = tree_proba_oracle(trees[0], rows)
+        for member in trees[1:]:
+            total += tree_proba_oracle(member, rows)
+        assert np.array_equal(model.predict_proba(rows), total / len(trees))
 
 
 @pytest.mark.parametrize("cells", [5, 2 ** 30])
