@@ -224,7 +224,7 @@ def cmd_tune(cfg, args, store, interval):
 
 
 def cmd_pca_export(cfg, args, store, interval):
-    method = cfg.pca_method or cfg.resample.method
+    method = cfg.resample.method
     real_only = cfg.pca_fit_on == PCA_REAL_ONLY
     suffix = "_real" if real_only else ""  # never overwrites a union export
     _, grown = _resampled(store, interval, method, "pca-export")
@@ -300,6 +300,7 @@ _interval.__name__ = "interval"  # argparse's "invalid interval value"
 
 
 _MODEL_KIND = ("--model-kind", dict(dest="model.kind", metavar="MODEL_KIND"))
+_METHOD = ("--method", dict(dest="resample.method", choices=METHODS))
 # command ("" for all) -> (flag, add_argument keywords); a dest is the
 # _OPTIONS path a flag overrides, but for --config and evaluate's files
 _FLAGS = {
@@ -311,7 +312,7 @@ _FLAGS = {
          ("--interval", dict(dest="intervals", type=_interval,
                              metavar="INTERVAL", help="restrict to one "
                              "encoding interval (max week)"))),
-    "resample": (("--method", dict(dest="resample.method", choices=METHODS)),
+    "resample": (_METHOD,
                  ("--k-neighbors", dict(dest="resample.k_neighbors",
                                         metavar="K_NEIGHBORS", type=int))),
     "train": (_MODEL_KIND,),
@@ -319,7 +320,7 @@ _FLAGS = {
                  ("--test-file", {}), _MODEL_KIND),
     "tune": (("--metric", dict(dest="tune.selection_metric",
                                choices=SELECTION_METRICS)),),
-    "pca-export": (("--method", dict(dest="pca_method", choices=METHODS)),
+    "pca-export": (_METHOD,
                    ("--real-only", dict(dest="pca_fit_on",
                                         action="store_const",
                                         const=PCA_REAL_ONLY))),

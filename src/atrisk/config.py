@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from .data import SplitSpec, read_text
 from .evaluation import THRESHOLD_RULE, GridSpec, check_axis
 from .models import ModelSpec
-from .resampling import RULES as RESAMPLE_RULES, ResampleConfig
+from .resampling import ResampleConfig
 from .simulate import SimConfig
 
 # stage seed = run.seed + offset
@@ -65,19 +65,15 @@ class PipelineConfig:
     threshold: float = 0.5
     sweep_thresholds: tuple = ()  # optional grid; empty disables the sweep
     tune: GridSpec = GridSpec()
-    # pca
+    # pca, of the resample.method set
     pca_fit_on: str = PCA_UNION
-    pca_method: str = ""         # empty -> resample.method
 
     def validate(self):
         """Check the settings that no stage's settings object owns."""
-        ok_method, methods = RESAMPLE_RULES["method"]
         for name, value, (ok, rule) in (
                 ("run.seed", self.seed, (lambda s: s >= 0, ">= 0")),
                 ("pca.fit_on", self.pca_fit_on, (lambda f: f in PCA_FIT_ON,
                  " or ".join(map(repr, PCA_FIT_ON)))),
-                ("pca.method", self.pca_method,
-                 (lambda m: m == "" or ok_method(m), f"empty, {methods}")),
                 ("evaluate.threshold", self.threshold, THRESHOLD_RULE)):
             if not ok(value):
                 raise ValueError(f"{name} must be {rule}, got {value!r}")
@@ -130,14 +126,12 @@ _OPTIONS = {
     ("evaluate", "thresholds"): ("sweep_thresholds", _list(_real)),
     ("tune", "methods"): ("tune.resample_methods", _list(str)),
     ("tune", "k_neighbors"): ("tune.k_neighbors_grid", _list(int)),
-    ("tune", "penalties"): ("tune.penalties", _list(str)),
     ("tune", "c_values"): ("tune.c_grid", _list(_real)),
     ("tune", "l1_ratios"): ("tune.l1_ratios", _list(_real)),
     ("tune", "thresholds"): ("tune.thresholds", _list(_real)),
     ("tune", "folds"): ("tune.folds", int),
     ("tune", "metric"): ("tune.selection_metric", str),
     ("pca", "fit_on"): ("pca_fit_on", str),
-    ("pca", "method"): ("pca_method", str),
 }
 
 

@@ -161,9 +161,8 @@ class GridSpec:
 
     resample_methods: tuple = ("smote",)
     k_neighbors_grid: tuple = (3, 5, 7)
-    penalties: tuple = ("l2", "elasticnet")
     c_grid: tuple = (0.01, 0.1, 1.0, 10.0)
-    l1_ratios: tuple = (0.0, 0.5, 1.0)
+    l1_ratios: tuple = (0.0, 0.5, 1.0)  # 0 is ridge: the cell named l2
     thresholds: tuple = (0.30, 0.35, 0.40, 0.45, 0.50,
                          0.55, 0.60, 0.65, 0.70)
     selection_metric: str = "f1_false"
@@ -174,7 +173,6 @@ class GridSpec:
         for name, rule in (
                 ("resample_methods", RESAMPLE_RULES["method"]),
                 ("k_neighbors_grid", RESAMPLE_RULES["k_neighbors"]),
-                ("penalties", _RULES["penalty"]),
                 ("c_grid", _RULES["C"]),
                 ("l1_ratios", _RULES["l1_ratio"]),
                 ("thresholds", THRESHOLD_RULE)):
@@ -200,15 +198,11 @@ class GridCell:
     l1_ratio: float  # 0.0 under l2
     threshold: float
     feasible: bool = True
-    mean_precision_false: float = float("nan")
-    mean_recall_false: float = float("nan")
-    mean_f1_false: float = float("nan")
-    mean_accuracy: float = float("nan")
-    mean_auc: float = float("nan")
+    means: tuple = (float("nan"),) * len(METRICS)  # fold means, METRICS order
     rank: int = -1
 
     def mean_metric(self, name):
-        return getattr(self, f"mean_{name}")
+        return self.means[METRICS.index(name)]
 
     def key(self):
         return tuple(getattr(self, name) for name in CELL_KEY)
@@ -232,8 +226,7 @@ class GridSearchResult:
     def to_csv(self, path):
         """Every cell in rank order with its fold-mean METRICS."""
         write_csv(path, ("rank", *CELL_KEY, "feasible", *METRICS),
-                  ((cell.rank, *cell.key(), cell.feasible,
-                    *(cell.mean_metric(name) for name in METRICS))
+                  ((cell.rank, *cell.key(), cell.feasible, *cell.means)
                    for cell in self.cells))
 
     def save_best(self, path):
@@ -241,7 +234,7 @@ class GridSearchResult:
         best = self.best()
         write_json(path, {
             **dict(zip(CELL_KEY, best.key())),
-            **{f"mean_{name}": best.mean_metric(name) for name in METRICS},
+            **{f"mean_{name}": m for name, m in zip(METRICS, best.means)},
             "audit": self.audit})
 
 
@@ -263,15 +256,13 @@ def stratified_fold_indices(labels, folds, seed):
 
 
 def _model_cells(grid):
-    """Distinct (penalty, C, l1_ratio) objectives in path order: C
-    ascending, then l1_ratio descending.  A ratio of 0 is named l2, so
-    (elasticnet, C, 0.0) is the same objective as (l2, C, 0.0)."""
-    ratios = {0.0} if "l2" in grid.penalties else set()
-    if "elasticnet" in grid.penalties:
-        ratios.update(grid.l1_ratios)
+    """The (penalty, C, l1_ratio) objectives in path order: C ascending,
+    then l1_ratio descending.  A ratio of 0 is ridge, named l2; adding 0.0
+    reads -0.0 as 0.0."""
     return [("elasticnet" if l1r else "l2", C, l1r)
             for C in sorted(grid.c_grid)
-            for l1r in sorted(ratios, reverse=True)]
+            for l1r in sorted((r + 0.0 for r in grid.l1_ratios),
+                              reverse=True)]
 
 
 def score_arm(train, test, specs, thresholds, resample_config=None):
@@ -340,7 +331,6 @@ def grid_search(grid, train):
     model_cells = _model_cells(grid)
     specs = [ModelSpec("logreg", penalty=penalty, C=C, l1_ratio=l1r)
              for penalty, C, l1r in model_cells]
-    mean_fields = [f"mean_{name}" for name in METRICS]
     # none is one pair, with k 0, placed last: it is not resampled, so it
     # needs no ResampleConfig (whose k must be >= 1) and its index seeds
     # nothing; where it is listed changes no other cell
@@ -375,8 +365,7 @@ def grid_search(grid, train):
             # one list; axis 0 sums in sequence: another last bit at 8+ folds
             by_fold = np.moveaxis(np.array(scores), 0, -1).copy()
             means = by_fold.mean(axis=-1).tolist()
-            cells += [GridCell(method, k, *cell, t,
-                               **dict(zip(mean_fields, metric_means)))
+            cells += [GridCell(method, k, *cell, t, means=tuple(metric_means))
                       for cell, by_threshold in zip(model_cells, means)
                       for t, metric_means in zip(grid.thresholds,
                                                  by_threshold)]
@@ -392,7 +381,8 @@ def grid_search(grid, train):
         if not cell.feasible:
             return (1, 0.0, 0.0, 0.0, 0.0, cell.key())
         return (0, -cell.mean_metric(grid.selection_metric),
-                -cell.mean_recall_false, cell.C, cell.threshold, cell.key())
+                -cell.mean_metric("recall_false"), cell.C, cell.threshold,
+                cell.key())
 
     cells.sort(key=sort_key)
     for i, cell in enumerate(cells):

@@ -56,7 +56,9 @@ MODEL_KINDS = tuple(sorted(_KINDS))
 _RULES = {
     "penalty": (lambda v: v in ("l2", "elasticnet"),
                 "'l2' or 'elasticnet'"),
-    "C": (lambda v: 0 < v <= float_info.max, "> 0 and finite"),
+    # logreg's penalty divides by C: 1 / C must be finite too
+    "C": (lambda v: 0 < v <= float_info.max and 1 / v <= float_info.max,
+          "> 0, with C and 1/C finite"),
     "l1_ratio": (lambda v: 0.0 <= v <= 1.0, "in [0,1]"),
     "gamma": (lambda v: v == "scale" or (isinstance(v, (int, float))
                                          and v > 0),

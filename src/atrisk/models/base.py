@@ -71,7 +71,11 @@ class TrainedModel:
         self.non_converged = non_converged
 
     def predict_proba(self, rows):
-        """(n, 2) probabilities in class order (failing, passing)."""
+        """(n, 2) probabilities in class order (failing, passing).
+
+        Finite state can still overflow on some rows (weights of +-1e308
+        sum to inf - inf); a row scored NaN or inf raises ValueError.
+        """
         rows = np.asarray(rows, dtype=np.float64)
         if rows.ndim != 2:
             raise ValueError("rows must be a 2-D matrix")
@@ -79,7 +83,13 @@ class TrainedModel:
             raise ValueError(f"dimension mismatch: model trained on "
                              f"{self.n_features} features, rows have "
                              f"{rows.shape[1]}")
-        return self._proba(rows)
+        with np.errstate(all="ignore"):  # refused below, not warned about
+            proba = self._proba(rows)
+        bad = int((~np.isfinite(proba)).any(axis=1).sum())
+        if bad:
+            raise ValueError(f"the model's probabilities are not finite "
+                             f"for {bad} of {len(proba)} rows")
+        return proba
 
     def _proba(self, rows):
         raise NotImplementedError

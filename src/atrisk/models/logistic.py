@@ -30,10 +30,11 @@ last bits may.
 The fit stops on a KKT certificate: the largest pseudo-gradient entry is
 at most ``tolerance * max(1, |objective|)``.  ``fit_logistic_raw`` returns
 that relative residual at the point it returns, and the model is flagged
-non-converged exactly when it exceeds ``tolerance``; ``max_iterations``
-counts Newton steps.  A fit also stops, unconverged, when an accepted step
-changes neither the objective nor the residual in floating point, which
-happens once the tolerance lies below the gradient's rounding floor.
+non-converged unless it is at most ``tolerance``, so a NaN residual is
+flagged; ``max_iterations`` counts Newton steps.  A fit also stops,
+unconverged, when an accepted step changes neither the objective nor the
+residual in floating point, which happens once the tolerance lies below
+the gradient's rounding floor.
 """
 
 from __future__ import annotations
@@ -240,6 +241,6 @@ def fit_logistic(spec, train, start=None):
         tolerance=p["tolerance"], max_iterations=p["max_iterations"],
         start=start)
     return LogisticModel(spec, train.n_features,
-                         non_converged=residual > p["tolerance"],
+                         non_converged=not residual <= p["tolerance"],
                          weights=w, intercept=b, objective_history=history,
                          kkt_residual=residual)

@@ -184,18 +184,17 @@ def test_criterion_5_directional_reproduction():
 def test_criterion_6_grid_search_protocol(sim_split):
     train, _ = sim_split
     grid = GridSpec(resample_methods=("smote",), k_neighbors_grid=(5,),
-                    penalties=("elasticnet",), c_grid=(0.01,),
-                    l1_ratios=(0.5,), thresholds=(0.50,), folds=5, seed=0)
+                    c_grid=(0.01,), l1_ratios=(0.5,), thresholds=(0.50,),
+                    folds=5, seed=0)
     first = grid_search(grid, train)
     cell = first.find("smote", 5, "elasticnet", 0.01, 0.5, 0.50)
     assert cell.feasible
-    assert np.isfinite(cell.mean_f1_false)
+    assert np.isfinite(cell.mean_metric("f1_false"))
     assert first.audit["synthetic_rows_in_validation"] == 0
     assert first.audit["folds_checked"] == 5
     second = grid_search(grid, train)
     assert [c.key() for c in first.cells] == [c.key() for c in second.cells]
-    assert [c.mean_f1_false for c in first.cells] == \
-        [c.mean_f1_false for c in second.cells]
+    assert [c.means for c in first.cells] == [c.means for c in second.cells]
     print("\nACCEPTANCE 6 PASS: winning cell evaluable, validation folds "
           "clean, ranking deterministic")
 

@@ -46,7 +46,7 @@ thresholds = 0.45,0.5
 [tune]
 methods = smote
 k_neighbors = 5
-penalties = l2
+l1_ratios = 0
 c_values = 0.01,1.0
 thresholds = 0.5
 folds = 3
@@ -394,6 +394,27 @@ def test_evaluate_malformed_model_file_is_one_line_error(tmp_path,
     assert "model_w3_logreg.json: missing key 'params'" in err
 
 
+def test_evaluate_refuses_a_model_file_that_scores_nan(tmp_path,
+                                                       config_file, capsys):
+    # finite weights of +-1e308 sum to inf - inf = NaN on every row
+    out = tmp_path / "run"
+    for stage in ("simulate", "encode", "split", "resample", "train"):
+        run_ok([stage, "--config", config_file, "--out", str(out)])
+    doc = json.loads((out / "model_w3_logreg.json").read_text())
+    doc["state"]["weights"] = [(-1) ** i * 1e308
+                               for i in range(len(doc["state"]["weights"]))]
+    model_file = tmp_path / "overflow.json"
+    model_file.write_text(json.dumps(doc))
+    err = _one_line_error(capsys, ["evaluate", "--config", config_file,
+                                   "--model-file", str(model_file),
+                                   "--out", str(out)])
+    # how many rows overflow depends on the BLAS's order of summation
+    assert err.startswith(f"atrisk evaluate: error: interval 3, {model_file} "
+                          f"on {out / 'test_w3.csv'}: the model's "
+                          f"probabilities are not finite for ")
+    assert not (out / "report_w3_logreg.json").exists()
+
+
 def test_evaluate_model_file_names_outputs_by_its_kind(tmp_path):
     config = tmp_path / "plain.cfg"
     config.write_text(BASE_CONFIG.replace("C = 1.0\n", ""))
@@ -585,6 +606,8 @@ BAD_MODELS = (
     # refused before any tree is drawn: SeedSequence.spawn takes a C ssize_t
     ("kind = random_forest\nn_trees = 100000000000000000000\n", [],
      f"n_trees must be in [1, {sys.maxsize}], got 100000000000000000000"),
+    # a subnormal C passes "> 0", but logreg's 1 / C is then inf
+    ("C = 1e-320\n", [], "C must be > 0, with C and 1/C finite, got 1e-320"),
 )
 
 
@@ -614,14 +637,17 @@ def test_bad_model_fails_before_any_stage(tmp_path, capsys, command, model,
     ("[tune]\nfolds = 1\n", "[tune] folds", "1"),
     ("[tune]\nmethods = smote,foo\n", "[tune] resample_methods", "'foo'"),
     ("[tune]\nk_neighbors = 3,0\n", "[tune] k_neighbors_grid", "0"),
-    ("[tune]\npenalties = l2,l1\n", "[tune] penalties", "'l1'"),
+    # removed keys (a ratio of 0 is the l2 cell, and pca-export scatters
+    # the resample.method set) are unknown keys: got None
+    ("[tune]\npenalties = l2,l1\n", "tune.penalties", None),
     ("[tune]\nc_values = 0.1,-1\n", "[tune] c_grid", "-1.0"),
+    ("[tune]\nc_values = 1e-320\n", "[tune] c_grid", "1e-320"),
     ("[tune]\nl1_ratios = 1.5\n", "[tune] l1_ratios", "1.5"),
     ("[tune]\nthresholds = 0.5,0.5\n", "[tune] thresholds", "0.5"),
     ("[simulate]\nlabeling = threshold\n", "[simulate] labeling",
      "'threshold'"),
     ("[split]\ntrain_fraction = 1.5\n", "[split] train_fraction", "1.5"),
-    ("[pca]\nmethod = foo\n", "pca.method", "'foo'"),
+    ("[pca]\nmethod = foo\n", "pca.method", None),
     ("[run]\nseed = -1\n", "run.seed", "-1"),
     ("[evaluate]\nthresholds = 0.5,0.5\n", "evaluate.thresholds", "0.5"),
     ("[data]\nintervals = 3,3\n", "data.intervals", "3"),
@@ -643,7 +669,8 @@ def test_bad_stage_value_fails_before_any_stage(tmp_path, capsys, text,
     out.mkdir()
     err = _one_line_error(capsys, [command, "--config", str(bad),
                                    "--out", str(out)])
-    assert where in err and f"got {got}" in err
+    assert where in err
+    assert f"got {got}" in err if got else "unknown config key" in err
     assert list(out.iterdir()) == []
 
 
@@ -1079,6 +1106,43 @@ def test_a_cli_pipeline_child_writes_the_sha256_digests(tmp_path,
     assert "summary.csv" in manifest["artifacts"]
     for name, digest in manifest["artifacts"].items():
         assert digest == hashlib.sha256((out / name).read_bytes()).hexdigest()
+
+
+# sha256 of the files that `atrisk tune --seed 7 --interval 3` writes after
+# simulate, encode and split, by config: the default grid, and the grid over
+# all three resample methods.  The fits' last bits depend on the BLAS thread
+# count, so the stages run in a child at OPENBLAS_NUM_THREADS=1.
+GOLDEN_TUNE_SHA256 = {
+    "": {
+        "tune_w3.csv":
+            "e430e7e281bae2ec21b7babbdff2dc7178e0facd5b6ddafbf817830df9227430",
+        "tune_w3_best.json":
+            "0ba34e64448beb3657d44a8ad41acb6d3d028c3bf7614a0f1ebcab9fbb97078e",
+    },
+    "[tune]\nmethods = smote,adasyn,none\n": {
+        "tune_w3.csv":
+            "ef2bd16af4ddf5f11e6fe019e412a7eae1b79830ab2cdca62e09943257a40f3e",
+        "tune_w3_best.json":
+            "943442c4fe4af8cbdd47e9b4d87d88dd71d7130e17fe4c9d814602202d188197",
+    },
+}
+
+
+@pytest.mark.parametrize("config", GOLDEN_TUNE_SHA256,
+                         ids=["default", "methods"])
+def test_seed7_tune_files_match_golden_hashes(tmp_path, monkeypatch, config):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    path = tmp_path / "tune.cfg"
+    path.write_text(config)
+    out = tmp_path / "run"
+    _fresh_python("import sys\nfrom atrisk.cli import main\n"
+                  "for stage in ('simulate', 'encode', 'split', 'tune'):\n"
+                  "    assert main([stage, *sys.argv[1:]]) == 0",
+                  "--seed", "7", "--interval", "3", "--config", str(path),
+                  "--out", str(out))
+    found = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+             for name in GOLDEN_TUNE_SHA256[config]}
+    assert found == GOLDEN_TUNE_SHA256[config]
 
 
 @pytest.mark.parametrize("stage", ["encode", "pipeline"])

@@ -56,7 +56,6 @@ thresholds = 0.3,0.6
 [tune]
 methods = none, adasyn
 k_neighbors = 3,7
-penalties = l2
 c_values = 0.1,1
 l1_ratios = 0.5
 thresholds = 0.4,0.5
@@ -65,7 +64,6 @@ metric = recall_false
 
 [pca]
 fit_on = real
-method = adasyn
 """
 
 
@@ -90,11 +88,10 @@ def test_every_file_key_reaches_its_field(tmp_path):
         model=ModelSpec("svm_rbf", C=2, gamma="scale", tolerance=0.01),
         threshold=0.4, sweep_thresholds=(0.3, 0.6),
         tune=GridSpec(resample_methods=("none", "adasyn"),
-                      k_neighbors_grid=(3, 7), penalties=("l2",),
-                      c_grid=(0.1, 1.0), l1_ratios=(0.5,),
-                      thresholds=(0.4, 0.5), folds=3,
+                      k_neighbors_grid=(3, 7), c_grid=(0.1, 1.0),
+                      l1_ratios=(0.5,), thresholds=(0.4, 0.5), folds=3,
                       selection_metric="recall_false", seed=15),
-        pca_fit_on="real", pca_method="adasyn")
+        pca_fit_on="real")
     assert type(cfg.model.params["C"]) is int
     default = build_config()
     for option, _ in _OPTIONS.values():
@@ -113,7 +110,7 @@ FLAG_CASES = [
     (["--interval", "6"], "intervals", (6,), ALL_COMMANDS),
     (["--threshold", "0.4"], "threshold", 0.4, ("evaluate",)),
     (["--method", "none"], "resample.method", "none", ("resample",)),
-    (["--method", "adasyn"], "pca_method", "adasyn", ("pca-export",)),
+    (["--method", "adasyn"], "resample.method", "adasyn", ("pca-export",)),
     (["--k-neighbors", "3"], "resample.k_neighbors", 3, ("resample",)),
     (["--model-kind", "knn"], "model.kind", "knn",
      ("evaluate", "train", "pipeline")),
@@ -194,7 +191,8 @@ def assert_validates_exactly(option, values):
 
 def test_method_flags_offer_the_validated_methods():
     assert _subcommand_action("resample", "resample.method").choices == \
-        _subcommand_action("pca-export", "pca_method").choices == METHODS
+        _subcommand_action("pca-export", "resample.method").choices == \
+        METHODS
     assert_validates_exactly("resample.method", METHODS)
     assert build_config(overrides={"tune.resample_methods": ("none",)}) \
         .tune.resample_methods == ("none",)

@@ -1,5 +1,6 @@
 """Metrics, AUC, sweeps, and the cross-validated grid search."""
 
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -301,8 +302,8 @@ def test_stratified_folds_partition_and_balance():
 
 def tiny_grid(**kw):
     defaults = dict(resample_methods=("smote",), k_neighbors_grid=(5,),
-                    penalties=("elasticnet",), c_grid=(0.01,),
-                    l1_ratios=(0.5,), thresholds=(0.50,), folds=3, seed=0)
+                    c_grid=(0.01,), l1_ratios=(0.5,), thresholds=(0.50,),
+                    folds=3, seed=0)
     defaults.update(kw)
     return GridSpec(**defaults)
 
@@ -317,7 +318,7 @@ def test_single_cell_grid_ranks_first(split_w3):
     assert (best.method, best.k_neighbors) == ("smote", 5)
     assert (best.penalty, best.C, best.l1_ratio) == ("elasticnet", 0.01, 0.5)
     assert best.threshold == 0.50
-    assert 0.0 <= best.mean_f1_false <= 1.0
+    assert 0.0 <= best.mean_metric("f1_false") <= 1.0
 
 
 def test_winning_cell_evaluable_in_wider_grid(split_w3):
@@ -326,18 +327,17 @@ def test_winning_cell_evaluable_in_wider_grid(split_w3):
     result = grid_search(grid, train)
     cell = result.find("smote", 5, "elasticnet", 0.01, 0.5, 0.50)
     assert cell.feasible
-    assert not np.isnan(cell.mean_recall_false)
+    assert not np.isnan(cell.mean_metric("recall_false"))
 
 
 def test_grid_search_deterministic(split_w3):
     train, _ = split_w3
-    grid = tiny_grid(penalties=("l2", "elasticnet"), c_grid=(0.01, 1.0),
+    grid = tiny_grid(l1_ratios=(0.0, 0.5), c_grid=(0.01, 1.0),
                      thresholds=(0.4, 0.5))
     a = grid_search(grid, train)
     b = grid_search(grid, train)
     assert [c.key() for c in a.cells] == [c.key() for c in b.cells]
-    assert [c.mean_f1_false for c in a.cells] == \
-        [c.mean_f1_false for c in b.cells]
+    assert [c.means for c in a.cells] == [c.means for c in b.cells]
     assert a.audit == b.audit
 
 
@@ -360,14 +360,13 @@ def test_grid_search_marks_infeasible_cells():
     labels = np.ones(40, dtype=bool)
     labels[:6] = False  # 6 minority rows over 3 folds -> 4 per fit part
     ds = make_dataset(features, labels)
-    grid = tiny_grid(k_neighbors_grid=(3, 5), penalties=("l2",),
-                     l1_ratios=(0.0,), folds=3)
+    grid = tiny_grid(k_neighbors_grid=(3, 5), l1_ratios=(0.0,), folds=3)
     result = grid_search(grid, ds)
     by_k = {c.k_neighbors: c for c in result.cells}
     assert by_k[3].feasible          # needs 4 minority rows per fit part
     assert not by_k[5].feasible      # needs 6, only 4 available
     assert by_k[5].rank > by_k[3].rank
-    assert np.isnan(by_k[5].mean_f1_false)
+    assert np.isnan(by_k[5].means).all()
     # every fold for k = 3, then k = 5 stops at its first fold
     assert result.audit["folds_checked"] == 3 + 1
     assert result.audit["synthetic_rows_in_validation"] == 0
@@ -376,12 +375,12 @@ def test_grid_search_marks_infeasible_cells():
 def test_grid_ranking_tie_breaks_prefer_smaller_c(split_w3):
     train, _ = split_w3
     # duplicate cells except for C; if metrics tie, smaller C must rank higher
-    grid = tiny_grid(penalties=("l2",), l1_ratios=(0.0,),
-                     c_grid=(10.0, 1.0), thresholds=(0.5,))
+    grid = tiny_grid(l1_ratios=(0.0,), c_grid=(10.0, 1.0),
+                     thresholds=(0.5,))
     result = grid_search(grid, train)
     cells = result.cells
-    if cells[0].mean_f1_false == cells[1].mean_f1_false and \
-            cells[0].mean_recall_false == cells[1].mean_recall_false:
+    if all(cells[0].mean_metric(name) == cells[1].mean_metric(name)
+           for name in ("f1_false", "recall_false")):
         assert cells[0].C < cells[1].C
 
 
@@ -394,14 +393,27 @@ def test_default_grid_has_no_duplicate_objectives(split_w3):
     train, _ = split_w3
     defaults = GridSpec()
     grid = GridSpec(k_neighbors_grid=(5,), thresholds=(0.5,), folds=2)
-    assert (grid.penalties, grid.c_grid, grid.l1_ratios) == \
-        (defaults.penalties, defaults.c_grid, defaults.l1_ratios)
+    assert (grid.c_grid, grid.l1_ratios) == \
+        (defaults.c_grid, defaults.l1_ratios)
     cells = grid_search(grid, train).cells
     objectives = [objective_of(c) for c in cells]
     assert len(objectives) == len(set(objectives)) == 12
-    # (elasticnet, C, 0.0) is reported as (l2, C, 0.0)
+    # a ratio of 0 is reported as (l2, C, 0.0)
     assert all(c.l1_ratio > 0.0 for c in cells if c.penalty == "elasticnet")
     assert sum(c.penalty == "l2" for c in cells) == len(grid.c_grid)
+
+
+def test_a_negative_zero_ratio_is_the_l2_cell(split_w3, tmp_path):
+    train, _ = split_w3
+    for ratio, name in ((0.0, "zero.csv"), (-0.0, "negative_zero.csv")):
+        result = grid_search(tiny_grid(l1_ratios=(ratio,)), train)
+        result.to_csv(tmp_path / name)
+        (cell,) = result.cells
+        assert cell.penalty == "l2"
+        assert math.copysign(1.0, cell.l1_ratio) == 1.0  # 0.0, not -0.0
+    assert (tmp_path / "zero.csv").read_bytes() == \
+        (tmp_path / "negative_zero.csv").read_bytes()
+    assert ",l2,0.01,0.0,0.5," in (tmp_path / "zero.csv").read_text()
 
 
 def test_grid_fits_each_objective_once_per_fold(split_w3, monkeypatch):
@@ -424,11 +436,10 @@ def test_grid_fits_each_objective_once_per_fold(split_w3, monkeypatch):
     monkeypatch.setattr(evaluation, "fit", counting_fit)
     monkeypatch.setattr(TrainedModel, "predict_proba", counting_proba)
     train, _ = split_w3
-    grid = tiny_grid(penalties=("elasticnet", "l2"), c_grid=(1.0, 0.1),
-                     l1_ratios=(0.0, 0.5), thresholds=(0.4, 0.5, 0.6),
-                     folds=2)
+    grid = tiny_grid(c_grid=(1.0, 0.1), l1_ratios=(0.0, 0.5),
+                     thresholds=(0.4, 0.5, 0.6), folds=2)
     cells = grid_search(grid, train).cells
-    # path order: C ascending, l1_ratio descending, l2 last; elasticnet 0.0
+    # path order: C ascending, l1_ratio descending, l2 last; a ratio of 0
     # is fitted as l2
     path = [("elasticnet", 0.1, 0.5), ("l2", 0.1, 0.0),
             ("elasticnet", 1.0, 0.5), ("l2", 1.0, 0.0)]
@@ -462,7 +473,7 @@ def test_grid_means_equal_np_mean_of_fold_values(split_w3, monkeypatch):
 
     monkeypatch.setattr(evaluation, "sweep_thresholds", recording_sweep)
     train, _ = split_w3
-    grid = tiny_grid(penalties=("l2", "elasticnet"), c_grid=(0.1, 1.0),
+    grid = tiny_grid(l1_ratios=(0.0, 0.5), c_grid=(0.1, 1.0),
                      thresholds=(0.4, 0.5, 0.6), folds=10)
     cells = grid_search(grid, train).cells
     assert len(cells) == 4 * 3
@@ -483,8 +494,8 @@ def test_tune_file_ignores_objective_axis_order(split_w3, tmp_path, order):
     # k_neighbors_grid and resample_methods are left out: their positions
     # seed the resampling
     train, _ = split_w3
-    axes = dict(penalties=GridSpec.penalties, c_grid=GridSpec.c_grid,
-                l1_ratios=GridSpec.l1_ratios, thresholds=(0.4, 0.5, 0.6))
+    axes = dict(c_grid=GridSpec.c_grid, l1_ratios=GridSpec.l1_ratios,
+                thresholds=(0.4, 0.5, 0.6))
     base = dict(k_neighbors_grid=(5,), folds=3, seed=7)
     grid_search(GridSpec(**base, **axes), train).to_csv(tmp_path / "a.csv")
     permuted = {name: order(values) for name, values in axes.items()}
@@ -499,8 +510,7 @@ def test_grid_path_scores_match_cold_fits(split_w3, monkeypatch):
     # C = 0.01 holds all-zero fits, whose P(fail) = 0.5 ties with the
     # threshold 0.5; every mean metric must equal that of cold fits
     train, _ = split_w3
-    grid = tiny_grid(penalties=("l2", "elasticnet"),
-                     c_grid=(0.01, 0.1, 1.0, 10.0), l1_ratios=(0.0, 0.5, 1.0),
+    grid = tiny_grid(c_grid=(0.01, 0.1, 1.0, 10.0), l1_ratios=(0.0, 0.5, 1.0),
                      thresholds=(0.4, 0.5, 0.6), folds=3)
     original_fit = evaluation.fit
     starts, zero_fits = [], []
@@ -611,13 +621,13 @@ def test_grid_spec_validation():
 @pytest.mark.parametrize("name, values, got", [
     ("resample_methods", ("smote", "ctgan"), "'ctgan'"),
     ("k_neighbors_grid", (3, 0), "0"),
-    ("penalties", ("l1",), "'l1'"),
+    ("c_grid", (1e-320,), "1e-320"),  # 1 / C overflows to inf
     ("c_grid", (1.0, 0.0), "0.0"),
     ("c_grid", (float("nan"),), "nan"),
     ("l1_ratios", (0.5, 1.5), "1.5"),
     ("resample_methods", ("smote", "smote"), "'smote'"),
     ("k_neighbors_grid", (5, 3, 5), "5"),
-    ("penalties", ("l2", "l2"), "'l2'"),
+    ("l1_ratios", (0.0, -0.0), "-0.0"),
     ("c_grid", (1.0, 1), "1"),
     ("l1_ratios", (0.5, 0.5), "0.5"),
     ("thresholds", (0.5, 0.5), "0.5"),

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from atrisk import (ModelSpec, encode, fit, load_model, resample, simulate,
                     split)
 from atrisk.config import build_config
+from atrisk.models import logistic
 from atrisk.models.logistic import (fit_logistic_raw, smooth_gradient,
                                     smooth_objective)
 from conftest import assert_kkt_certificate, make_dataset, \
@@ -194,6 +195,19 @@ def test_non_converged_fit_reports_its_residual():
     assert model.non_converged
     assert model.kkt_residual > 1e-8
     assert len(model.objective_history) == 2
+
+
+def test_a_nan_residual_is_flagged_non_converged(monkeypatch):
+    # NaN > tolerance is false, so the flag must not be that comparison
+    def nan_residual(X, y, C, l1_ratio, tolerance, max_iterations,
+                     start=None):
+        return np.zeros(X.shape[1]), 0.0, np.zeros(1), float("nan")
+
+    monkeypatch.setattr(logistic, "fit_logistic_raw", nan_residual)
+    rng = np.random.default_rng(13)
+    ds = random_binary_dataset(rng, 50, 8)
+    model = logistic.fit_logistic(ModelSpec("logreg"), ds)
+    assert model.non_converged
 
 
 def test_kkt_residual_stays_out_of_the_saved_model(smote_train_w3, tmp_path):
