@@ -19,7 +19,11 @@ Hessian, at most three times.  The corrected step is taken whole when it
 is a descent direction and passes the Armijo test at step length 1;
 otherwise the plain step is backtracked.  The Armijo test is on the full
 objective, so the objective never increases; with l1 = 0 no weight is
-pinned and the step is the plain Newton step.
+pinned and the step is the plain Newton step.  When no halving of the
+plain step decreases the objective enough (a wide, weakly regularised
+problem whose free-set Hessian is singular but for the ridge), the step
+is solved once more with ``max |pg|`` added to the Hessian's diagonal
+(Levenberg-Marquardt damping) and backtracked in the same way.
 
 A fit starts at w = 0 and b = 0 unless it is given a ``start`` vector
 [w, b]; a start near the optimum (a neighbouring objective's solution, as
@@ -206,6 +210,14 @@ def fit_logistic_raw(X, y, C, l1_ratio, tolerance, max_iterations,
                 accepted = _line_search(objective, theta, pinned, pg,
                                         current, orthant, 1)
         if accepted is None:
+            accepted = _line_search(objective, theta, step, pg, current,
+                                    orthant, _MAX_HALVINGS)
+        if accepted is None:
+            # the free-set Hessian is singular but for the ridge (more free
+            # weights than rows), so the plain step is mostly ridge-scaled
+            # pseudo-gradient; retry with Levenberg-Marquardt damping
+            hessian[np.diag_indices_from(hessian)] += np.abs(pg).max()
+            step[free] = np.linalg.solve(hessian, -pg[free])
             accepted = _line_search(objective, theta, step, pg, current,
                                     orthant, _MAX_HALVINGS)
         if accepted is None:

@@ -251,7 +251,10 @@ def test_random_problems_meet_kkt_oracle(seed, n, d, C, l1_ratio, binary):
     assert np.all(np.diff(model.objective_history) <= 0)
 
 
-# wide problems, n < d included: many weights cross zero in one step
+# wide problems, n < d included: many weights cross zero in one step.  In
+# the example more free weights than rows make the free-set Hessian singular
+# but for the ridge, and no halving of the plain Newton step is accepted
+@example(seed=1, n=31, d=43, C=46.0, l1_ratio=1.0, binary=False)
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(10, 120),
        d=st.integers(1, 60), C=st.floats(1e-2, 1e2),
