@@ -211,9 +211,10 @@ def cmd_evaluate(cfg, args, store, interval):
 
 def cmd_tune(cfg, args, store, interval):
     grid = cfg.tune
-    train = store.get(f"train_w{interval}.csv", LabeledDataset.from_csv,
-                      "tune")
-    result = grid_search(grid, train)
+    source = f"train_w{interval}.csv"
+    train = store.get(source, LabeledDataset.from_csv, "tune")
+    with _naming(interval, store.out / source):
+        result = grid_search(grid, train)
     store.put(f"tune_w{interval}.csv", result.to_csv)
     store.put(f"tune_w{interval}_best.json", result.save_best)
     best = result.best()

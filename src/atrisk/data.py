@@ -24,9 +24,9 @@ Dataset CSV:  one column per feature (named), then ``label`` and
 Other CSVs:   a bool cell is ``true``/``false``, a float cell (numpy's too)
               ``repr(float(v))``, any other as the csv module writes it.
 JSON:         key-sorted, indented by two spaces, newline-terminated; an
-              ndarray is its list, a dataclass the dict of its fields, and
-              a key that is no string, or any other value JSON has no type
-              for, a TypeError.
+              ndarray of one or more dimensions is its list, a dataclass
+              the dict of its fields, and a key that is no string, or any
+              other value JSON has no type for, a TypeError.
 
 Dataset CSVs are written by :meth:`LabeledDataset.to_csv`, every other CSV
 artifact by :func:`write_csv`, and every JSON artifact by
@@ -73,27 +73,16 @@ def write_csv(path, header, rows):
                 writer.writerow(cells)
 
 
-def _json_default(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if is_dataclass(value):
-        return {f.name: getattr(value, f.name) for f in fields(value)}
-    raise TypeError(f"{type(value).__name__} is not JSON serializable")
-
-
-# what json writes as text of its own: a list holding only these is flat;
-# a number's text holds no bracket
-_NUMBERS = frozenset((int, float, bool, type(None)))
-_SCALARS = _NUMBERS | {str}
+_SLICE = 4096  # values a json.dumps call, so no write lists a whole array
 
 
 def write_json(path, doc):
     """doc as JSON by the rule in the module docstring, in the bytes of
     ``json.dump(doc, indent=2, sort_keys=True)``.
 
-    The document is walked here.  Each flat list, or list of non-empty
-    flat lists of numbers, goes to calls of json's C encoder whose item
-    separator carries the indent, so every scalar's text is json's own.
+    The document is walked here.  A vector or matrix goes to json's C
+    encoder in slices, each listed as it is written, with an item separator
+    that carries the indent, so every scalar's text is json's own.
     """
     with open(path, "w", encoding="utf-8") as fh:
         _write_json(fh.write, doc, "\n")
@@ -104,35 +93,27 @@ def _write_json(write, value, newline):
     """Write value as JSON; newline starts each of its lines after the
     first."""
     inner = newline + "  "
-    if isinstance(value, (list, tuple)):
-        if not value:
-            write("[]")
-        elif set(map(type, value)) <= _SCALARS:
-            text = json.dumps(value, separators=("," + inner, ": "))
-            write("[" + inner + text[1:-1] + newline + "]")
-        elif set(map(type, value)) == {list} and all(value) and \
-                set(map(type, chain.from_iterable(value))) <= _NUMBERS:
-            # rows of numbers, 64 a call, in whose text "]" + separator +
-            # "[" is a row break
-            row = inner + "  "
-            row_break = inner + "]," + inner + "[" + row
-            write("[" + inner + "[" + row)
-            for lo in range(0, len(value), 64):
-                text = json.dumps(value[lo:lo + 64],
-                                  separators=("," + row, ": "))
-                write((row_break if lo else "")
-                      + text[2:-2].replace("]," + row + "[", row_break))
-            write(inner + "]" + newline + "]")
-        else:
-            write("[")
-            for i, item in enumerate(value):
-                write("," + inner if i else inner)
-                _write_json(write, item, inner)
-            write(newline + "]")
+    if isinstance(value, np.ndarray) and value.ndim in (1, 2) and value.size:
+        # a matrix row opens with head and closes with tail; in a slice's
+        # text "]" + separator + "[" is a row break
+        item = inner + "  " * (value.ndim - 1)
+        head, tail = ("[" + item, inner + "]") if value.ndim == 2 else ("", "")
+        glue = tail + "," + inner + head
+        step = max(1, _SLICE // value[0].size)
+        write("[" + inner + head)
+        for lo in range(0, len(value), step):
+            text = json.dumps(value[lo:lo + step].tolist(),
+                              separators=("," + item, ": "))
+            write((glue if lo else "") + text[value.ndim:-value.ndim]
+                  .replace("]," + item + "[", glue))
+        write(tail + newline + "]")
+    elif isinstance(value, (list, tuple, np.ndarray)):  # empty, or 3-D up
+        write("[")
+        for i, item in enumerate(value):
+            write("," + inner if i else inner)
+            _write_json(write, item, inner)
+        write(newline + "]" if len(value) else "]")
     elif isinstance(value, dict):
-        if not value:
-            write("{}")
-            return
         write("{")
         for i, key in enumerate(sorted(value)):
             if not isinstance(key, str):
@@ -140,11 +121,14 @@ def _write_json(write, value, newline):
                                 f"{type(key).__name__}")
             write(("," + inner if i else inner) + json.dumps(key) + ": ")
             _write_json(write, value[key], inner)
-        write(newline + "}")
+        write(newline + "}" if value else "}")
     elif isinstance(value, (str, int, float)) or value is None:
         write(json.dumps(value))
+    elif is_dataclass(value):
+        _write_json(write, {f.name: getattr(value, f.name)
+                            for f in fields(value)}, newline)
     else:
-        _write_json(write, _json_default(value), newline)
+        raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def read_text(path):

@@ -1008,6 +1008,35 @@ def test_fit_error_names_interval_and_training_file(tmp_path, capsys):
                    f"requires >= 2 rows per class, got false=1, true=15\n")
 
 
+def test_tune_error_names_interval_and_training_file(tmp_path, capsys):
+    # 2 failing training rows cannot fill 5 validation folds
+    config = tmp_path / "tiny.cfg"
+    config.write_text("[simulate]\nn_students = 20\n")
+    for stage in ("simulate", "encode", "split"):
+        run_ok([stage, "--seed", "7", "--config", str(config), "--out",
+                str(tmp_path)])
+    err = _one_line_error(capsys, ["tune", "--seed", "7", "--interval", "3",
+                                   "--config", str(config), "--out",
+                                   str(tmp_path)])
+    assert err.startswith(f"atrisk tune: error: interval 3, "
+                          f"{tmp_path / 'train_w3.csv'}: folds = 5 exceeds "
+                          f"the smaller class count (2 failing, 14 passing "
+                          f"training rows)")
+
+
+def test_readme_stage_by_stage_example_runs_as_written(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block, = [text for text in readme.split("```")
+              if text.startswith("\natrisk simulate ")]
+    lines = block.strip().splitlines()
+    assert len(lines) == 8
+    for line in lines:
+        command, *args = line.split()
+        assert command == "atrisk"
+        args[args.index("--out") + 1] = str(tmp_path / "demo")
+        assert main(args) == 0, line
+
+
 def test_tune_without_feasible_cell_fails(tmp_path, config_file, capsys):
     out = tmp_path / "run"
     for stage in ("simulate", "encode", "split"):

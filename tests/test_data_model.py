@@ -794,13 +794,19 @@ def test_write_json_bytes_match_walked_document(doc):
         assert path.read_bytes() == json_file_oracle(doc)
 
 
-# lists of rows, which write_json encodes 64 rows a call, beside lists of
-# lists that it walks: an empty row, a string holding a bracket
+# matrices, which write_json encodes a slice of rows a call, beside lists
+# of lists that it walks: an empty row, a string holding a bracket; then
+# vectors and matrices that fill more than one slice (a forest's counts,
+# a kNN's training rows), and the smallest and an empty matrix
 @pytest.mark.parametrize("doc", [
     np.arange(130.0).reshape(65, 2), np.zeros((129, 3)), [[1, 2]] * 64,
     [(1, 2), [3, 4]], [[1], [], [2]], [[1, "a"], [2, "],\n  ["]],
     [[0.5, None, True]] * 3, [[float("nan"), -float("inf")]] * 66,
-    {"m": np.ones((70, 1)) / 3, "e": np.zeros((0, 2)), "r": [[7]]}])
+    {"m": np.ones((70, 1)) / 3, "e": np.zeros((0, 2)), "r": [[7]]},
+    np.linspace(-1.0, 1.0, 10_000) ** 3, np.arange(9_000) % 3 == 0,
+    np.arange(10_000, dtype=np.int64).reshape(5000, 2),
+    np.random.default_rng(11).random((300, 150)), np.ones((1, 1)),
+    np.zeros((0, 3))])
 def test_write_json_rows_match_walked_document(tmp_path, doc):
     write_json(tmp_path / "doc.json", doc)
     assert (tmp_path / "doc.json").read_bytes() == json_file_oracle(doc)
