@@ -80,9 +80,10 @@ def write_json(path, doc):
     """doc as JSON by the rule in the module docstring, in the bytes of
     ``json.dump(doc, indent=2, sort_keys=True)``.
 
-    The document is walked here.  A vector or matrix goes to json's C
-    encoder in slices, each listed as it is written, with an item separator
-    that carries the indent, so every scalar's text is json's own.
+    The document is walked here.  A vector or matrix of numbers or bools
+    goes to json's C encoder in slices, each listed as it is written, with
+    an item separator that carries the indent, so every scalar's text is
+    json's own; any other array is walked item by item.
     """
     with open(path, "w", encoding="utf-8") as fh:
         _write_json(fh.write, doc, "\n")
@@ -93,7 +94,8 @@ def _write_json(write, value, newline):
     """Write value as JSON; newline starts each of its lines after the
     first."""
     inner = newline + "  "
-    if isinstance(value, np.ndarray) and value.ndim in (1, 2) and value.size:
+    if isinstance(value, np.ndarray) and value.dtype.kind in "biuf" \
+            and value.ndim in (1, 2) and value.size:
         # a matrix row opens with head and closes with tail; in a slice's
         # text "]" + separator + "[" is a row break
         item = inner + "  " * (value.ndim - 1)
@@ -107,7 +109,7 @@ def _write_json(write, value, newline):
             write((glue if lo else "") + text[value.ndim:-value.ndim]
                   .replace("]," + item + "[", glue))
         write(tail + newline + "]")
-    elif isinstance(value, (list, tuple, np.ndarray)):  # empty, or 3-D up
+    elif isinstance(value, (list, tuple, np.ndarray)):  # any other array
         write("[")
         for i, item in enumerate(value):
             write("," + inner if i else inner)

@@ -797,7 +797,9 @@ def test_write_json_bytes_match_walked_document(doc):
 # matrices, which write_json encodes a slice of rows a call, beside lists
 # of lists that it walks: an empty row, a string holding a bracket; then
 # vectors and matrices that fill more than one slice (a forest's counts,
-# a kNN's training rows), and the smallest and an empty matrix
+# a kNN's training rows), and the smallest and an empty matrix; last,
+# arrays that are walked item by item: of lists, of mixed objects, of
+# strings, and of three dimensions
 @pytest.mark.parametrize("doc", [
     np.arange(130.0).reshape(65, 2), np.zeros((129, 3)), [[1, 2]] * 64,
     [(1, 2), [3, 4]], [[1], [], [2]], [[1, "a"], [2, "],\n  ["]],
@@ -806,7 +808,10 @@ def test_write_json_bytes_match_walked_document(doc):
     np.linspace(-1.0, 1.0, 10_000) ** 3, np.arange(9_000) % 3 == 0,
     np.arange(10_000, dtype=np.int64).reshape(5000, 2),
     np.random.default_rng(11).random((300, 150)), np.ones((1, 1)),
-    np.zeros((0, 3))])
+    np.zeros((0, 3)), np.array([[1, 2], [3]], dtype=object),
+    np.array([[[1, 2]], [[3]]], dtype=object),
+    np.array([[1, "a"], [None, 2.5]], dtype=object),
+    np.array(["],\n    [", "b"]), np.arange(24).reshape(2, 3, 4)])
 def test_write_json_rows_match_walked_document(tmp_path, doc):
     write_json(tmp_path / "doc.json", doc)
     assert (tmp_path / "doc.json").read_bytes() == json_file_oracle(doc)
