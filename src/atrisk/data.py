@@ -13,14 +13,13 @@ Cohort CSV:   header ``student_id,cohort,passed,right_answers,wrong_answers``;
               task names in manifest order, each task at most once a row,
               and may be empty; a task in neither was not attempted.
 Manifest CSV: header ``task,week``, one row per task.
-Dataset CSV:  one column per feature (named), then ``label`` and
-              ``synthetic`` (``true``/``false``).  A real row holds only
-              ``0`` and ``1``; the writer writes real rows only, so its
-              ``synthetic`` cells read ``false``, and these bytes are a
-              contract that reruns and releases keep.  The reader also
-              takes a synthetic row of any finite floats.  A resampled set
-              is stored as its training CSV plus its provenance CSV (see
-              ``resampling``).
+Dataset CSV:  one column per feature (named), then ``label``
+              (``true``/``false``) and ``synthetic``.  Only real rows are
+              stored: each feature cell is ``0`` or ``1`` and each
+              ``synthetic`` cell ``false``.  The reader takes only these
+              rows, and their bytes are a contract that reruns and
+              releases keep.  A resampled set is stored as its training
+              CSV plus its provenance CSV (see ``resampling``).
 Other CSVs:   a bool cell is ``true``/``false``, a float cell (numpy's too)
               ``repr(float(v))``, any other as the csv module writes it.
 JSON:         key-sorted, indented by two spaces, newline-terminated; an
@@ -40,7 +39,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, fields, is_dataclass
-from itertools import chain, compress, repeat
+from itertools import chain, compress
 
 import numpy as np
 
@@ -146,18 +145,19 @@ def read_text(path):
                          f"byte {exc.start})") from None
 
 
-def read_rows(path, header, check, build, unique=None):
-    """build(header found, raw rows) for the rows of a CSV file.
+def read_rows(path, header, parse, build, unique=None):
+    """build(header found, parsed rows) for the rows of a CSV file.
 
     header names the expected columns; a leading ``...`` stands for one or
     more free names.  Blank lines are skipped; every row must have as many
     fields as the header, and no value may repeat in column ``unique``.
     Quoting is strict: a quote that opens a field must close it, and only a
-    delimiter or line end may follow.  build makes the result from the
-    whole file at once; check(row) checks one raw row, and runs, row by
-    row, only after a ValueError, to find the first bad row.  A row error,
-    including any malformed CSV and a ValueError from check, is raised as a
-    ValueError prefixed with ``path:line``, the line the row starts on.
+    delimiter or line end may follow.  parse(row) runs once on each data
+    row, in file order, as it is read, and build assembles the result from
+    the list of what parse returned.  A row error, including any malformed
+    CSV and a ValueError from parse, is raised at once as a ValueError
+    prefixed with ``path:line``, the line the row starts on, so the first
+    bad row is the one named.
     """
     free = header[0] is ...
     fixed = list(header[free:])
@@ -171,7 +171,7 @@ def read_rows(path, header, check, build, unique=None):
         expected = ",".join("..." if h is ... else h for h in header)
         raise ValueError(f"{path}: expected header {expected!r}, "
                          f"got {found}")
-    seen, rows, lines = {}, [], []
+    seen, parsed = {}, []
     while True:
         line = reader.line_num + 1  # a quoted field may span lines
         try:
@@ -189,26 +189,12 @@ def read_rows(path, header, check, build, unique=None):
                     raise ValueError(
                         f"duplicate {found[unique]} {row[unique]!r} "
                         f"(first seen on line {first})")
-            rows.append(row)
-            lines.append(line)
+            parsed.append(parse(row))
         except (ValueError, csv.Error) as exc:
-            _first_bad_row(path, lines, rows, check)  # an earlier row first
             malformed = "malformed CSV: " if isinstance(exc, csv.Error) \
                 else ""
             raise ValueError(f"{path}:{line}: {malformed}{exc}") from None
-    try:
-        return build(found, rows)
-    except ValueError as exc:
-        _first_bad_row(path, lines, rows, check)
-        raise ValueError(f"{path}: {exc}") from None
-
-
-def _first_bad_row(path, lines, rows, check):
-    for line, row in zip(lines, rows):
-        try:
-            check(row)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{line}: {exc}") from None
+    return build(found, parsed)
 
 
 def _parse_bool(text):
@@ -217,12 +203,9 @@ def _parse_bool(text):
     return text == "true"
 
 
-def _check_values(features, synthetic_flags):
-    if not np.isfinite(features).all():
-        raise ValueError("features must be finite")
-    real = features[~synthetic_flags]
-    if real.size and not (((real == 0.0) | (real == 1.0)).all()):
-        raise ValueError("real rows must contain only exact 0/1 values")
+_BITS = frozenset("01")  # the feature cells of a dataset CSV
+_REAL_ONLY = ("a dataset CSV holds real rows only; store a resampled set "
+              "as its provenance")
 
 
 def _refuse_cr(what, value):
@@ -294,7 +277,7 @@ class TaskManifest:
             return TaskId(name=row[0], week=week)
 
         return read_rows(path, ("task", "week"), parse,
-                         lambda _, rows: cls(map(parse, rows)), unique=0)
+                         lambda _, tasks: cls(tasks), unique=0)
 
     def to_csv(self, path):
         write_csv(path, ("task", "week"),
@@ -358,13 +341,15 @@ class LabeledDataset:
         if len(names) != features.shape[1]:
             raise ValueError(f"{len(names)} feature names for "
                              f"{features.shape[1]} columns")
-        if synthetic_flags is None:
-            flags = np.zeros(n, dtype=bool)
-        else:
-            flags = np.array(synthetic_flags, dtype=bool, copy=True)
-            if flags.shape != (n,):
-                raise ValueError("synthetic_flags length does not match rows")
-        _check_values(features, flags)
+        flags = np.array(np.zeros(n) if synthetic_flags is None
+                         else synthetic_flags, dtype=bool)
+        if flags.shape != (n,):
+            raise ValueError("synthetic_flags length does not match rows")
+        if not np.isfinite(features).all():
+            raise ValueError("features must be finite")
+        real = features[~flags]
+        if not ((real == 0.0) | (real == 1.0)).all():
+            raise ValueError("real rows must contain only exact 0/1 values")
         features.setflags(write=False)
         labels.setflags(write=False)
         flags.setflags(write=False)
@@ -399,8 +384,7 @@ class LabeledDataset:
         row is refused: a resampled set is stored as its provenance.
         """
         if self.synthetic_flags.any():
-            raise ValueError("a dataset CSV holds real rows only; store a "
-                             "resampled set as its provenance")
+            raise ValueError(_REAL_ONLY)
         header = io.StringIO()
         csv.writer(header, lineterminator="\n").writerow(
             (*self.feature_names, "label", "synthetic"))
@@ -417,21 +401,23 @@ class LabeledDataset:
 
     @classmethod
     def from_csv(cls, path):
-        def check(row):
-            values = [float(v) for v in row[:-2]]
-            label, synthetic = _parse_bool(row[-2]), _parse_bool(row[-1])
-            _check_values(np.array([values]), np.array([synthetic]))
+        def parse(row):
+            *cells, label, synthetic = row
+            if not _BITS.issuperset(cells):
+                cell = next(c for c in cells if c not in _BITS)
+                raise ValueError(f"expected '0' or '1', got {cell!r}")
+            label = _parse_bool(label)
+            if _parse_bool(synthetic):
+                raise ValueError(_REAL_ONLY)
+            return "".join(cells), label
 
         def build(header, rows):
-            matrix = np.array([r[:-2] for r in rows], dtype=np.float64)
-            flags = np.array([r[-2:] for r in rows], dtype=str)
-            if not ((flags == "true") | (flags == "false")).all():
-                raise ValueError("label and synthetic must be true/false")
-            true = (flags == "true").reshape(len(rows), 2)
-            return cls(matrix.reshape(len(rows), len(header) - 2),
-                       true[:, 0], header[:-2], true[:, 1])
+            digits = "".join(cells for cells, _ in rows).encode()
+            return cls(np.frombuffer(digits, dtype=np.uint8)
+                       .reshape(len(rows), len(header) - 2) == ord("1"),
+                       [label for _, label in rows], header[:-2])
 
-        return read_rows(path, (..., "label", "synthetic"), check, build)
+        return read_rows(path, (..., "label", "synthetic"), parse, build)
 
 
 @dataclass(frozen=True)
@@ -455,40 +441,41 @@ def load_cohort(path, manifest):
     """
     column = {name: j for j, name in enumerate(manifest.names())}
 
-    def check(row):
+    def parse(row):
         student_id, cohort, passed, *lists = row
         _refuse_cr("student id", student_id)
         _refuse_cr("cohort label", cohort)
-        _parse_bool(passed)
-        right, wrong = ([n for n in names.split("|") if n] for names in lists)
-        for problem, tasks in (
-                ("task(s) listed as both right and wrong",
-                 set(right) & set(wrong)),
-                ("unknown task name(s)", set(right + wrong) - column.keys()),
-                ("task(s) listed twice", {n for names in (right, wrong)
-                                          for n in names
-                                          if names.count(n) > 1})):
-            if tasks:
-                raise ValueError(f"student {student_id!r}: {problem}: "
-                                 f"{sorted(tasks)}")
+        passed = _parse_bool(passed)
+        right, wrong = ([*map(column.get, filter(None, names.split("|")))]
+                        for names in lists)
+        listed = {*right, *wrong}
+        if None in listed or len(listed) < len(right) + len(wrong):
+            # an unknown name or a repeat: split again to name the first of
+            # a task in both lists, an unknown name, a task listed twice
+            # (name sets on every row would cost about 40% of a load)
+            right, wrong = ([*filter(None, names.split("|"))]
+                            for names in lists)
+            for problem, tasks in (
+                    ("task(s) listed as both right and wrong",
+                     set(right) & set(wrong)),
+                    ("unknown task name(s)", {*right, *wrong} - column.keys()),
+                    ("task(s) listed twice", {n for names in (right, wrong)
+                                              for n in names
+                                              if names.count(n) > 1})):
+                if tasks:
+                    raise ValueError(f"student {student_id!r}: {problem}: "
+                                     f"{sorted(tasks)}")
+        return student_id, cohort, passed, right, wrong
 
     def build(_, rows):
-        # one column past the manifest's takes the unknown names
-        outcomes = np.full((len(rows), len(manifest) + 1), -1, dtype=np.int8)
-        listed = 0
-        for field, outcome in ((3, 1), (4, 0)):
-            lists = [[*filter(None, row[field].split("|"))] for row in rows]
-            tasks = [*map(column.get, chain(*lists), repeat(len(manifest)))]
-            students = np.repeat(np.arange(len(rows)), [*map(len, lists)])
-            outcomes[students, tasks] = outcome
-            listed += len(tasks)
-        if listed != (outcomes[:, :-1] >= 0).sum():
-            raise ValueError("a task is unknown or listed twice")
-        return Cohort(manifest, tuple(r[0] for r in rows),
-                      tuple(r[1] for r in rows),
-                      [_parse_bool(r[2]) for r in rows], outcomes[:, :-1])
+        ids, cohorts, passed, *lists = [*zip(*rows)] or [()] * 5
+        outcomes = np.full((len(rows), len(manifest)), -1, dtype=np.int8)
+        for tasks, outcome in zip(lists, (1, 0)):
+            students = np.repeat(np.arange(len(rows)), [*map(len, tasks)])
+            outcomes[students, [*chain(*tasks)]] = outcome
+        return Cohort(manifest, ids, cohorts, passed, outcomes)
 
-    return read_rows(path, COHORT_COLUMNS, check, build, unique=0)
+    return read_rows(path, COHORT_COLUMNS, parse, build, unique=0)
 
 
 def save_cohort(cohort, path):

@@ -106,10 +106,12 @@ def load_resampled(path, train):
     lambda in [0, 1); a row that does not fails with ``path:line``.
     """
     n = train.n_rows
+    positions = itertools.count(n)  # the synthetic_row each row must hold
 
-    def parse(row, synthetic_row):
+    def parse(row):
         found, base, neighbor = (int(v) for v in row[:3])
         lam = float(row[3])
+        synthetic_row = next(positions)
         if found != synthetic_row:
             raise ValueError(f"synthetic_row must be {synthetic_row}, "
                              f"got {found}")
@@ -125,16 +127,11 @@ def load_resampled(path, train):
                              f"got {row[3]!r}")
         return base, neighbor, lam
 
-    def build(header, rows):
-        parsed = np.array([parse(row, n + i) for i, row in enumerate(rows)],
-                          dtype=np.float64).reshape(-1, 3)
-        index = parsed[:, :2].astype(np.intp)  # exact: small integers
-        return grow(train, index[:, 0], index[:, 1], parsed[:, 2])
+    def build(_, rows):
+        base, neighbor, lam = np.array(rows, dtype=np.float64).reshape(-1, 3).T
+        return grow(train, base.astype(np.intp), neighbor.astype(np.intp), lam)
 
-    # check runs over the rows in order, once, to find the first bad one
-    positions = itertools.count(n)
-    return read_rows(path, PROVENANCE_COLUMNS,
-                     lambda row: parse(row, next(positions)), build)
+    return read_rows(path, PROVENANCE_COLUMNS, parse, build)
 
 
 def allocate_by_share(share, gap):

@@ -330,10 +330,11 @@ def test_evaluate_refuses_synthetic_test_file(tmp_path, config_file,
     out = str(tmp_path / "run")
     for stage in ("simulate", "encode", "split", "resample", "train"):
         run_ok([stage, "--config", config_file, "--out", out])
-    _set_field(2, -1, "true")(tmp_path / "run" / "test_w3.csv")
-    code = main(["evaluate", "--config", config_file, "--out", out])
-    assert code == 1
-    assert "test purity" in capsys.readouterr().err
+    path = tmp_path / "run" / "test_w3.csv"
+    _set_field(2, -1, "true")(path)
+    err = _one_line_error(capsys, ["evaluate", "--config", config_file,
+                                   "--out", out])
+    assert f"{path}:2: a dataset CSV holds real rows only" in err
 
 
 @pytest.mark.parametrize("flag, name", [
@@ -701,11 +702,10 @@ def _repeat_line(line):
                  _set_field(3, -2, "maybe"),
                  "expected 'true' or 'false', got 'maybe'", id="label"),
     pytest.param("train_w3.csv", ("simulate", "encode", "split"), "resample",
-                 _set_field(4, 0, "0.5"),
-                 "real rows must contain only exact 0/1 values",
+                 _set_field(4, 0, "0.5"), "expected '0' or '1', got '0.5'",
                  id="fractional-real-row"),
     pytest.param("dataset_w3.csv", ("simulate", "encode"), "split",
-                 _set_field(5, 0, "nan"), "features must be finite",
+                 _set_field(5, 0, "nan"), "expected '0' or '1', got 'nan'",
                  id="nan"),
     pytest.param("manifest.csv", ("simulate",), "encode",
                  _set_field(2, 1, "0"),

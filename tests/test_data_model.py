@@ -13,10 +13,11 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from atrisk import (Cohort, LabeledDataset, ModelSpec, SimConfig, SplitSpec,
                     TaskId, TaskManifest, default_manifest, encode, fit,
-                    load_cohort, load_model, save_cohort, simulate, split)
+                    load_cohort, load_model, load_resampled, save_cohort,
+                    simulate, split)
 from atrisk.cli import main
 from atrisk.config import read_config
-from atrisk.data import write_csv, write_json
+from atrisk.data import read_rows, write_csv, write_json
 from conftest import make_dataset
 from oracles import csv_file_oracle, dataset_csv_oracle, json_file_oracle
 
@@ -404,41 +405,58 @@ def test_dataset_csv_rejects_missing_trailer(tmp_path):
 
 # --- dataset CSV bytes and the loader's errors ------------------------------
 
-# values whose text is easy to get wrong: signed zero, integral floats, a
-# float above 2**53, the smallest subnormal, and a sum that is not 0.3
+# synthetic cells whose text is easy to get wrong: signed zero, integral
+# floats, a float above 2**53, the smallest subnormal, and a sum that is not
+# 0.3; from_csv must refuse a row of them at its own line
 AWKWARD_VALUES = (-0.0, 2.0, -3.0, 1e16, 5e-324, 0.1 + 0.2)
 
 
 def assert_csv_contract(dataset):
     """to_csv writes the oracle's bytes for a set of real rows, and
-    from_csv reads the oracle's bytes back bitwise, synthetic rows too
-    (-0.0 is written as 0, so it reads back as 0.0)."""
+    from_csv reads them back bitwise.  A set with a synthetic row, which
+    to_csv refuses, from_csv refuses too, at its first synthetic row's
+    line: for a cell other than 0 or 1, or else for the row itself."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "dataset.csv"
-        if dataset.synthetic_flags.any():  # to_csv refuses them
+        if dataset.synthetic_flags.any():
             path.write_bytes(dataset_csv_oracle(dataset))
-        else:
-            dataset.to_csv(path)
-            assert path.read_bytes() == dataset_csv_oracle(dataset)
+            first = np.flatnonzero(dataset.synthetic_flags)[0]
+            # the header may span lines; each row is one line
+            line = (path.read_bytes().count(b"\n") - dataset.n_rows
+                    + first + 1)
+            reason = ("a dataset CSV holds real rows only"
+                      if np.isin(dataset.features[first], (0, 1)).all()
+                      else "expected '0' or '1', got ")
+            with pytest.raises(ValueError) as info:
+                LabeledDataset.from_csv(path)
+            assert str(info.value).startswith(f"{path}:{line}: {reason}")
+            return
+        dataset.to_csv(path)
+        assert path.read_bytes() == dataset_csv_oracle(dataset)
         again = LabeledDataset.from_csv(path)
     assert again.features.shape == dataset.features.shape
-    assert np.array_equal(again.features.view(np.uint64),
+    assert np.array_equal(again.features.view(np.uint64),  # -0.0 reads 0.0
                           (dataset.features + 0.0).view(np.uint64))
     assert np.array_equal(again.labels, dataset.labels)
     assert np.array_equal(again.synthetic_flags, dataset.synthetic_flags)
     assert again.feature_names == dataset.feature_names
 
 
-def test_dataset_csv_reads_awkward_synthetic_values_back_bitwise():
-    features = np.array([[0.0, 1.0, 1.0],
-                         [-0.0, 2.0, -3.0],
-                         [1.0, 0.0, 1.0],
-                         [1e16, 5e-324, 0.1 + 0.2],
-                         [0.0, 0.0, 0.0]])
-    dataset = LabeledDataset(features, [True, False, False, True, True],
-                             ("a", "b,c", 'd"e'),
-                             [False, True, False, True, False])
-    assert_csv_contract(dataset)
+def test_dataset_csv_round_trips_awkward_header_names():
+    features = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+    assert_csv_contract(LabeledDataset(features, [True, False, True],
+                                       ("a", "b,c", 'd"e')))
+
+
+def test_dataset_csv_reader_refuses_a_synthetic_row_at_its_line(tmp_path):
+    path = tmp_path / "dataset.csv"
+    path.write_text("a,b,label,synthetic\n0,1,true,false\n\n"
+                    "1,0,false,true\n0.5,1,true,true\n")
+    with pytest.raises(ValueError) as info:
+        LabeledDataset.from_csv(path)
+    assert str(info.value) == (f"{path}:4: a dataset CSV holds real rows "
+                               f"only; store a resampled set as its "
+                               f"provenance")
 
 
 synthetic_cells = st.one_of(st.sampled_from(AWKWARD_VALUES),
@@ -453,7 +471,8 @@ def mixed_datasets(draw):
     rows, labels, flags = [], [], []
     for _ in range(draw(st.integers(0, 8))):
         synthetic = draw(st.booleans())
-        cell = synthetic_cells if synthetic else st.sampled_from((0.0, 1.0))
+        cell = synthetic_cells if synthetic else st.sampled_from(
+            (0.0, -0.0, 1.0))
         rows.append(draw(st.lists(cell, min_size=n_features,
                                   max_size=n_features)))
         labels.append(draw(st.booleans()))
@@ -468,53 +487,37 @@ def test_dataset_csv_bytes_match_cell_by_cell_oracle(dataset):
     assert_csv_contract(dataset)
 
 
-# Python's float() accepts underscores, padding, signs and the words nan
-# and inf; the reader parses a whole file in one numpy call and must accept
-# and reject exactly what float() does
+# a feature cell is read only when it is the text 0 or 1: every other
+# text fails, whether float() parses it (underscores, padding, signs,
+# exponents, nan and inf) or not
 @pytest.mark.parametrize("text", [
     "1_0", " 2 ", "\t3", "+1", "-0", "1.", ".5", "1E5", "0.1e-3",
     "Infinity", "inf", "-inf", "nan", "NaN", "0x1", "", "  ", "1__0", "_1",
-    "1_", "1e", "abc", "1d5", "nan(1)", "0b1", "\u0661"])
+    "1_", "1e", "abc", "1d5", "nan(1)", "0b1", "\u0661", "1.0", "0.5",
+    " 1", "1e0", "2", "00", "true"])
 def test_dataset_cell_parses_as_float_does(tmp_path, text):
     path = tmp_path / "one.csv"
-    path.write_text(f"x,label,synthetic\n0,true,false\n{text},false,true\n")
-    try:
-        value = float(text)
-    except ValueError as exc:
-        with pytest.raises(ValueError) as info:
-            LabeledDataset.from_csv(path)
-        assert str(info.value) == f"{path}:3: {exc}"
-        return
-    if not np.isfinite(value):
-        with pytest.raises(ValueError) as info:
-            LabeledDataset.from_csv(path)
-        assert str(info.value) == f"{path}:3: features must be finite"
-        return
-    again = LabeledDataset.from_csv(path)
-    assert again.features[1, 0].tobytes() == np.float64(value).tobytes()
+    path.write_text(f"x,label,synthetic\n0,true,false\n{text},false,false\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        LabeledDataset.from_csv(path)
+    assert str(info.value) == f"{path}:3: expected '0' or '1', got {text!r}"
 
 
 FUZZ_BASE = LabeledDataset(
     np.array([[0, 1, 1, 0], [1, 0, 0, 1], [1, 1, 0, 0], [0, 0, 1, 1],
-              [0.25, 1, 0.5, 0], [1, 0, 1, 0], [0.75, 0.125, 1, 0.5]]),
-    [True, False, True, False, False, True, False], ("t1", "t2", "t3", "t4"),
-    [False, False, False, False, True, False, True])
-ALL_ROWS = range(FUZZ_BASE.n_rows)
-REAL_ROWS = np.flatnonzero(~FUZZ_BASE.synthetic_flags).tolist()
+              [0, 1, 0, 0], [1, 0, 1, 0], [1, 0, 1, 1]]),
+    [True, False, True, False, False, True, False], ("t1", "t2", "t3", "t4"))
 FEATURES, FLAGS = range(4), (4, 5)
 
 # (texts to write into one cell, or field counts to cut or pad a row to;
-# the reason the loader gives; the rows and columns it may hit)
+# the reason the loader gives; the columns it may hit)
 CORRUPTIONS = (
-    (("abc", "", "0x1", "1__0", "--1"), "could not convert string to float",
-     ALL_ROWS, FEATURES),
-    (("nan", "inf", "-inf", "NaN"), "features must be finite", ALL_ROWS,
-     FEATURES),
-    (("0.5", "2", "-1", "1e-9"),
-     "real rows must contain only exact 0/1 values", REAL_ROWS, FEATURES),
-    (("maybe", "True", "1", ""), "expected 'true' or 'false'", ALL_ROWS,
-     FLAGS),
-    ((5, 7, 1), "expected 6 fields", ALL_ROWS, FEATURES),
+    (("abc", "", "0x1", "1__0", "--1", "nan", "inf", "0.5", "2", "-1",
+      "1e-9", "1.0", "-0", " 1"), "expected '0' or '1', got ", FEATURES),
+    (("maybe", "True", "1", ""), "expected 'true' or 'false'", FLAGS),
+    (("true",), "a dataset CSV holds real rows only", (5,)),
+    ((5, 7, 1), "expected 6 fields", FEATURES),
 )
 
 
@@ -523,9 +526,9 @@ CORRUPTIONS = (
        blank_lines=st.integers(0, 2))
 def test_corrupted_dataset_csv_names_file_and_line(corruption, data,
                                                    blank_lines):
-    values, reason, rows, columns = corruption
+    values, reason, columns = corruption
     value = data.draw(st.sampled_from(values))
-    row = data.draw(st.sampled_from(rows))
+    row = data.draw(st.integers(0, FUZZ_BASE.n_rows - 1))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "dataset.csv"
         path.write_bytes(dataset_csv_oracle(FUZZ_BASE))
@@ -680,7 +683,47 @@ def test_first_bad_row_wins_over_a_later_field_count(tmp_path):
                     "0,true\n")
     with pytest.raises(ValueError) as info:
         LabeledDataset.from_csv(path)
-    assert str(info.value).startswith(f"{path}:3: could not convert")
+    assert str(info.value) == f"{path}:3: expected '0' or '1', got 'abc'"
+
+
+def test_read_rows_parses_each_data_row_once_in_file_order(tmp_path):
+    path = tmp_path / "rows.csv"
+    path.write_text('a,b\n1,x\n\n2,"y\nz"\n\n3,w\n')
+    seen = []
+
+    def parse(row):
+        seen.append(row)
+        return len(seen)
+
+    assert read_rows(path, ("a", "b"), parse,
+                     lambda header, rows: (header, rows)) == (["a", "b"],
+                                                               [1, 2, 3])
+    assert seen == [["1", "x"], ["2", "y\nz"], ["3", "w"]]
+
+
+@pytest.mark.parametrize("loader, text, reason", [
+    ("cohort", "s1,c,true,w01_t01,\ns2,c,yes,,\ns3,c,true,,\ns4,c\n",
+     "expected 'true' or 'false', got 'yes'"),
+    ("manifest", "task,week\na,1\nb,x\nc,2\nd\n",
+     "week must be an integer, got 'x'"),
+    ("provenance", "synthetic_row,base_row,neighbor_row,lambda\n"
+     "4,0,1,0.5\n5,0,1,1.5\n6,0,1,0.5\n7,0,1\n",
+     "lambda must be finite and in [0, 1), got '1.5'"),
+])
+def test_first_bad_row_wins_in_every_loader(tmp_path, small_manifest, loader,
+                                            text, reason):
+    path = tmp_path / f"{loader}.csv"
+    if loader == "cohort":
+        write_cohort(path, text.splitlines())
+    else:
+        path.write_text(text)
+    load = {"cohort": lambda p: load_cohort(p, small_manifest),
+            "manifest": TaskManifest.from_csv,
+            "provenance": lambda p: load_resampled(p, make_dataset(
+                np.eye(4), [True, True, False, False]))}[loader]
+    with pytest.raises(ValueError) as info:
+        load(path)
+    assert str(info.value) == f"{path}:3: {reason}"
 
 
 # --- split ------------------------------------------------------------------
